@@ -1,12 +1,11 @@
 """regspectra: spectral bounds and exhaustive search for regular graphs.
 
 The package provides dense simple graphs and the constructions built on them,
-a self-contained symmetric eigensolver (compiled kernel with a pure-Python
-fallback selected at import), Hoffman graphs with their special matrices and
-fattenings, the quasi-clique association machinery, numeric bound
-certificates, and an isomorph-free exhaustive search for the maximum order of
-a connected k-regular graph with second largest eigenvalue at most a given
-value.
+one symmetric eigensolver path (LAPACK through numpy), Hoffman graphs with
+their special matrices and fattenings, the quasi-clique association
+machinery, numeric bound certificates, and an isomorph-free exhaustive search
+for the maximum order of a connected k-regular graph with second largest
+eigenvalue at most a given value.
 """
 
 from .association import (
@@ -50,7 +49,6 @@ from .hoffman import (
     fatten,
     slim_with_fats,
 )
-from .kernel import backend
 from .search import (
     SearchReport,
     canonical_form,
@@ -89,7 +87,6 @@ __all__ = [
     "amply_regular_check",
     "associate",
     "attach_universal_fat",
-    "backend",
     "canonical_form",
     "co_edge_bound_check",
     "coclique_extension_spectrum",

@@ -1,4 +1,4 @@
-"""Eigensolver backend selection: compiled extension if available, else pure Python.
+"""Symmetric eigensolver: LAPACK's eigvalsh through numpy.
 
 Everything above this module calls :func:`sym_eigenvalues`; nothing else in the
 package computes eigenvalues of symmetric matrices by any other route.
@@ -6,45 +6,18 @@ package computes eigenvalues of symmetric matrices by any other route.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import _spectral_py
 
-if os.environ.get("REGSPECTRA_PURE"):  # force the fallback (testing, benchmarks)
-    _spectral = None
-else:
-    try:
-        from . import _spectral  # compiled extension, optional
-    except ImportError:  # pragma: no cover - depends on build environment
-        _spectral = None
-
-_BACKEND = "compiled" if _spectral is not None else "python"
-
-
-def backend() -> str:
-    """Name of the active eigensolver backend ('compiled' or 'python')."""
-    return _BACKEND
-
-
-def sym_eigenvalues(matrix, force_python: bool = False) -> np.ndarray:
+def sym_eigenvalues(matrix) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix, ascending float64 array.
 
     Symmetry is not validated here (see spectra.eig_symmetric for the
     validating entry point); only the lower triangle is read.
     """
-    a = np.ascontiguousarray(matrix, dtype=np.float64)
+    a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         raise ValueError("matrix must be nonempty")
-    if _spectral is not None and not force_python:
-        buf = a.ravel().copy()
-        d = np.empty(n, dtype=np.float64)
-        e = np.empty(n, dtype=np.float64)
-        _spectral.sym_eigenvalues_flat(buf, d, e, n)
-        d.sort()
-        return d
-    return np.asarray(_spectral_py.sym_eigenvalues(a.tolist()), dtype=np.float64)
+    return np.linalg.eigvalsh(a, UPLO="L")

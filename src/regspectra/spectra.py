@@ -1,8 +1,8 @@
 """Spectra of graphs and small matrices.
 
-All symmetric eigenvalue work funnels through the kernel backend (compiled or
-pure Python); quotient matrices, which may be non-symmetric, go through the
-exact characteristic-polynomial solver instead.
+All symmetric eigenvalue work funnels through `kernel.sym_eigenvalues`
+(LAPACK through numpy); quotient matrices, which may be non-symmetric, go
+through the exact characteristic-polynomial solver instead.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 import os
 import sys
 
-# Allow running the suite from a checkout without installing; the compiled
-# kernel is then optional and the pure-Python fallback takes over.
+# Allow running the suite from a checkout without installing; the package is
+# pure Python, so the source tree is importable as it stands.
 try:
     import regspectra  # noqa: F401
 except ImportError:  # pragma: no cover

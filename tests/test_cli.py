@@ -166,3 +166,14 @@ def test_negative_lambda_parses(capsys):
     assert code == 0 and "lambda=-1/2" in out
     code, out, _ = run(capsys, "search", "--k", "3", "--lambda=-1/2", "--n-max", "6")
     assert code == 0
+
+
+def test_bad_threads_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("REGSPECTRA_THREADS", "abc")
+    code, out, _ = run(capsys, "bounds", "ramsey", "--s", "3", "--t", "4")
+    assert code == 0 and out.strip() == "9"  # only search reads the variable
+    code, _, err = run(capsys, "search", "--k", "2", "--lambda", "0", "--n-max", "4")
+    assert code == 2 and "REGSPECTRA_THREADS" in err
+    code, _, _ = run(capsys, "search", "--k", "2", "--lambda", "0", "--n-max", "4",
+                     "--threads", "1")
+    assert code == 0  # an explicit --threads does not read the variable

@@ -1,38 +1,71 @@
-"""Eigensolver kernel: accuracy contract against an independent reference."""
+"""Eigensolver kernel: accuracy contract against exact root counts."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from regspectra import kernel
-from regspectra._spectral_py import sym_eigenvalues as pure_eig
+from regspectra import exactpoly, kernel
 
 
 def _max_norm(m):
     return float(np.max(np.abs(m).sum(axis=1)))
 
 
-@pytest.mark.parametrize("force_python", [False, True])
-def test_random_symmetric_against_numpy(force_python):
+def _exact_roots_in(poly, factors, lo, hi):
+    """(distinct roots, roots with multiplicity) of poly in (lo, hi]."""
+    distinct = exactpoly.count_roots_in(poly, lo, hi)
+    total = sum(i * exactpoly.count_roots_in(q, lo, hi) for q, i in factors)
+    return distinct, total
+
+
+def test_random_integer_symmetric_against_exact_roots():
+    # Every cluster of computed eigenvalues, widened by the accuracy contract,
+    # must hold exactly one distinct root of the exact characteristic
+    # polynomial, with multiplicity equal to the cluster size; no root may
+    # lie outside the clusters.
     rng = np.random.default_rng(42)
-    for _ in range(40):
-        n = int(rng.integers(1, 35))
-        m = rng.normal(size=(n, n)) * rng.uniform(0.1, 50)
-        m = (m + m.T) / 2
-        ours = kernel.sym_eigenvalues(m, force_python=force_python)
-        ref = np.linalg.eigvalsh(m)
-        assert np.max(np.abs(ours - ref)) <= 1e-10 * (1 + _max_norm(m))
+    for trial in range(40):
+        n = int(rng.integers(1, 10))
+        if trial % 2:  # adjacency matrices: repeated eigenvalues are common
+            m = np.triu(rng.integers(0, 2, size=(n, n)), 1)
+        else:
+            m = np.triu(rng.integers(-3, 4, size=(n, n)))
+        m = m + np.triu(m, 1).T
+        vals = kernel.sym_eigenvalues(m.astype(float))
+        assert vals.dtype == np.float64 and list(vals) == sorted(vals)
+        tol = 1e-10 * (1 + _max_norm(m))
+        clusters = [[vals[0]]]
+        for x in vals[1:]:
+            if x - clusters[-1][-1] <= 2 * tol:
+                clusters[-1].append(x)
+            else:
+                clusters.append([x])
+        poly = exactpoly.charpoly(m.tolist())
+        factors = exactpoly.squarefree_decomposition(poly)
+        tol_fr = Fraction(tol)
+        for cluster in clusters:
+            lo, hi = Fraction(cluster[0]) - tol_fr, Fraction(cluster[-1]) + tol_fr
+            assert _exact_roots_in(poly, factors, lo, hi) == (1, len(cluster)), (m, cluster)
+        outside = Fraction(vals[-1]) + tol_fr
+        assert exactpoly.count_roots_greater(poly, outside) == 0
+        below = Fraction(vals[0]) - tol_fr
+        assert exactpoly.count_roots_greater(poly, below) == len(clusters)
 
 
-def test_backends_agree():
-    rng = np.random.default_rng(7)
-    m = rng.integers(0, 2, size=(25, 25)).astype(float)
-    m = np.triu(m, 1)
-    m = m + m.T
-    a = kernel.sym_eigenvalues(m)
-    b = kernel.sym_eigenvalues(m, force_python=True)
-    assert np.max(np.abs(a - b)) < 1e-12
+def test_validation():
+    with pytest.raises(ValueError):
+        kernel.sym_eigenvalues(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        kernel.sym_eigenvalues(np.zeros((0, 0)))
+    with pytest.raises(ValueError):
+        kernel.sym_eigenvalues(np.zeros(3))
+
+
+def test_reads_lower_triangle_only():
+    a = np.array([[2.0, 99.0], [1.0, 2.0]])  # the upper entry is ignored
+    assert np.allclose(kernel.sym_eigenvalues(a), [1.0, 3.0])
 
 
 def test_star_closed_form():
@@ -72,13 +105,6 @@ def test_zero_and_diagonal():
     assert np.allclose(kernel.sym_eigenvalues(np.zeros((4, 4))), 0)
     d = np.diag([3.0, -1.0, 2.0])
     assert np.allclose(kernel.sym_eigenvalues(d), [-1.0, 2.0, 3.0])
-
-
-def test_pure_python_entry_point_matches():
-    m = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
-    vals = pure_eig(m)
-    assert vals == sorted(vals)
-    assert abs(vals[-1] - 2) < 1e-12 and abs(vals[0] + 1) < 1e-12
 
 
 def test_reentrant_no_state():

@@ -13,6 +13,7 @@ from regspectra.construct import (
     complete_bipartite,
     complete_multipartite,
     cycle,
+    line_graph,
     path,
     petersen,
     random_graph,
@@ -252,6 +253,34 @@ def test_v_search_boundary_flags():
     r = search.v_search(2, 1, 10)
     c6 = [e for e in r.extremal][0]
     assert c6.boundary and c6.exact_confirmed
+
+
+def test_boundary_graph_above_order_12_settled_exactly():
+    # L(Petersen): n = 15, 4-regular, lambda_2 = 2 exactly (multiplicity 5)
+    g = line_graph(petersen())
+    assert g.n == 15 and set(g.degrees()) == {4}
+    at = search._judge(g, Fraction(2))
+    assert at is not None and at.boundary and at.exact_confirmed
+    # just below 2 the float filter (+1e-9 benefit) would accept; exact rejects
+    assert search._judge(g, Fraction(2) - Fraction(1, 10**10)) is None
+
+
+def test_prune_verdicts_shared_among_siblings(monkeypatch):
+    calls = [0]
+    real = search.spectral_prune
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "spectral_prune", counted)
+    # one verdict per distinct saturated set among siblings; an unshared
+    # prune ran 6,743 and 6,639 times on these searches
+    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 4415), ((4, 1, 10), 3917)):
+        calls[0] = 0
+        pruned = search.v_search(k, lam, n_max)
+        assert calls[0] == want, (k, lam, n_max)
+        assert pruned.same_result(search.v_search(k, lam, n_max, prune=False))
 
 
 def test_v_search_workers_deterministic():
