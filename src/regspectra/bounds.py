@@ -26,7 +26,7 @@ from .construct import (
     k_tilde,
     line_graph,
 )
-from .graphs import Graph, distance_matrix, regularity_params
+from .graphs import Graph, distance_matrix, reach, regularity_params
 from .hoffman import attach_universal_fat
 from .ramsey import RamseyValue, ramsey_lookup
 from .spectra import (
@@ -381,17 +381,16 @@ def lower_bound_graph(lam: int, a: int) -> tuple[Graph, BoundCertificate]:
 
 def is_complete_multipartite(g: Graph) -> bool:
     """True iff the complement is a disjoint union of cliques."""
-    co = complement(g)
-    seen: set[int] = set()
-    for v in range(co.n):
-        if v in seen:
+    bits = complement(g).bits()
+    seen = 0
+    for v in range(g.n):
+        if seen >> v & 1:
             continue
-        comp = sorted(co._bfs_reach(v))
-        seen.update(comp)
-        for i, u in enumerate(comp):
-            for w in comp[i + 1 :]:
-                if not co.has_edge(u, w):
-                    return False
+        comp = reach(bits, v)
+        seen |= comp
+        # a component is a clique iff each member's closed neighbourhood is all of it
+        if any(comp >> u & 1 and (bits[u] | 1 << u) != comp for u in range(g.n)):
+            return False
     return True
 
 

@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
-exceeded.  `--lambda` accepts exact rationals ("3/2") as well as decimals so
-floor-based thresholds never misround.  REGSPECTRA_THREADS sets the default
-worker count for the search subcommand (results are identical for every
-worker count; workers only change wall time); a value that is not an integer
-is a usage error.
+exceeded (a search whose range the caps cut still prints its report, marked
+incomplete, and exits 3).  `--lambda` accepts exact rationals ("3/2") as well
+as decimals so floor-based thresholds never misround.  REGSPECTRA_THREADS sets
+the default worker count for the search subcommand (results are identical for
+every worker count; workers only change wall time); a value that is not an
+integer is a usage error.
 """
 
 from __future__ import annotations
@@ -300,7 +301,7 @@ def _cmd_search(args) -> int:
         for e in report.extremal:
             flags = " boundary" if e.boundary else ""
             print(f"  extremal {e.graph6} lambda_2={e.second_largest:.10g}{flags}")
-    return 0
+    return 0 if report.complete else 3
 
 
 def _cmd_verify(args) -> int:

@@ -30,19 +30,16 @@ class Graph:
     __slots__ = ("n", "adj", "name", "_bits")
 
     def __init__(self, adj, name: str = ""):
-        a = np.asarray(adj)
-        if a.dtype != np.bool_:
-            a = a.astype(bool)
+        a = np.array(adj, dtype=bool)  # always a private copy
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be a square matrix")
         n = a.shape[0]
         if n < 1:
             raise ValueError("graph must have at least one vertex")
-        if not np.array_equal(a, a.T):
+        if (a != a.T).any():
             raise ValueError("adjacency must be symmetric")
         if a.diagonal().any():
             raise ValueError("adjacency must have a zero diagonal (no loops)")
-        a = a.copy()
         a.setflags(write=False)
         self.n = n
         self.adj = a
@@ -67,13 +64,8 @@ class Graph:
     def bits(self) -> tuple[int, ...]:
         """Neighborhood bitmasks, one integer per vertex (cached)."""
         if self._bits is None:
-            packed = []
-            for i in range(self.n):
-                row = 0
-                for j in np.flatnonzero(self.adj[i]):
-                    row |= 1 << int(j)
-                packed.append(row)
-            self._bits = tuple(packed)
+            packed = np.packbits(self.adj, axis=1, bitorder="little")
+            self._bits = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
         return self._bits
 
     def degree(self, v: int) -> int:
@@ -114,20 +106,7 @@ class Graph:
         return Graph(self.adj[np.ix_(inv, inv)], name)
 
     def is_connected(self) -> bool:
-        seen = self._bfs_reach(0)
-        return len(seen) == self.n
-
-    def _bfs_reach(self, start: int) -> set[int]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in np.flatnonzero(self.adj[u]):
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
+        return reach(self.bits(), 0) == (1 << self.n) - 1
 
     # -- dunder plumbing ---------------------------------------------------
 
@@ -143,6 +122,26 @@ class Graph:
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"<Graph{tag} n={self.n} m={self.num_edges()}>"
+
+
+def reach(bits: Sequence[int], start: int, stop_mask: int = 0) -> int:
+    """Bitmask of the vertices reachable from `start` over the neighbourhood
+    bitmasks `bits`.
+
+    The search stops as soon as it reaches a vertex of `stop_mask`; the mask
+    it then returns holds that vertex but may miss other reachable ones."""
+    seen = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= bits[b.bit_length() - 1]
+            if nxt & stop_mask:
+                return seen | nxt
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
 
 
 # -- distance structure ----------------------------------------------------

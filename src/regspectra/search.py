@@ -22,12 +22,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import exactpoly
+from . import exactpoly, kernel
 from .bounds import to_fraction
 from .errors import UnsupportedSizeError
 from .formats import to_graph6
-from .graphs import Graph
-from .spectra import eig_symmetric, spectrum
+from .graphs import Graph, reach
+from .spectra import spectrum
 
 CANONICAL_CAP = 64
 DEFAULT_MAX_K = 5
@@ -224,21 +224,21 @@ def parity_ok(k: int, n: int) -> bool:
 def spectral_prune(saturated: Graph, lam: float, tol: float = ACCEPT_TOL) -> bool:
     """Keep/cut decision for a partial graph: cut only when the subgraph induced
     on already-saturated vertices has second largest eigenvalue beyond lam.
-    Sound by interlacing, since every completion contains it induced."""
+    Sound by interlacing, since every completion contains it induced.
+
+    The `Graph` has already validated its matrix (square, symmetric, boolean,
+    zero diagonal), so the prune goes straight to the kernel."""
     if saturated.n < 2:
         return True
-    vals = eig_symmetric(saturated.adj.astype(np.float64))
-    return vals[1] <= lam + tol
+    vals = kernel.sym_eigenvalues(saturated.adj)
+    return bool(vals[-2] <= lam + tol)
 
 
 def _saturated_subgraph(rows: Sequence[int], sat: Sequence[int]) -> Graph:
-    m = len(sat)
-    a = np.zeros((m, m), dtype=bool)
-    for i, u in enumerate(sat):
-        for j in range(i + 1, m):
-            if rows[u] >> sat[j] & 1:
-                a[i, j] = a[j, i] = True
-    return Graph(a)
+    """The graph induced on `sat` by the bit rows; vertex i is sat[i]."""
+    idx = np.array(sat, dtype=np.uint64)
+    r = np.array([rows[u] for u in sat], dtype=np.uint64)
+    return Graph((r[:, None] >> idx[None, :]) & 1)
 
 
 def _complete_from(
@@ -325,62 +325,37 @@ def _feasible(
     prune_lam: Optional[float],
     verdicts: dict[int, bool],
 ) -> bool:
-    deficits = [k - deg[u] for u in range(v + 1, n)]
-    total = sum(deficits)
-    if total % 2:
+    sat = (2 << v) - 1  # bitmask of saturated vertices; 0..v are complete
+    deficits = []
+    for u in range(v + 1, n):
+        d = k - deg[u]
+        if d:
+            deficits.append(d)
+        else:
+            sat |= 1 << u
+    if sum(deficits) % 2:
         return False
-    positive = sum(1 for d in deficits if d > 0)
-    if any(d > positive - 1 for d in deficits if d > 0):
+    if deficits and max(deficits) >= len(deficits):
+        return False  # some vertex needs more partners than remain
+    # closed-component cut: a fully saturated component that is not everything;
+    # the search from v stops at the first unsaturated vertex it reaches
+    full = (1 << n) - 1
+    comp = reach(rows, v, full & ~sat)
+    if comp & ~sat == 0 and comp != full:
         return False
-    # closed-component cut: a fully saturated component that is not everything
-    comp = 1 << v
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        nxt = rows[u] & ~comp
-        while nxt:
-            b = nxt & -nxt
-            nxt ^= b
-            comp |= b
-            frontier.append(b.bit_length() - 1)
-    comp_size = comp.bit_count()
-    if comp_size < n:
-        closed = True
-        m = comp
-        while m:
-            b = m & -m
-            m ^= b
-            if deg[b.bit_length() - 1] != k:
-                closed = False
-                break
-        if closed:
-            return False
     if prune_lam is not None:
-        sat = [u for u in range(n) if deg[u] == k]
-        if len(sat) < 2:
+        if sat.bit_count() < 2:
             return True
-        key = sum(1 << u for u in sat)
-        keep = verdicts.get(key)
+        keep = verdicts.get(sat)
         if keep is None:
-            keep = verdicts[key] = spectral_prune(_saturated_subgraph(rows, sat), prune_lam)
+            members = [u for u in range(n) if sat >> u & 1]
+            keep = verdicts[sat] = spectral_prune(_saturated_subgraph(rows, members), prune_lam)
         return keep
     return True
 
 
 def _rows_connected(rows: Sequence[int], n: int) -> bool:
-    if n == 1:
-        return True
-    comp = 1
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        nxt = rows[u] & ~comp
-        while nxt:
-            b = nxt & -nxt
-            nxt ^= b
-            comp |= b
-            frontier.append(b.bit_length() - 1)
-    return comp == (1 << n) - 1
+    return reach(rows, 0) == (1 << n) - 1
 
 
 def _worker_complete(args):
@@ -419,7 +394,7 @@ def enum_connected_regular(
     max_n: int = DEFAULT_MAX_N,
     prune_lam: Optional[float] = None,
     workers: int = 1,
-    _counts: Optional[dict] = None,
+    _info: Optional[dict] = None,
 ) -> list[Graph]:
     """Exactly one representative per isomorphism class of connected k-regular
     graphs on n vertices.
@@ -430,6 +405,8 @@ def enum_connected_regular(
     `prune_lam` is set, subtrees whose saturated induced subgraph already has
     second eigenvalue beyond it are cut (sound for the search driver, but the
     result is then only exhaustive for graphs passing that filter).
+    `_info`, when given, receives the candidate and class counts and the
+    certificates of the returned graphs, in the same order.
     """
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
@@ -444,21 +421,16 @@ def enum_connected_regular(
     candidates, completed = _candidate_rows(k, n, prune_lam, workers)
     by_cert: dict[str, Graph] = {}
     for rows in completed:
-        a = np.zeros((n, n), dtype=bool)
-        for u in range(n):
-            m = rows[u]
-            while m:
-                b = m & -m
-                m ^= b
-                a[u, b.bit_length() - 1] = True
-        g = Graph(a)
+        g = _saturated_subgraph(rows, range(n))  # a completed graph is all saturated
         cert = canonical_form(g).certificate
         if cert not in by_cert:
             by_cert[cert] = g
-    if _counts is not None:
-        _counts["candidates"] = candidates
-        _counts["classes"] = len(by_cert)
-    return [by_cert[c] for c in sorted(by_cert)]
+    certs = sorted(by_cert)
+    if _info is not None:
+        _info["candidates"] = candidates
+        _info["classes"] = len(by_cert)
+        _info["certificates"] = certs
+    return [by_cert[c] for c in certs]
 
 
 # -- exact boundary recheck ---------------------------------------------------------
@@ -564,8 +536,9 @@ class SearchReport:
         }
 
 
-def _judge(g: Graph, lam: Fraction) -> Optional[ExtremalGraph]:
-    """The witness record of `g` if lambda_2(g) <= lam, else None.
+def _judge(g: Graph, certificate: str, lam: Fraction) -> Optional[ExtremalGraph]:
+    """The witness record of `g` (canonical certificate `certificate`) if
+    lambda_2(g) <= lam, else None.
 
     The float filter gives the graph a +ACCEPT_TOL benefit; within
     BOUNDARY_WINDOW of lam the exact recheck decides instead."""
@@ -581,7 +554,7 @@ def _judge(g: Graph, lam: Fraction) -> Optional[ExtremalGraph]:
         return None
     return ExtremalGraph(
         graph6=to_graph6(g),
-        certificate=canonical_form(g).certificate,
+        certificate=certificate,
         second_largest=l2,
         spectrum_json=spec.to_json_obj(),
         boundary=boundary,
@@ -630,14 +603,14 @@ def v_search(
             max_n=max_n,
             prune_lam=lam_f if prune else None,
             workers=workers,
-            _counts=cinfo,
+            _info=cinfo,
         )
         passed: list[ExtremalGraph] = []
-        for g in graphs:
+        for g, cert in zip(graphs, cinfo["certificates"]):
             degs = set(g.degrees())
             if degs != {k} or not g.is_connected():
                 raise AssertionError("generator produced an invalid graph")
-            witness = _judge(g, lam_fr)
+            witness = _judge(g, cert, lam_fr)
             if witness is not None:
                 passed.append(witness)
         counts[n] = OrderCount(cinfo.get("candidates", 0), cinfo.get("classes", 0), len(passed))

@@ -185,6 +185,11 @@ def test_is_complete_multipartite():
     assert bounds.is_complete_multipartite(complete_bipartite(1, 4))
     assert not bounds.is_complete_multipartite(petersen())
     assert not bounds.is_complete_multipartite(cycle(6))
+    # complement = K_3 plus a path on 3 vertices: one clique component, one not
+    k3_p3 = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
+    assert not bounds.is_complete_multipartite(complement(k3_p3))
+    k3_k2 = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    assert bounds.is_complete_multipartite(complement(k3_k2))
 
 
 def test_certificate_json():

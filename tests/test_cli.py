@@ -150,6 +150,16 @@ def test_cap_exit_code(tmp_path, capsys):
     assert code == 2  # n_max below k+1 is a usage error
 
 
+def test_capped_search_exits_3(capsys):
+    # n_max 18 is above the order cap 16: the report covers orders <= 16 only
+    code, out, _ = run(capsys, "search", "--k", "3", "--lambda", "0", "--n-max", "18", "--json")
+    assert code == 3
+    blob = json.loads(out)
+    assert blob["complete"] is False and blob["exact_v"] == 6
+    code, out, _ = run(capsys, "search", "--k", "3", "--lambda", "0", "--n-max", "18")
+    assert code == 3 and "report incomplete" in out
+
+
 def test_spectrum_of_edgeless_graph(tmp_path, capsys):
     from regspectra.construct import edgeless
 

@@ -28,6 +28,7 @@ from regspectra.graphs import (
     contains_induced_bruteforce,
     diameter,
     distance_layers,
+    reach,
     regularity_params,
 )
 
@@ -248,3 +249,25 @@ def test_induced_and_relabel():
     assert sorted(rg.degrees()) == sorted(g.degrees())
     with pytest.raises(ValueError):
         g.relabel([0, 0] + list(range(2, 10)))
+
+
+def test_reach_matches_bfs_layers():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 14)
+        g = random_graph(n, rng.random() * 0.4, rng)
+        bits = g.bits()
+        assert bits == tuple(sum(1 << w for w in g.neighbors(u)) for u in range(n))
+        for s in range(n):
+            dl = distance_layers(g, s)
+            full = sum(1 << v for layer in dl.layers for v in layer)
+            assert reach(bits, s) == full
+            stop = rng.getrandbits(n)
+            part = reach(bits, s, stop)
+            assert part & ~full == 0  # never beyond the component
+            if full & stop:
+                assert part & stop  # a reachable stop vertex is always found
+            else:
+                assert part == full  # no stop vertex: the whole component
+        assert g.is_connected() == (not distance_layers(g, 0).unreached)
+

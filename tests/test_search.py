@@ -259,10 +259,12 @@ def test_boundary_graph_above_order_12_settled_exactly():
     # L(Petersen): n = 15, 4-regular, lambda_2 = 2 exactly (multiplicity 5)
     g = line_graph(petersen())
     assert g.n == 15 and set(g.degrees()) == {4}
-    at = search._judge(g, Fraction(2))
+    cert = search.canonical_form(g).certificate
+    at = search._judge(g, cert, Fraction(2))
     assert at is not None and at.boundary and at.exact_confirmed
+    assert at.certificate == cert
     # just below 2 the float filter (+1e-9 benefit) would accept; exact rejects
-    assert search._judge(g, Fraction(2) - Fraction(1, 10**10)) is None
+    assert search._judge(g, cert, Fraction(2) - Fraction(1, 10**10)) is None
 
 
 def test_prune_verdicts_shared_among_siblings(monkeypatch):
@@ -281,6 +283,35 @@ def test_prune_verdicts_shared_among_siblings(monkeypatch):
         pruned = search.v_search(k, lam, n_max)
         assert calls[0] == want, (k, lam, n_max)
         assert pruned.same_result(search.v_search(k, lam, n_max, prune=False))
+
+
+def test_pruned_candidates_per_order_pinned():
+    # labelled candidates per order of the pruned search, recorded before the
+    # prune matrix was built from the bit rows; the prune path must not move them
+    want = {
+        (3, Fraction(3, 2), 12): {4: 1, 5: 0, 6: 3, 7: 0, 8: 4, 9: 0, 10: 1, 11: 0, 12: 0},
+        (4, 1, 10): {5: 1, 6: 1, 7: 6, 8: 1, 9: 33, 10: 1},
+    }
+    for (k, lam, n_max), per_order in want.items():
+        r = search.v_search(k, lam, n_max)
+        assert {n: c.candidates for n, c in r.counts.items()} == per_order, (k, lam, n_max)
+
+
+def test_saturated_subgraph_matches_induced():
+    rng = random.Random(5)
+    for k, n, depth in ((3, 10, 4), (3, 12, 6), (4, 9, 3), (4, 11, 5)):
+        states: list = []
+        list(search._complete_from(k, n, [0] * n, [0] * n, 0, None, [0], depth, states))
+        assert states
+        for rows, deg, _ in rng.sample(states, min(25, len(states))):
+            g = Graph.from_edges(
+                n, [(u, w) for u in range(n) for w in range(u + 1, n) if rows[u] >> w & 1]
+            )
+            sat = [u for u in range(n) if deg[u] == k]
+            subset = sorted(rng.sample(range(n), rng.randint(1, n)))
+            for vertices in (sat, subset, range(n)):
+                got = search._saturated_subgraph(rows, vertices)
+                assert (got.adj == g.induced(vertices).adj).all()
 
 
 def test_v_search_workers_deterministic():
