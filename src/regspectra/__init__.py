@@ -50,6 +50,7 @@ from .hoffman import (
     slim_with_fats,
 )
 from .search import (
+    LeafIndex,
     SearchReport,
     canonical_form,
     enum_connected_regular,
@@ -79,6 +80,7 @@ __all__ = [
     "Graph",
     "HoffmanGraph",
     "KnownValue",
+    "LeafIndex",
     "RegularityParams",
     "SearchReport",
     "Spectrum",

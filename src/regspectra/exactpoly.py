@@ -1,6 +1,6 @@
 """Exact rational polynomial tools for small matrices.
 
-Characteristic polynomials are computed over Fractions (Faddeev-LeVerrier),
+Characteristic polynomials are computed by Faddeev-LeVerrier over plain ints,
 real roots are isolated with Sturm chains and refined by bisection, and
 multiplicities come from Yun's square-free decomposition.  This powers the
 general small-matrix eigensolver for (possibly non-symmetric) quotient
@@ -13,6 +13,7 @@ nonzero leading coefficient, except for the zero polynomial [].
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -80,35 +81,41 @@ def monic(p: Poly) -> Poly:
 def charpoly(matrix) -> Poly:
     """Monic characteristic polynomial det(xI - M) of a square rational matrix.
 
-    Faddeev-LeVerrier over exact Fractions; accepts any nested structure of
-    ints / Fractions / floats (floats are taken at their exact binary value).
+    Accepts any nested structure of ints / Fractions / floats (floats are
+    taken at their exact binary value).  Faddeev-LeVerrier runs over plain
+    ints on dM, where d is the lcm of the entries' denominators: dM has an
+    integer characteristic polynomial, so each division by k is exact, and
+    its coefficient of x^i divided by d^(n-i) is that of M.
     """
     m = [[Fraction(x) for x in row] for row in matrix]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [row[:] for row in m]
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in m]
+    # row i of a as (column, entry) pairs, to skip zeros in the products
+    support = [[(t, x) for t, x in enumerate(row) if x] for row in a]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    mk = [row[:] for row in a]
     for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
+        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible by k")
         coeffs[n - k] = ck
         if k == n:
             break
-        # mk <- M (mk + ck I)
+        # mk <- a (mk + ck I)
         for i in range(n):
             mk[i][i] += ck
-        nxt = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            mi = m[i]
-            for j in range(n):
-                s = Fraction(0)
-                for t in range(n):
-                    if mi[t]:
-                        s += mi[t] * mk[t][j]
-                nxt[i][j] = s
+        nxt = []
+        for pairs in support:
+            row = [0] * n
+            for t, x in pairs:
+                row = [r + x * y for r, y in zip(row, mk[t])]
+            nxt.append(row)
         mk = nxt
-    return coeffs
+    return [Fraction(c, d ** (n - i)) for i, c in enumerate(coeffs)]
 
 
 # -- Sturm machinery ------------------------------------------------------------

@@ -7,6 +7,13 @@ block-prefix symmetry rule, canonical-certificate rejection), and the search
 driver that filters by the second largest eigenvalue and reports extremal
 witnesses.
 
+Rejection uses a leaf-key index per dedup pass: the first candidate of a
+class walks its whole labelling tree and records every leaf key (the
+adjacency matrix under that leaf's order) with the class's certificate;
+every later candidate of the class finds its first leaf's key there and
+stops after one root-to-leaf path.  A key absent from the index proves a new
+class, since isomorphic graphs have the same leaf-key set.
+
 Eigenvalue comparisons give the graph the benefit of a +1e-9 tolerance;
 candidates within 1e-6 of the threshold are re-checked in exact rational
 arithmetic through the characteristic polynomial, at every supported order,
@@ -46,6 +53,20 @@ class CanonicalForm:
 
     labeling: tuple[int, ...]
     certificate: str
+
+
+class LeafIndex(dict):
+    """Leaf-key index of one dedup pass, filled by `canonical_form`: maps
+    `(n, leaf key)` to the certificate of the class that owns the key and the
+    canonical position of each position of that leaf's order.  The order is
+    part of the key because leaf keys of different orders can be equal as
+    numbers (leading zeros).  `walks` counts the graphs whose whole tree was
+    walked (each a new class), `hits` those that stopped at their first leaf."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.walks = 0
+        self.hits = 0
 
 
 def _twin_classes(bits: Sequence[int], n: int) -> list[int]:
@@ -116,33 +137,34 @@ def _refine(
     return cells
 
 
-def canonical_form(g: Graph, cap: int = CANONICAL_CAP) -> CanonicalForm:
-    """Canonical labeling and certificate; isomorphic graphs map to identical
-    certificates (and only those - each leaf is an actual relabelling)."""
-    if g.n > cap:
-        raise UnsupportedSizeError(f"order {g.n} exceeds canonical cap {cap}")
-    n = g.n
-    bits = g.bits()
+def _leaf_key(bits: Sequence[int], order: Sequence[int]) -> int:
+    """The upper triangle of the adjacency matrix under `order` (position ->
+    vertex), read row by row as one integer; equal keys on one order mean
+    equal relabelled graphs."""
+    n = len(order)
+    key = 0
+    for i in range(n):
+        bi = bits[order[i]]
+        for j in range(i + 1, n):
+            key = (key << 1) | (bi >> order[j] & 1)
+    return key
+
+
+def _leaf_orders(bits: Sequence[int], n: int):
+    """The leaves of the individualization-refinement tree, depth first; each
+    is an order (position -> vertex).
+
+    A twin of an explored sibling is skipped: swapping twins is an
+    automorphism that fixes the individualized vertices, so its subtree
+    repeats the explored leaf keys.  The set of leaf keys is therefore that
+    of the full tree, which is the same for every graph of the class."""
     twin = _twin_classes(bits, n)
 
-    best: dict[str, object] = {"key": None, "perm": None}
-
-    def leaf(cells: list[list[int]]) -> None:
-        order = [cell[0] for cell in cells]  # canonical position -> old vertex
-        key = 0
-        for i in range(n):
-            bi = bits[order[i]]
-            for j in range(i + 1, n):
-                key = (key << 1) | (bi >> order[j] & 1)
-        if best["key"] is None or key < best["key"]:
-            best["key"] = key
-            best["perm"] = order
-
-    def descend(cells: list[list[int]], seed: Optional[list[int]]) -> None:
+    def descend(cells: list[list[int]], seed: Optional[list[int]]):
         cells = _refine(bits, cells, seed)
         target = next((idx for idx, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
-            leaf(cells)
+            yield [cell[0] for cell in cells]
             return
         cell = cells[target]
         seen_twins = set()
@@ -155,15 +177,51 @@ def canonical_form(g: Graph, cap: int = CANONICAL_CAP) -> CanonicalForm:
             split.append([v])
             split.append([w for w in cell if w != v])
             split.extend(cells[i] for i in range(target + 1, len(cells)))
-            descend(split, [target, target + 1])
+            yield from descend(split, [target, target + 1])
 
-    descend([list(range(n))], None)
-    order = best["perm"]
+    return descend([list(range(n))], None)
+
+
+def canonical_form(
+    g: Graph, cap: int = CANONICAL_CAP, *, index: Optional[LeafIndex] = None
+) -> CanonicalForm:
+    """Canonical labeling and certificate; isomorphic graphs map to identical
+    certificates (and only those - each leaf is an actual relabelling).  The
+    canonical order is the first leaf with the least key.
+
+    `index`, when given, is the `LeafIndex` shared by one dedup pass.  If the
+    first leaf's key is in it, the graph belongs to that class and the walk
+    stops there; the returned labeling realizes the certificate.  Otherwise
+    the graph starts a new class (isomorphic graphs have the same leaf-key
+    set), the whole tree is walked as without an index, and every leaf key it
+    met is added."""
+    if g.n > cap:
+        raise UnsupportedSizeError(f"order {g.n} exceeds canonical cap {cap}")
+    n = g.n
+    bits = g.bits()
+    leaves = _leaf_orders(bits, n)
+    first = next(leaves)
+    key = _leaf_key(bits, first)
     labeling = [0] * n
-    for position, old in enumerate(order):
+    if index is not None:
+        hit = index.get((n, key))
+        if hit is not None:
+            index.hits += 1
+            certificate, to_canon = hit
+            for position, old in enumerate(first):
+                labeling[old] = to_canon[position]
+            return CanonicalForm(labeling=tuple(labeling), certificate=certificate)
+    orders = {key: first}  # leaf key -> order of the first leaf with that key
+    for order in leaves:
+        orders.setdefault(_leaf_key(bits, order), order)
+    for position, old in enumerate(orders[min(orders)]):
         labeling[old] = position
-    canon = g.relabel(labeling)
-    return CanonicalForm(labeling=tuple(labeling), certificate=to_graph6(canon))
+    certificate = to_graph6(g.relabel(labeling))
+    if index is not None:
+        index.walks += 1
+        for key, order in orders.items():
+            index[(n, key)] = (certificate, bytes(labeling[old] for old in order))
+    return CanonicalForm(labeling=tuple(labeling), certificate=certificate)
 
 
 def brute_force_certificate(g: Graph) -> str:
@@ -199,6 +257,7 @@ def enumerate_all_graphs(n: int) -> list[Graph]:
     current = [Graph(np.zeros((1, 1), dtype=bool))]
     for size in range(2, n + 1):
         seen: dict[str, Graph] = {}
+        index = LeafIndex()
         for g in current:
             for mask in range(1 << (size - 1)):
                 a = np.zeros((size, size), dtype=bool)
@@ -207,7 +266,7 @@ def enumerate_all_graphs(n: int) -> list[Graph]:
                     if mask >> w & 1:
                         a[size - 1, w] = a[w, size - 1] = True
                 cand = Graph(a)
-                cert = canonical_form(cand).certificate
+                cert = canonical_form(cand, index=index).certificate
                 if cert not in seen:
                     seen[cert] = cand
         current = [seen[c] for c in sorted(seen)]
@@ -401,12 +460,16 @@ def enum_connected_regular(
 
     Vertex-by-vertex completion with interchangeable candidates restricted to
     block prefixes (any completion is isomorphic to a surviving one), followed
-    by canonical-certificate rejection; odd k*n yields the empty list.  When
-    `prune_lam` is set, subtrees whose saturated induced subgraph already has
-    second eigenvalue beyond it are cut (sound for the search driver, but the
-    result is then only exhaustive for graphs passing that filter).
-    `_info`, when given, receives the candidate and class counts and the
-    certificates of the returned graphs, in the same order.
+    by canonical-certificate rejection; odd k*n yields the empty list.  The
+    candidates of one order share a leaf-key index (see `canonical_form`), so
+    only the first candidate of each class walks its whole labelling tree;
+    every later one stops at its first leaf.  When `prune_lam` is set,
+    subtrees whose saturated induced subgraph already has second eigenvalue
+    beyond it are cut (sound for the search driver, but the result is then
+    only exhaustive for graphs passing that filter).
+    `_info`, when given, receives the candidate and class counts, the
+    certificates of the returned graphs, in the same order, and the number of
+    full tree walks and of index hits.
     """
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
@@ -420,9 +483,10 @@ def enum_connected_regular(
         return []
     candidates, completed = _candidate_rows(k, n, prune_lam, workers)
     by_cert: dict[str, Graph] = {}
+    index = LeafIndex()
     for rows in completed:
         g = _saturated_subgraph(rows, range(n))  # a completed graph is all saturated
-        cert = canonical_form(g).certificate
+        cert = canonical_form(g, index=index).certificate
         if cert not in by_cert:
             by_cert[cert] = g
     certs = sorted(by_cert)
@@ -430,6 +494,8 @@ def enum_connected_regular(
         _info["candidates"] = candidates
         _info["classes"] = len(by_cert)
         _info["certificates"] = certs
+        _info["walks"] = index.walks
+        _info["hits"] = index.hits
     return [by_cert[c] for c in certs]
 
 

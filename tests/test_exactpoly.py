@@ -16,6 +16,34 @@ def test_charpoly_small():
     assert ep.charpoly(m) == [F(4 * 1 - 2 * 3), F(-5), F(1)]
 
 
+def test_charpoly_fraction_and_float_entries():
+    # against the explicit coefficients: x^2 - tr x + det, and
+    # x^3 - tr x^2 + (sum of principal 2x2 minors) x - det; floats count at
+    # their exact binary value
+    def minor(m, i, j):
+        return m[i][i] * m[j][j] - m[i][j] * m[j][i]
+
+    def det3(m):
+        return (m[0][0] * minor([row[1:] for row in m[1:]], 0, 1)
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+    twos = ([[F(1, 3), F(-2, 5)], [F(7, 2), F(5, 6)]],
+            [[0.1, -2.75], [1e-3, 3.0]],
+            [[F(2, 7), 0.5], [-1, 0.3]])
+    for m in twos:
+        e = [[F(x) for x in row] for row in m]
+        assert ep.charpoly(m) == [minor(e, 0, 1), -(e[0][0] + e[1][1]), F(1)]
+    threes = ([[F(1, 2), F(-1, 3), F(2, 9)], [F(4, 5), F(0), F(-7, 4)], [F(1, 6), F(3, 8), F(5, 3)]],
+              [[0.25, -1.1, 2.0], [0.7, 1e-4, -3.5], [1.0 / 3, 0.0, 9.75]],
+              [[F(3, 4), 0.2, -2], [1, F(-5, 12), 0.125], [0.6, 7, F(1, 11)]])
+    for m in threes:
+        e = [[F(x) for x in row] for row in m]
+        trace = e[0][0] + e[1][1] + e[2][2]
+        minors = minor(e, 0, 1) + minor(e, 0, 2) + minor(e, 1, 2)
+        assert ep.charpoly(m) == [-det3(e), minors, -trace, F(1)]
+
+
 def test_charpoly_vs_numpy_roots():
     rng = np.random.default_rng(5)
     for _ in range(20):

@@ -99,6 +99,84 @@ def test_canonical_matches_bruteforce_classifier_n5():
         assert seen.setdefault(o, b) == b  # same classifier partition
 
 
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def test_index_hits_realize_the_class_certificate():
+    from regspectra.formats import to_graph6
+
+    rng = random.Random(17)
+    for classes in (search.enum_connected_regular(3, 10), search.enumerate_all_graphs(5)):
+        index = search.LeafIndex()
+        own = 0  # entries of the classes, each indexed alone
+        for g in classes:
+            alone = search.LeafIndex()
+            cert = search.canonical_form(g, index=alone).certificate
+            assert cert == search.canonical_form(g, index=index).certificate
+            assert cert == search.canonical_form(g).certificate
+            own += len(alone)
+        # every class was new, and non-isomorphic classes never share a leaf key
+        assert (index.walks, index.hits) == (len(classes), 0)
+        assert own == len(index)
+        for g in classes:
+            cert = search.canonical_form(g).certificate
+            for _ in range(4):
+                h = _relabelled(g, rng)
+                size, hits = len(index), index.hits
+                cf = search.canonical_form(h, index=index)
+                assert (len(index), index.hits) == (size, hits + 1)
+                assert cf.certificate == search.canonical_form(h).certificate == cert
+                assert to_graph6(h.relabel(cf.labeling)) == cert
+
+
+def test_index_hits_agree_with_bruteforce_classifier():
+    rng = random.Random(23)
+    graphs = [_relabelled(g, rng) for g in search.enumerate_all_graphs(5) for _ in range(2)]
+    cubic8 = search.enum_connected_regular(3, 8)
+    graphs += [_relabelled(g, rng) for g in cubic8 + cubic8[:2]]
+    index = search.LeafIndex()
+    ours = [search.canonical_form(g, index=index).certificate for g in graphs]
+    brute = [search.brute_force_certificate(g) for g in graphs]
+    assert len(set(ours)) == len(set(brute)) == 34 + 5
+    for i in range(len(graphs)):
+        for j in range(i + 1, len(graphs)):
+            assert (ours[i] == ours[j]) == (brute[i] == brute[j])
+
+
+def test_index_keyed_by_order():
+    # an order-8 graph plus two isolated vertices, which come first in every
+    # leaf order, has the order-8 graph's leaf keys as numbers
+    from regspectra.construct import disjoint_union, edgeless
+
+    index = search.LeafIndex()
+    for g in search.enum_connected_regular(3, 8):
+        search.canonical_form(g, index=index)
+    small_keys = {key for _, key in index}
+    for g in search.enum_connected_regular(3, 8):
+        h = disjoint_union(edgeless(2), g)
+        own = search.LeafIndex()
+        search.canonical_form(h, index=own)
+        assert small_keys & {key for _, key in own}  # equal as numbers
+        walks = index.walks
+        cf = search.canonical_form(h, index=index)
+        assert (index.walks, index.hits) == (walks + 1, 0)  # no hit: a new class
+        assert cf.certificate == search.canonical_form(h).certificate
+
+
+def test_enum_walks_once_per_class():
+    # the leaf-key index walks one full tree per class; every other
+    # candidate is a hit, whatever the worker count
+    for (k, n), classes in (((3, 12), 85), ((4, 10), 59)):
+        for workers in (1, 2):
+            info: dict = {}
+            search.enum_connected_regular(k, n, workers=workers, _info=info)
+            assert info["classes"] == info["walks"] == classes, (k, n, workers)
+            assert info["hits"] == info["candidates"] - classes, (k, n, workers)
+
+
 def test_enumerate_all_graphs_counts():
     for n, want in ((1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)):
         assert len(search.enumerate_all_graphs(n)) == want
