@@ -25,6 +25,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,6 +42,12 @@ DEFAULT_MAX_K = 5
 DEFAULT_MAX_N = 16
 ACCEPT_TOL = 1e-9
 BOUNDARY_WINDOW = 1e-6
+# Serial candidates reach the dedup in batches: handing them over one at a
+# time interleaves the completion with the labelling and cost about 13 % more
+# CPU on v_search(3, 2, 12, prune=False) (CPython 3.11, 2-core x86 host); from
+# 256 up a batch is as fast as collecting every candidate first, and memory
+# stays bounded.
+_STREAM_BATCH = 512
 
 
 # -- canonical labeling ----------------------------------------------------------
@@ -300,6 +307,20 @@ def _saturated_subgraph(rows: Sequence[int], sat: Sequence[int]) -> Graph:
     return Graph((r[:, None] >> idx[None, :]) & 1)
 
 
+def _prune_key(rows: Sequence[int], sat: int, n: int) -> int:
+    """The labelled subgraph induced on the saturated bitmask `sat`, as one
+    integer: `sat` in the low n bits, then `rows[u] & sat` for each saturated
+    u in ascending order, n bits each.  Equal keys mean the same saturated set
+    and the same induced subgraph."""
+    key = sat
+    shift = n
+    for u in range(n):
+        if sat >> u & 1:
+            key |= (rows[u] & sat) << shift
+            shift += n
+    return key
+
+
 def _complete_from(
     k: int,
     n: int,
@@ -310,12 +331,15 @@ def _complete_from(
     counter: list[int],
     stop_depth: Optional[int] = None,
     states: Optional[list] = None,
+    verdicts: Optional[dict[int, bool]] = None,
 ):
     """Recursive completion of vertex v onward; yields completed row tuples.
 
     When `stop_depth` is set, recursion stops at v == stop_depth and the
     state is appended to `states` instead (used to partition work across
-    processes)."""
+    processes).  `verdicts` is the prune-verdict memo of the completion pass
+    (see `_feasible`): the root call creates it, the recursion shares it, and
+    it is dropped when the pass ends."""
     if stop_depth is not None and v == stop_depth:
         states.append((tuple(rows), tuple(deg), v))
         return
@@ -324,8 +348,12 @@ def _complete_from(
             counter[0] += 1
             yield tuple(rows)
         return
+    if verdicts is None:
+        verdicts = {}
     if deg[v] == k:
-        yield from _complete_from(k, n, rows, deg, v + 1, prune_lam, counter, stop_depth, states)
+        yield from _complete_from(
+            k, n, rows, deg, v + 1, prune_lam, counter, stop_depth, states, verdicts
+        )
         return
     r = k - deg[v]
     cands = [u for u in range(v + 1, n) if deg[u] < k]
@@ -355,11 +383,6 @@ def _complete_from(
         for c in range(min(need, len(block)), -1, -1):
             yield from choices(bi + 1, need - c, chosen + block[:c])
 
-    # Prune verdicts shared by the siblings below, keyed by the saturated-vertex
-    # bitmask.  The key is exact: rows of saturated vertices are frozen, and a
-    # vertex unsaturated here is saturated in a sibling only if that sibling
-    # chose it, so equal masks give equal induced subgraphs.
-    verdicts: dict[int, bool] = {}
     for chosen in choices(0, r, []):
         for u in chosen:
             rows[v] |= 1 << u
@@ -367,7 +390,9 @@ def _complete_from(
             deg[u] += 1
         deg[v] += r
         if _feasible(k, n, rows, deg, v, prune_lam, verdicts):
-            yield from _complete_from(k, n, rows, deg, v + 1, prune_lam, counter, stop_depth, states)
+            yield from _complete_from(
+                k, n, rows, deg, v + 1, prune_lam, counter, stop_depth, states, verdicts
+            )
         deg[v] -= r
         for u in chosen:
             rows[v] &= ~(1 << u)
@@ -384,6 +409,17 @@ def _feasible(
     prune_lam: Optional[float],
     verdicts: dict[int, bool],
 ) -> bool:
+    """Whether the partial graph, just completed through vertex v, can still
+    be completed.  The cuts, cheapest first: the remaining degree deficits
+    have odd sum, or one exceeds the number of other unsaturated vertices; a
+    connected component is fully saturated but is not the whole graph; and,
+    when `prune_lam` is set, the subgraph induced on the saturated vertices
+    has second eigenvalue beyond it (`spectral_prune`).
+
+    Saturated rows are frozen, so every completion contains that subgraph
+    induced, and the spectral verdict depends only on it.  `verdicts` memoizes
+    the verdict for the completion pass under `_prune_key`, the saturated
+    bitmask together with the induced rows."""
     sat = (2 << v) - 1  # bitmask of saturated vertices; 0..v are complete
     deficits = []
     for u in range(v + 1, n):
@@ -405,10 +441,11 @@ def _feasible(
     if prune_lam is not None:
         if sat.bit_count() < 2:
             return True
-        keep = verdicts.get(sat)
+        key = _prune_key(rows, sat, n)
+        keep = verdicts.get(key)
         if keep is None:
             members = [u for u in range(n) if sat >> u & 1]
-            keep = verdicts[sat] = spectral_prune(_saturated_subgraph(rows, members), prune_lam)
+            keep = verdicts[key] = spectral_prune(_saturated_subgraph(rows, members), prune_lam)
         return keep
     return True
 
@@ -424,26 +461,27 @@ def _worker_complete(args):
     return counter[0], completed
 
 
-def _candidate_rows(
-    k: int, n: int, prune_lam: Optional[float], workers: int
-) -> tuple[int, list[tuple[int, ...]]]:
-    """All completed labeled candidates (count, row tuples)."""
-    counter = [0]
+def _candidate_rows(k: int, n: int, prune_lam: Optional[float], workers: int, counter: list[int]):
+    """Yields the completed labeled candidates (row tuples); `counter[0]` holds
+    their number once the generator is exhausted.  Serially they come in
+    batches of _STREAM_BATCH straight from the completion; with workers, each
+    job's list comes back whole."""
     if workers <= 1 or n <= 3:
-        completed = list(_complete_from(k, n, [0] * n, [0] * n, 0, prune_lam, counter))
-        return counter[0], completed
+        completion = _complete_from(k, n, [0] * n, [0] * n, 0, prune_lam, counter)
+        while batch := list(islice(completion, _STREAM_BATCH)):
+            yield from batch
+        return
     # partition the tree at the completion of vertex 1 across processes
     states: list = []
     list(_complete_from(k, n, [0] * n, [0] * n, 0, prune_lam, counter, stop_depth=2, states=states))
     jobs = [(k, n, rows, deg, v, prune_lam) for rows, deg, v in states]
-    ctx = multiprocessing.get_context("fork")
-    total = counter[0]
-    completed = []
+    # fork where the platform has it, else its default (the first listed)
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
     with ctx.Pool(processes=workers) as pool:
         for cnt, chunk in pool.imap(_worker_complete, jobs):
-            total += cnt
-            completed.extend(chunk)
-    return total, completed
+            counter[0] += cnt
+            yield from chunk
 
 
 def enum_connected_regular(
@@ -481,17 +519,17 @@ def enum_connected_regular(
         )
     if not parity_ok(k, n):
         return []
-    candidates, completed = _candidate_rows(k, n, prune_lam, workers)
+    counter = [0]
     by_cert: dict[str, Graph] = {}
     index = LeafIndex()
-    for rows in completed:
+    for rows in _candidate_rows(k, n, prune_lam, workers, counter):
         g = _saturated_subgraph(rows, range(n))  # a completed graph is all saturated
         cert = canonical_form(g, index=index).certificate
         if cert not in by_cert:
             by_cert[cert] = g
     certs = sorted(by_cert)
     if _info is not None:
-        _info["candidates"] = candidates
+        _info["candidates"] = counter[0]
         _info["classes"] = len(by_cert)
         _info["certificates"] = certs
         _info["walks"] = index.walks

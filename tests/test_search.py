@@ -1,6 +1,7 @@
 """Canonical labeling, isomorph-free generation, and the extremal search."""
 
 import math
+import multiprocessing
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -345,7 +346,7 @@ def test_boundary_graph_above_order_12_settled_exactly():
     assert search._judge(g, cert, Fraction(2) - Fraction(1, 10**10)) is None
 
 
-def test_prune_verdicts_shared_among_siblings(monkeypatch):
+def test_prune_verdicts_memoized_per_order(monkeypatch):
     calls = [0]
     real = search.spectral_prune
 
@@ -354,13 +355,47 @@ def test_prune_verdicts_shared_among_siblings(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(search, "spectral_prune", counted)
-    # one verdict per distinct saturated set among siblings; an unshared
-    # prune ran 6,743 and 6,639 times on these searches
-    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 4415), ((4, 1, 10), 3917)):
+    # one verdict per distinct labelled saturated subgraph in each order; an
+    # unshared prune ran 6,743 and 6,639 times on these searches, and one
+    # shared only among siblings 4,415 and 3,917 times
+    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 2655), ((4, 1, 10), 1653)):
         calls[0] = 0
         pruned = search.v_search(k, lam, n_max)
         assert calls[0] == want, (k, lam, n_max)
-        assert pruned.same_result(search.v_search(k, lam, n_max, prune=False))
+        unpruned = search.v_search(k, lam, n_max, prune=False)
+        assert pruned.same_result(unpruned)
+    # the last unpruned reference is that of (4, 1, 10)
+    assert search.v_search(4, 1, 10, workers=2).same_result(unpruned)
+
+
+def test_prune_key_identifies_saturated_subgraph():
+    # equal keys iff equal saturated masks and equal induced adjacency
+    rng = random.Random(11)
+    for k, n, depth in ((3, 10, 4), (3, 12, 6), (4, 9, 3), (4, 11, 5)):
+        states: list = []
+        list(search._complete_from(k, n, [0] * n, [0] * n, 0, None, [0], depth, states))
+        picked = []
+        lonely_pairs = 0
+        for rows, deg, _ in rng.sample(states, min(25, len(states))):
+            sat = sum(1 << u for u in range(n) if deg[u] == k)
+            picked.append((rows, sat))
+            # the same rows with one more vertex in sat that has no neighbour
+            # there: the induced subgraph gains an isolated vertex, and with
+            # the highest such vertex only the mask tells the keys apart
+            lonely = [u for u in range(n) if not sat >> u & 1 and not rows[u] & sat]
+            if lonely:
+                picked.append((rows, sat | 1 << max(lonely)))
+                lonely_pairs += 1
+        assert lonely_pairs, (k, n, depth)
+        for (rows_a, sat_a), (rows_b, sat_b) in combinations(picked, 2):
+            members_a = [u for u in range(n) if sat_a >> u & 1]
+            members_b = [u for u in range(n) if sat_b >> u & 1]
+            same = sat_a == sat_b and (
+                search._saturated_subgraph(rows_a, members_a).adj
+                == search._saturated_subgraph(rows_b, members_b).adj
+            ).all()
+            key_a = search._prune_key(rows_a, sat_a, n)
+            assert (key_a == search._prune_key(rows_b, sat_b, n)) == same, (k, n)
 
 
 def test_pruned_candidates_per_order_pinned():
@@ -395,6 +430,24 @@ def test_saturated_subgraph_matches_induced():
 def test_v_search_workers_deterministic():
     a = search.v_search(3, 1, 10, workers=1)
     b = search.v_search(3, 1, 10, workers=2)
+    assert a.to_json_obj() == b.to_json_obj()
+
+
+def test_workers_without_fork_use_the_default_start_method(monkeypatch):
+    # a platform that lists no "fork" runs the workers under its default
+    # (first listed) start method, here spawn, with the same report
+    requested = []
+    real = multiprocessing.get_context
+
+    def get_context(method=None):
+        requested.append(method)
+        return real(method)
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    a = search.v_search(3, 1, 10, workers=1)
+    b = search.v_search(3, 1, 10, workers=2)
+    assert requested and set(requested) == {"spawn"}
     assert a.to_json_obj() == b.to_json_obj()
 
 
