@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import association, bounds, hoffman, ramsey, search
 from .construct import (
     complement,
@@ -25,12 +23,14 @@ from .construct import (
     complete_multipartite,
     coclique_extension,
     cycle,
+    disjoint_union,
+    edgeless,
     k_tilde,
     line_graph,
     petersen,
     random_graph,
 )
-from .graphs import Graph, regularity_params
+from .graphs import regularity_params
 from .hoffman import HoffmanGraph, attach_universal_fat, fatten
 from .spectra import (
     coclique_extension_spectrum,
@@ -212,10 +212,7 @@ def criterion_06() -> ClaimResult:
         free = search.enumerate_all_graphs(6)
         worst = 0.0
         for g in free:
-            n = g.n + 1
-            a = np.zeros((n, n), dtype=bool)
-            a[: g.n, : g.n] = g.adj
-            h = Graph(a)  # extra vertex is isolated
+            h = disjoint_union(g, edgeless(1))
             cert = bounds.isolated_vertex_bound_check(2, h)
             if not (cert.verified and cert.evidence["order_exceeds_cap"]):
                 return False, {"bad": cert.to_json_obj()}, ""
@@ -275,13 +272,7 @@ def _random_hoffman(rng: random.Random) -> HoffmanGraph:
     for _ in range(fat_count):
         size = rng.randint(1, s)
         nbrs.append(rng.sample(range(s), size))
-    n = s + fat_count
-    a = np.zeros((n, n), dtype=bool)
-    a[:s, :s] = slim.adj
-    for j, group in enumerate(nbrs):
-        for w in group:
-            a[s + j, w] = a[w, s + j] = True
-    return HoffmanGraph(Graph(a), fat=range(s, n))
+    return HoffmanGraph.with_fats(slim, nbrs)
 
 
 def criterion_08() -> ClaimResult:
@@ -475,10 +466,12 @@ SUITES = {
 # Claims that are implemented as quoted but cannot pass (documented defects).
 EXPECTED_FAILURES = {"A5"}
 
-# Wall-time budgets per claim (seconds); generous, asserted by the test suite.
+# Wall-time budgets per claim (seconds), asserted by the test suite: about 20x
+# the slowest measured run of each claim, rounded up, never below 1 s and never
+# above the earlier cap.
 RUNTIME_CAPS = {
-    "A1": 1, "A2": 5, "A3": 5, "A4": 30, "A5": 10, "A5b": 10, "A6": 120,
-    "A7": 1, "A8": 60, "A9": 120, "A10": 300, "A11": 1, "A12": 600,
+    "A1": 1, "A2": 1, "A3": 1, "A4": 3, "A5": 1, "A5b": 1, "A6": 3,
+    "A7": 1, "A8": 5, "A9": 1, "A10": 2, "A11": 1, "A12": 1,
 }
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .construct import k_tilde
 from .errors import CapExceededError, ConsistencyError
 from .graphs import Graph, contains_induced
@@ -84,19 +82,16 @@ def maximal_cliques(
     bits = g.bits()
     found: list[int] = []
 
-    def popcount(x: int) -> int:
-        return bin(x).count("1")
-
     def expand(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
-            if popcount(r) >= n:
+            if r.bit_count() >= n:
                 found.append(r)
                 if len(found) > max_cliques:
                     raise CapExceededError(
                         f"more than {max_cliques} maximal cliques of size >= {n}"
                     )
             return
-        if popcount(r) + popcount(p) < n:
+        if r.bit_count() + p.bit_count() < n:
             return
         # pivot: vertex of P | X with the most neighbors inside P
         best, best_cnt = -1, -1
@@ -105,7 +100,7 @@ def maximal_cliques(
             b = px & -px
             px ^= b
             u = b.bit_length() - 1
-            cnt = popcount(p & bits[u])
+            cnt = (p & bits[u]).bit_count()
             if cnt > best_cnt:
                 best, best_cnt = u, cnt
         cand = p & ~bits[best]
@@ -131,7 +126,7 @@ def non_neighbors_in(g: Graph, v: int, clique: frozenset[int]) -> int:
     cmask = 0
     for w in clique:
         cmask |= 1 << w
-    return bin(cmask & ~(bits[v] | (1 << v))).count("1")
+    return (cmask & ~(bits[v] | (1 << v))).bit_count()
 
 
 def equiv_nm(g: Graph, c1: frozenset[int], c2: frozenset[int], m: int) -> bool:
@@ -248,14 +243,5 @@ def associate(
         raise ValueError(f"n must be at least (m+1)^2 = {(m + 1) ** 2}")
     fam = maximal_cliques(g, n)
     part = partition_classes(fam, m, certified=certified)
-    t = len(part.classes)
-    total = g.n + t
-    a = np.zeros((total, total), dtype=bool)
-    a[: g.n, : g.n] = g.adj
-    for i, q in enumerate(part.quasi_cliques):
-        f = g.n + i
-        for v in q:
-            a[f, v] = a[v, f] = True
-    hg = HoffmanGraph(Graph(a, name=f"assoc({g.name})" if g.name else "assoc"),
-                      fat=range(g.n, total))
-    return hg, part
+    name = f"assoc({g.name})" if g.name else "assoc"
+    return HoffmanGraph.with_fats(g, part.quasi_cliques, name=name), part

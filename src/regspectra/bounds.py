@@ -45,14 +45,9 @@ Real = Union[int, float, str, Fraction]
 
 
 def to_fraction(x: Real) -> Fraction:
-    """Exact rational value of x ('p/q' and decimal strings accepted)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)  # float: exact binary value
+    """Exact rational value of x ('p/q' and decimal strings accepted; a float
+    gives its exact binary value)."""
+    return Fraction(x)
 
 
 def floor_exact(x: Fraction) -> int:

@@ -213,13 +213,21 @@ def diameter(g: Graph) -> float:
 
 
 def contains_induced(
-    g: Graph, h: Graph, cap: int = INDUCED_PATTERN_CAP
+    g: Graph,
+    h: Graph,
+    cap: int = INDUCED_PATTERN_CAP,
+    *,
+    colours: Optional[tuple[Sequence, Sequence]] = None,
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Does some vertex subset of g induce a graph isomorphic to h?
 
     Returns (found, witness) where witness maps pattern vertex i to the host
-    vertex witness[i].  Backtracking over host bitmask domains with degree
-    pruning; patterns above `cap` vertices are refused.
+    vertex witness[i].  With colours=(host colours, pattern colours), one
+    colour per vertex, pattern vertex i may map only to a host vertex of its
+    own colour (coloured induced containment).  Backtracking over host
+    bitmask domains; a host vertex enters a pattern vertex's domain only when
+    it has at least as many neighbours of each colour and at least as many
+    non-neighbours.  Patterns above `cap` vertices are refused.
     """
     if h.n > cap:
         raise UnsupportedSizeError(f"pattern order {h.n} exceeds cap {cap}")
@@ -231,6 +239,9 @@ def contains_induced(
     hdeg = h.degrees()
     n, k = g.n, h.n
     full = (1 << n) - 1
+    gcol, hcol = colours if colours is not None else ((0,) * n, (0,) * k)
+    if len(gcol) != n or len(hcol) != k:
+        raise ValueError("need one colour per host and per pattern vertex")
 
     # Order pattern vertices so each one (after the first) touches the already
     # ordered prefix where possible; ties broken toward high degree.
@@ -248,25 +259,33 @@ def contains_induced(
         order.append(best)
         placed[best] = True
 
-    hadj_prefix = []  # for order[i]: (mask of earlier-ordered neighbors, earlier non-neighbors)
+    hadj_prefix = []  # for order[i]: mask of earlier-ordered neighbors (other earlier bits: non-neighbors)
     for i, v in enumerate(order):
         nb = 0
-        nn = 0
         for j in range(i):
             if h.adj[order[j], v]:
                 nb |= 1 << j
-            else:
-                nn |= 1 << j
-        hadj_prefix.append((nb, nn))
+        hadj_prefix.append(nb)
 
-    # Degree screen: host vertex must have enough neighbors and non-neighbors.
+    # Domain screen: host vertex must have the same colour, enough neighbors
+    # of each colour and enough non-neighbors.  It drops only host vertices
+    # that lie in no embedding.
+    palette = list(dict.fromkeys(hcol))
+    gmask = {c: sum(1 << w for w in range(n) if gcol[w] == c) for c in palette}
+    hmask = {c: sum(1 << v for v in range(k) if hcol[v] == c) for c in palette}
+    hbits = h.bits()
+    gcount = [[(b & gmask[c]).bit_count() for c in palette] for b in gbits]
     base_domain = [0] * k
     for i, v in enumerate(order):
         dom = 0
-        need_nb = hdeg[v]
+        need_nb = [(hbits[v] & hmask[c]).bit_count() for c in palette]
         need_nn = (k - 1) - hdeg[v]
         for w in range(n):
-            if gdeg[w] >= need_nb and (n - 1 - gdeg[w]) >= need_nn:
+            if (
+                gcol[w] == hcol[v]
+                and (n - 1 - gdeg[w]) >= need_nn
+                and all(have >= want for have, want in zip(gcount[w], need_nb))
+            ):
                 dom |= 1 << w
         base_domain[i] = dom
 
@@ -284,11 +303,10 @@ def contains_induced(
             ok = True
             new_domains = domains[:]
             for j in range(i + 1, k):
-                nb, nn = hadj_prefix[j]
                 dj = new_domains[j]
-                if (nb >> i) & 1:
+                if (hadj_prefix[j] >> i) & 1:
                     dj &= gbits[w]
-                elif (nn >> i) & 1:
+                else:
                     dj &= ~gbits[w] & full
                 dj &= ~wbit
                 if dj == 0:
@@ -307,16 +325,23 @@ def contains_induced(
     return False, None
 
 
-def contains_induced_bruteforce(g: Graph, h: Graph) -> bool:
-    """Oracle: exhaustive subset enumeration + permutation check (tiny inputs)."""
+def contains_induced_bruteforce(
+    g: Graph, h: Graph, colours: Optional[tuple[Sequence, Sequence]] = None
+) -> bool:
+    """Oracle: exhaustive subset enumeration + permutation check (tiny inputs).
+
+    `colours` follows contains_induced: pattern vertex a may map only to a
+    host vertex of the same colour.
+    """
     from itertools import combinations, permutations
 
     if h.n > g.n:
         return False
+    gcol, hcol = colours if colours is not None else ((0,) * g.n, (0,) * h.n)
     for subset in combinations(range(g.n), h.n):
         sub = g.adj[np.ix_(subset, subset)]
         for perm in permutations(range(h.n)):
-            if all(
+            if all(gcol[subset[perm[a]]] == hcol[a] for a in range(h.n)) and all(
                 sub[perm[a], perm[b]] == h.adj[a, b]
                 for a in range(h.n)
                 for b in range(a + 1, h.n)

@@ -5,6 +5,9 @@ fat vertices are pairwise non-adjacent and each fat vertex has a slim
 neighbor.  Its eigenvalues are those of the special matrix
 S = A_slim - C C^T, where C is the slim-fat incidence matrix.
 
+Containment of one Hoffman graph in another is coloured induced containment:
+graphs.contains_induced with fat and slim as the two vertex colours.
+
 Note on the universal-fat construction q(H) (one fat vertex joined to all of
 H): since C C^T is then the all-ones matrix, S = A(H) - J = -(I + A(co-H)),
 so lambda_min(q(H)) = -1 - lambda_max(co-H) exactly.  Statements of the form
@@ -16,13 +19,13 @@ way, and this module implements the exact identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .construct import complete, edgeless
-from .errors import ConsistencyError, UnsupportedSizeError
-from .graphs import Graph
+from .errors import ConsistencyError
+from .graphs import Graph, contains_induced
 from .spectra import eig_symmetric
 
 HOFFMAN_PATTERN_CAP = 10
@@ -122,6 +125,20 @@ class HoffmanGraph:
     def all_slim(cls, g: Graph) -> "HoffmanGraph":
         return cls(g, ())
 
+    @classmethod
+    def with_fats(
+        cls, slim: Graph, fats: Sequence[Iterable[int]], name: str = ""
+    ) -> "HoffmanGraph":
+        """`slim` on vertices 0..s-1 plus fat vertex s+j joined to exactly fats[j]."""
+        s = slim.n
+        n = s + len(fats)
+        a = np.zeros((n, n), dtype=bool)
+        a[:s, :s] = slim.adj
+        for j, nbrs in enumerate(fats):
+            for w in nbrs:
+                a[s + j, w] = a[w, s + j] = True
+        return cls(Graph(a, name=name), fat=range(s, n))
+
     def __repr__(self) -> str:
         return f"<HoffmanGraph n={self.n} slim={self.n - len(self.fat)} fat={len(self.fat)}>"
 
@@ -131,21 +148,14 @@ class HoffmanGraph:
 
 def attach_universal_fat(h: Graph) -> HoffmanGraph:
     """q(H): H as slim part plus one fat vertex adjacent to every slim vertex."""
-    n = h.n
-    a = np.zeros((n + 1, n + 1), dtype=bool)
-    a[:n, :n] = h.adj
-    a[n, :n] = True
-    a[:n, n] = True
-    return HoffmanGraph(Graph(a, name=f"q({h.name})" if h.name else "q"), fat=[n])
+    return HoffmanGraph.with_fats(h, [range(h.n)], name=f"q({h.name})" if h.name else "q")
 
 
 def slim_with_fats(s: int) -> HoffmanGraph:
     """One slim vertex adjacent to s fat vertices; lambda_min is exactly -s."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    edges = [(0, i) for i in range(1, s + 1)]
-    g = Graph.from_edges(s + 1, edges, name=f"h^({s})")
-    return HoffmanGraph(g, fat=range(1, s + 1))
+    return HoffmanGraph.with_fats(edgeless(1), [[0]] * s, name=f"h^({s})")
 
 
 def fatten(h: HoffmanGraph, p: int) -> Graph:
@@ -194,123 +204,24 @@ def contains_hoffman_subgraph(
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Label-respecting induced subgraph containment.
 
-    Returns (found, witness) with witness[i] the host vertex for pattern
-    vertex i.  On success the induced-subgraph eigenvalue inequality
+    This is graphs.contains_induced with the fat/slim labels as the two
+    colours.  Returns (found, witness) with witness[i] the host vertex for
+    pattern vertex i.  On success the induced-subgraph eigenvalue inequality
     lambda_min(pattern) >= lambda_min(h) is asserted as a post-check.
     """
-    if pattern.n > cap:
-        raise UnsupportedSizeError(f"pattern order {pattern.n} exceeds cap {cap}")
-    if pattern.n > h.n:
-        return False, None
-
-    n, k = h.n, pattern.n
-    full = (1 << n) - 1
-    hbits = h.graph.bits()
-
-    def split_deg(hg: HoffmanGraph, v: int) -> tuple[int, int]:
-        sd = fd = 0
-        for w in hg.graph.neighbors(v):
-            if hg.is_fat(w):
-                fd += 1
-            else:
-                sd += 1
-        return sd, fd
-
-    host_sd = [split_deg(h, v) for v in range(n)]
-    pat_sd = [split_deg(pattern, v) for v in range(k)]
-
-    # pattern order: anchored-first, then by total degree
-    order: list[int] = []
-    placed = [False] * k
-    for _ in range(k):
-        best, best_key = -1, None
-        for v in range(k):
-            if placed[v]:
-                continue
-            anchored = sum(1 for u in order if pattern.graph.adj[u, v])
-            key = (anchored, sum(pat_sd[v]))
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        order.append(best)
-        placed[best] = True
-
-    prefix = []
-    for i, v in enumerate(order):
-        nb = nn = 0
-        for j in range(i):
-            if pattern.graph.adj[order[j], v]:
-                nb |= 1 << j
-            else:
-                nn |= 1 << j
-        prefix.append((nb, nn))
-
-    base = [0] * k
-    for i, v in enumerate(order):
-        dom = 0
-        for w in range(n):
-            if h.is_fat(w) != pattern.is_fat(v):
-                continue
-            if host_sd[w][0] >= pat_sd[v][0] and host_sd[w][1] >= pat_sd[v][1]:
-                dom |= 1 << w
-        base[i] = dom
-
-    assign = [0] * k
-
-    def backtrack(i: int, used: int, domains: list[int]) -> bool:
-        if i == k:
-            return True
-        dom = domains[i] & ~used
-        while dom:
-            wbit = dom & -dom
-            dom ^= wbit
-            w = wbit.bit_length() - 1
-            assign[i] = w
-            ok = True
-            nxt = domains[:]
-            for j in range(i + 1, k):
-                nb, nn = prefix[j]
-                dj = nxt[j]
-                if (nb >> i) & 1:
-                    dj &= hbits[w]
-                elif (nn >> i) & 1:
-                    dj &= ~hbits[w] & full
-                dj &= ~wbit
-                if dj == 0:
-                    ok = False
-                    break
-                nxt[j] = dj
-            if ok and backtrack(i + 1, used | wbit, nxt):
-                return True
-        return False
-
-    if not backtrack(0, 0, base):
-        return False, None
-    witness = [0] * k
-    for i, v in enumerate(order):
-        witness[v] = assign[i]
+    h_fat = [h.is_fat(v) for v in range(h.n)]
+    pattern_fat = [pattern.is_fat(v) for v in range(pattern.n)]
+    found, witness = contains_induced(h.graph, pattern.graph, cap, colours=(h_fat, pattern_fat))
     # Induced Hoffman subgraphs cannot have a smaller lambda_min than the host.
-    if pattern.slim_vertices() and h.slim_vertices():
+    if found and pattern.slim_vertices() and h.slim_vertices():
         if pattern.lambda_min() < h.lambda_min() - SUBGRAPH_MIN_TOL:
             raise ConsistencyError(
                 "induced Hoffman subgraph with smaller lambda_min than its host"
             )
-    return True, tuple(witness)
+    return found, witness
 
 
 # -- a small catalog used by the fattening and association checks ----------------
-
-
-def _hoffman(slim_graph: Graph, fats: Sequence[Sequence[int]], name: str) -> HoffmanGraph:
-    """Slim graph on 0..s-1 plus one fat vertex per neighbor list in `fats`."""
-    s = slim_graph.n
-    n = s + len(fats)
-    a = np.zeros((n, n), dtype=bool)
-    a[:s, :s] = slim_graph.adj
-    for j, nbrs in enumerate(fats):
-        f = s + j
-        for w in nbrs:
-            a[f, w] = a[w, f] = True
-    return HoffmanGraph(Graph(a, name=name), fat=range(s, n))
 
 
 def catalog() -> list[tuple[str, HoffmanGraph]]:
@@ -331,10 +242,10 @@ def catalog() -> list[tuple[str, HoffmanGraph]]:
         ("q(2K1)", attach_universal_fat(edgeless(2))),
         ("q(P3)", attach_universal_fat(p3)),
         ("h^(2)", slim_with_fats(2)),
-        ("K2+fats(a),(b)", _hoffman(p2, [[0], [1]], "K2+fats(a),(b)")),
-        ("K2+fats(ab),(a)", _hoffman(p2, [[0, 1], [0]], "K2+fats(ab),(a)")),
-        ("K2+fats(ab),(a),(b)", _hoffman(p2, [[0, 1], [0], [1]], "K2+fats(ab),(a),(b)")),
-        ("P3+fats(a),(c)", _hoffman(p3, [[0], [2]], "P3+fats(a),(c)")),
+        ("K2+fats(a),(b)", HoffmanGraph.with_fats(p2, [[0], [1]], "K2+fats(a),(b)")),
+        ("K2+fats(ab),(a)", HoffmanGraph.with_fats(p2, [[0, 1], [0]], "K2+fats(ab),(a)")),
+        ("K2+fats(ab),(a),(b)", HoffmanGraph.with_fats(p2, [[0, 1], [0], [1]], "K2+fats(ab),(a),(b)")),
+        ("P3+fats(a),(c)", HoffmanGraph.with_fats(p3, [[0], [2]], "P3+fats(a),(c)")),
         ("q(C4)", attach_universal_fat(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], name="C4"))),
     ]
     return entries

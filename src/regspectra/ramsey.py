@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
-from .construct import circulant, cycle, edgeless
+from .construct import circulant, complement, cycle, edgeless
 from .graphs import Graph
 
 # Established values; stored with s <= t.
@@ -109,13 +109,7 @@ def has_clique(g: Graph, r: int) -> bool:
 
 
 def has_coclique(g: Graph, r: int) -> bool:
-    if r <= 1:
-        return r == 1 and g.n >= 1
-    bits = g.bits()
-    for combo in combinations(range(g.n), r):
-        if all(not (bits[u] >> v & 1) for u, v in combinations(combo, 2)):
-            return True
-    return False
+    return has_clique(complement(g), r)
 
 
 def is_ramsey_witness(g: Graph, s: int, t: int) -> bool:

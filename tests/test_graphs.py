@@ -189,6 +189,8 @@ def test_contains_induced_basics():
     assert contains_induced(g, complete(1))[0] is True
     with pytest.raises(UnsupportedSizeError):
         contains_induced(complete(14), complete(13))
+    with pytest.raises(ValueError):
+        contains_induced(g, path(3), colours=([0] * 5, [0] * 2))
 
 
 def test_contains_induced_witness_is_induced():

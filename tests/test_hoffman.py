@@ -8,7 +8,7 @@ import pytest
 
 from regspectra.construct import complement, complete, cycle, edgeless, random_graph
 from regspectra.errors import UnsupportedSizeError
-from regspectra.graphs import Graph
+from regspectra.graphs import Graph, contains_induced, contains_induced_bruteforce
 from regspectra.hoffman import (
     HoffmanGraph,
     attach_universal_fat,
@@ -152,6 +152,42 @@ def test_contains_hoffman_witness_labels():
     assert found
     for v in range(h.n):
         assert host.is_fat(wit[v]) == h.is_fat(v)
+
+
+def _small_hoffman(rng: random.Random, order: int) -> HoffmanGraph:
+    """A valid Hoffman graph on `order` vertices with at least one slim vertex."""
+    s = rng.randint(1, order)
+    slim = random_graph(s, rng.random(), rng)
+    fats = [rng.sample(range(s), rng.randint(1, s)) for _ in range(order - s)]
+    return HoffmanGraph.with_fats(slim, fats)
+
+
+def test_coloured_containment_matches_oracle():
+    # fat/slim labels as the two colours: the coloured matcher, the Hoffman
+    # wrapper and the brute-force oracle must agree
+    rng = random.Random(606)
+    hits = 0
+    for _ in range(60):
+        host = _small_hoffman(rng, rng.randint(1, 8))
+        if rng.random() < 0.5:
+            pattern = _small_hoffman(rng, rng.randint(1, 4))
+        else:  # an induced piece of the host, so that most of these are present
+            vs = rng.sample(range(host.n), rng.randint(1, min(4, host.n)))
+            fat = [i for i, v in enumerate(vs) if host.is_fat(v)]
+            pattern = HoffmanGraph(host.graph.induced(vs), fat=fat)
+        colours = (
+            [host.is_fat(v) for v in range(host.n)],
+            [pattern.is_fat(v) for v in range(pattern.n)],
+        )
+        found, wit = contains_induced(host.graph, pattern.graph, colours=colours)
+        assert found == contains_induced_bruteforce(host.graph, pattern.graph, colours)
+        if found:
+            assert host.graph.induced(wit) == pattern.graph
+            assert all(host.is_fat(w) == pattern.is_fat(i) for i, w in enumerate(wit))
+            hits += 1
+        if pattern.is_valid():
+            assert contains_hoffman_subgraph(host, pattern) == (found, wit)
+    assert 0 < hits < 60
 
 
 def test_catalog_valid_and_sized():
