@@ -291,8 +291,8 @@ def criterion_08() -> ClaimResult:
                 g = fatten(_random_hoffman(rng), rng.randint(9, 12))
             if association.hypothesis_report(g, 2, 9):
                 continue  # hypotheses violated; not part of this suite
-            fam = association.maximal_cliques(g, 9)
-            part = association.partition_classes(fam, 2, certified=True)
+            hg, part = association.associate(g, 2, 9, certified=True)
+            fam = part.family
             if part.warnings:
                 return False, {"warnings": list(part.warnings)}, ""
             for cls in part.classes:
@@ -302,7 +302,6 @@ def criterion_08() -> ClaimResult:
                             g, fam.cliques[cls[i]], fam.cliques[cls[j]], 2
                         ):
                             return False, {}, "transitivity violated"
-            hg, _ = association.associate(g, 2, 9, certified=True)
             if not hg.is_valid():
                 return False, {"violations": hg.validate()}, ""
             if len(fam) > 0:

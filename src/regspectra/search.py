@@ -43,10 +43,9 @@ DEFAULT_MAX_N = 16
 ACCEPT_TOL = 1e-9
 BOUNDARY_WINDOW = 1e-6
 # Serial candidates reach the dedup in batches: handing them over one at a
-# time interleaves the completion with the labelling and cost about 13 % more
-# CPU on v_search(3, 2, 12, prune=False) (CPython 3.11, 2-core x86 host); from
-# 256 up a batch is as fast as collecting every candidate first, and memory
-# stays bounded.
+# time cost about 7 % more CPU on v_search(3, 2, 12, prune=False) (median of
+# 24 in-process pairs; CPython 3.11, 2-core x86 host); from 256 up a batch is
+# as fast as collecting every candidate first, and memory stays bounded.
 _STREAM_BATCH = 512
 
 
@@ -307,147 +306,150 @@ def _saturated_subgraph(rows: Sequence[int], sat: Sequence[int]) -> Graph:
     return Graph((r[:, None] >> idx[None, :]) & 1)
 
 
-def _prune_key(rows: Sequence[int], sat: int, n: int) -> int:
-    """The labelled subgraph induced on the saturated bitmask `sat`, as one
-    integer: `sat` in the low n bits, then `rows[u] & sat` for each saturated
-    u in ascending order, n bits each.  Equal keys mean the same saturated set
-    and the same induced subgraph."""
-    key = sat
-    shift = n
-    for u in range(n):
-        if sat >> u & 1:
-            key |= (rows[u] & sat) << shift
-            shift += n
-    return key
-
-
 def _complete_from(
     k: int,
     n: int,
     rows: list[int],
-    deg: list[int],
-    v: int,
+    sat: int,
     prune_lam: Optional[float],
-    counter: list[int],
     stop_depth: Optional[int] = None,
     states: Optional[list] = None,
     verdicts: Optional[dict[int, bool]] = None,
+    key: int = 1,
 ):
-    """Recursive completion of vertex v onward; yields completed row tuples.
+    """Completion of the bit rows `rows` (degree = popcount) with saturated
+    bitmask `sat`; yields completed row tuples.  The next vertex v is the
+    lowest unsaturated one, so saturated vertices are skipped without a call.
+    Its choices take a prefix of each block of interchangeable candidates
+    (equal rows), most from the first block first; they are built once as
+    neighbour bitmasks, then each is applied, checked by `_feasible` with the
+    updated saturated mask and memo key, recursed into and undone.
 
-    When `stop_depth` is set, recursion stops at v == stop_depth and the
-    state is appended to `states` instead (used to partition work across
+    When `stop_depth` is set, the completion stops once v >= stop_depth and
+    appends `(rows, sat)` to `states` instead (used to partition work across
     processes).  `verdicts` is the prune-verdict memo of the completion pass
-    (see `_feasible`): the root call creates it, the recursion shares it, and
-    it is dropped when the pass ends."""
-    if stop_depth is not None and v == stop_depth:
-        states.append((tuple(rows), tuple(deg), v))
+    (see `_feasible`): the root call creates it and the recursion shares it.
+
+    `key` names the saturated subgraph H for the memo: a leading 1, then per
+    step of the pass n bits for the completed vertex's row and for the row of
+    each vertex it saturated above it, masked to the step's saturated set.
+    The fields decode to the steps, hence to H; and H fixes the steps, since
+    a saturated vertex has all its lower neighbours in H and was completed by
+    a step iff fewer than k of them exist, else saturated by the step of its
+    largest neighbour.  So keys are equal iff the labelled subgraphs are."""
+    free = ((1 << n) - 1) & ~sat
+    v = (free & -free).bit_length() - 1 if free else n
+    if stop_depth is not None and v >= stop_depth:
+        states.append((tuple(rows), sat))
         return
-    if v == n:
-        if all(d == k for d in deg) and _rows_connected(rows, n):
-            counter[0] += 1
+    if not free:  # every vertex has degree k
+        if _rows_connected(rows, n):
             yield tuple(rows)
         return
     if verdicts is None:
         verdicts = {}
-    if deg[v] == k:
-        yield from _complete_from(
-            k, n, rows, deg, v + 1, prune_lam, counter, stop_depth, states, verdicts
-        )
-        return
-    r = k - deg[v]
-    cands = [u for u in range(v + 1, n) if deg[u] < k]
-    if len(cands) < r:
-        return
-
+    base, bv = rows[v], 1 << v
+    r = k - base.bit_count()
+    # the candidates are the unsaturated vertices above v; `_feasible` (or,
+    # at the root, k < n) leaves at least r of them
+    cap = free.bit_count() - 1
+    # blocks[row] = prefix masks of the candidates with that row, blocks in
+    # order of first appearance; `last` = candidates one edge short of k
     blocks: dict[int, list[int]] = {}
-    order: list[int] = []
-    for u in cands:
-        sig = rows[u]
-        if sig not in blocks:
-            blocks[sig] = []
-            order.append(sig)
-        blocks[sig].append(u)
-    blist = [blocks[s] for s in order]
-    suffix_cap = [0] * (len(blist) + 1)
-    for i in range(len(blist) - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + len(blist[i])
-
-    def choices(bi: int, need: int, chosen: list[int]):
-        if need == 0:
-            yield chosen
-            return
-        if bi == len(blist) or suffix_cap[bi] < need:
-            return
-        block = blist[bi]
-        for c in range(min(need, len(block)), -1, -1):
-            yield from choices(bi + 1, need - c, chosen + block[:c])
-
-    for chosen in choices(0, r, []):
-        for u in chosen:
-            rows[v] |= 1 << u
-            rows[u] |= 1 << v
-            deg[u] += 1
-        deg[v] += r
-        if _feasible(k, n, rows, deg, v, prune_lam, verdicts):
+    last = 0
+    rest = free ^ bv
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        row = rows[b.bit_length() - 1]
+        prefixes = blocks.get(row)
+        if prefixes is None:
+            blocks[row] = [0, b]
+        else:
+            prefixes.append(prefixes[-1] | b)
+        if row.bit_count() == k - 1:
+            last |= b
+    choices = [(r, 0)]  # (neighbours still needed, neighbours chosen)
+    for prefixes in blocks.values():
+        size = len(prefixes) - 1
+        cap -= size  # now what the later blocks can supply
+        grown = []
+        for need, mask in choices:
+            c = size if size < need else need
+            while c >= 0 and need - c <= cap:
+                grown.append((need - c, mask | prefixes[c]))
+                c -= 1
+        choices = grown
+    for _, mask in choices:
+        child = sat | bv | mask & last
+        rows[v] = base | mask
+        ckey = key << n | rows[v] & child
+        rest = mask
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            u = b.bit_length() - 1
+            rows[u] |= bv
+            if b & last:  # saturated now, with every neighbour in `child`
+                ckey = ckey << n | rows[u]
+        if _feasible(k, n, rows, v, child, prune_lam, verdicts, ckey):
             yield from _complete_from(
-                k, n, rows, deg, v + 1, prune_lam, counter, stop_depth, states, verdicts
+                k, n, rows, child, prune_lam, stop_depth, states, verdicts, ckey
             )
-        deg[v] -= r
-        for u in chosen:
-            rows[v] &= ~(1 << u)
-            rows[u] &= ~(1 << v)
-            deg[u] -= 1
+        rest = mask
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            rows[b.bit_length() - 1] ^= bv
+    rows[v] = base
 
 
 def _feasible(
     k: int,
     n: int,
     rows: list[int],
-    deg: list[int],
     v: int,
+    sat: int,
     prune_lam: Optional[float],
     verdicts: dict[int, bool],
+    key: int,
 ) -> bool:
-    """Whether the partial graph, just completed through vertex v, can still
-    be completed.  The cuts, cheapest first: the remaining degree deficits
-    have odd sum, or one exceeds the number of other unsaturated vertices; a
+    """Whether the partial graph, just completed through vertex v with
+    saturated bitmask `sat`, can still be completed.  The cuts, cheapest
+    first: an unsaturated vertex needs more partners than there are other
+    unsaturated vertices (possible only once at most k are left); a
     connected component is fully saturated but is not the whole graph; and,
     when `prune_lam` is set, the subgraph induced on the saturated vertices
-    has second eigenvalue beyond it (`spectral_prune`).
+    has second eigenvalue beyond it (`spectral_prune`).  There is no parity
+    cut: odd k*n never reaches the completion, and with vertices 0..v
+    saturated the deficits sum to k*n - 2|E|, which is even.
 
     Saturated rows are frozen, so every completion contains that subgraph
-    induced, and the spectral verdict depends only on it.  `verdicts` memoizes
-    the verdict for the completion pass under `_prune_key`, the saturated
-    bitmask together with the induced rows."""
-    sat = (2 << v) - 1  # bitmask of saturated vertices; 0..v are complete
-    deficits = []
-    for u in range(v + 1, n):
-        d = k - deg[u]
-        if d:
-            deficits.append(d)
-        else:
-            sat |= 1 << u
-    if sum(deficits) % 2:
-        return False
-    if deficits and max(deficits) >= len(deficits):
-        return False  # some vertex needs more partners than remain
-    # closed-component cut: a fully saturated component that is not everything;
-    # the search from v stops at the first unsaturated vertex it reaches
+    induced, and the spectral verdict depends only on it.  `verdicts`
+    memoizes it for the completion pass under `key`, which names that
+    subgraph (see `_complete_from`)."""
     full = (1 << n) - 1
-    comp = reach(rows, v, full & ~sat)
-    if comp & ~sat == 0 and comp != full:
-        return False
-    if prune_lam is not None:
-        if sat.bit_count() < 2:
-            return True
-        key = _prune_key(rows, sat, n)
-        keep = verdicts.get(key)
-        if keep is None:
-            members = [u for u in range(n) if sat >> u & 1]
-            keep = verdicts[key] = spectral_prune(_saturated_subgraph(rows, members), prune_lam)
-        return keep
-    return True
+    free = full & ~sat
+    left = free.bit_count()
+    rest = free if left <= k else 0
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        if rows[b.bit_length() - 1].bit_count() <= k - left:
+            return False
+    # closed-component cut, needed only when v has no unsaturated neighbour:
+    # the search from v stops at the first unsaturated vertex it reaches
+    if not rows[v] & free:
+        comp = reach(rows, v, free)
+        if comp & free == 0 and comp != full:
+            return False
+    if prune_lam is None or n - left < 2:
+        return True
+    keep = verdicts.get(key)
+    if keep is None:
+        members = [u for u in range(n) if sat >> u & 1]
+        keep = verdicts[key] = spectral_prune(_saturated_subgraph(rows, members), prune_lam)
+    return keep
 
 
 def _rows_connected(rows: Sequence[int], n: int) -> bool:
@@ -455,32 +457,29 @@ def _rows_connected(rows: Sequence[int], n: int) -> bool:
 
 
 def _worker_complete(args):
-    k, n, rows, deg, v, prune_lam = args
-    counter = [0]
-    completed = list(_complete_from(k, n, list(rows), list(deg), v, prune_lam, counter))
-    return counter[0], completed
+    k, n, rows, sat, prune_lam = args
+    return list(_complete_from(k, n, list(rows), sat, prune_lam))
 
 
-def _candidate_rows(k: int, n: int, prune_lam: Optional[float], workers: int, counter: list[int]):
-    """Yields the completed labeled candidates (row tuples); `counter[0]` holds
-    their number once the generator is exhausted.  Serially they come in
-    batches of _STREAM_BATCH straight from the completion; with workers, each
-    job's list comes back whole."""
+def _candidate_rows(k: int, n: int, prune_lam: Optional[float], workers: int):
+    """Yields the completed labeled candidates (row tuples).  Serially they
+    come in batches of _STREAM_BATCH straight from the completion; with
+    workers, each job's list comes back whole."""
+    sat = 0 if k else (1 << n) - 1  # the empty graph; with k = 0 it is complete
     if workers <= 1 or n <= 3:
-        completion = _complete_from(k, n, [0] * n, [0] * n, 0, prune_lam, counter)
+        completion = _complete_from(k, n, [0] * n, sat, prune_lam)
         while batch := list(islice(completion, _STREAM_BATCH)):
             yield from batch
         return
     # partition the tree at the completion of vertex 1 across processes
     states: list = []
-    list(_complete_from(k, n, [0] * n, [0] * n, 0, prune_lam, counter, stop_depth=2, states=states))
-    jobs = [(k, n, rows, deg, v, prune_lam) for rows, deg, v in states]
+    list(_complete_from(k, n, [0] * n, sat, prune_lam, stop_depth=2, states=states))
+    jobs = [(k, n, rows, sat, prune_lam) for rows, sat in states]
     # fork where the platform has it, else its default (the first listed)
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
     with ctx.Pool(processes=workers) as pool:
-        for cnt, chunk in pool.imap(_worker_complete, jobs):
-            counter[0] += cnt
+        for chunk in pool.imap(_worker_complete, jobs):
             yield from chunk
 
 
@@ -519,17 +518,18 @@ def enum_connected_regular(
         )
     if not parity_ok(k, n):
         return []
-    counter = [0]
+    candidates = 0
     by_cert: dict[str, Graph] = {}
     index = LeafIndex()
-    for rows in _candidate_rows(k, n, prune_lam, workers, counter):
+    for rows in _candidate_rows(k, n, prune_lam, workers):
+        candidates += 1
         g = _saturated_subgraph(rows, range(n))  # a completed graph is all saturated
         cert = canonical_form(g, index=index).certificate
         if cert not in by_cert:
             by_cert[cert] = g
     certs = sorted(by_cert)
     if _info is not None:
-        _info["candidates"] = counter[0]
+        _info["candidates"] = candidates
         _info["classes"] = len(by_cert)
         _info["certificates"] = certs
         _info["walks"] = index.walks

@@ -1,5 +1,6 @@
 """Canonical labeling, isomorph-free generation, and the extremal search."""
 
+import hashlib
 import math
 import multiprocessing
 import random
@@ -368,34 +369,34 @@ def test_prune_verdicts_memoized_per_order(monkeypatch):
     assert search.v_search(4, 1, 10, workers=2).same_result(unpruned)
 
 
-def test_prune_key_identifies_saturated_subgraph():
-    # equal keys iff equal saturated masks and equal induced adjacency
-    rng = random.Random(11)
-    for k, n, depth in ((3, 10, 4), (3, 12, 6), (4, 9, 3), (4, 11, 5)):
-        states: list = []
-        list(search._complete_from(k, n, [0] * n, [0] * n, 0, None, [0], depth, states))
-        picked = []
-        lonely_pairs = 0
-        for rows, deg, _ in rng.sample(states, min(25, len(states))):
-            sat = sum(1 << u for u in range(n) if deg[u] == k)
-            picked.append((rows, sat))
-            # the same rows with one more vertex in sat that has no neighbour
-            # there: the induced subgraph gains an isolated vertex, and with
-            # the highest such vertex only the mask tells the keys apart
-            lonely = [u for u in range(n) if not sat >> u & 1 and not rows[u] & sat]
-            if lonely:
-                picked.append((rows, sat | 1 << max(lonely)))
-                lonely_pairs += 1
-        assert lonely_pairs, (k, n, depth)
-        for (rows_a, sat_a), (rows_b, sat_b) in combinations(picked, 2):
-            members_a = [u for u in range(n) if sat_a >> u & 1]
-            members_b = [u for u in range(n) if sat_b >> u & 1]
-            same = sat_a == sat_b and (
-                search._saturated_subgraph(rows_a, members_a).adj
-                == search._saturated_subgraph(rows_b, members_b).adj
-            ).all()
-            key_a = search._prune_key(rows_a, sat_a, n)
-            assert (key_a == search._prune_key(rows_b, sat_b, n)) == same, (k, n)
+def test_prune_key_identifies_saturated_subgraph(monkeypatch):
+    # equal memo keys iff equal saturated masks and equal induced adjacency,
+    # over every feasibility check of whole completion passes and of one
+    # worker job (a pass started from a stop-depth state)
+    seen: list = []
+    real = search._feasible
+
+    def recording(k, n, rows, v, sat, prune_lam, verdicts, key):
+        members = [u for u in range(n) if sat >> u & 1]
+        seen.append((key, sat, search._saturated_subgraph(rows, members).adj.tobytes()))
+        return real(k, n, rows, v, sat, prune_lam, verdicts, key)
+
+    monkeypatch.setattr(search, "_feasible", recording)
+    states: list = []
+    list(search._complete_from(4, 11, [0] * 11, 0, None, 2, states))
+    passes = [(k, n, [0] * n, 0) for k, n in ((3, 10), (4, 9), (4, 10), (5, 8))]
+    passes.append((4, 11, list(states[-1][0]), states[-1][1]))
+    for k, n, rows, sat in passes:
+        seen.clear()
+        list(search._complete_from(k, n, rows, sat, 100.0))  # nothing is cut spectrally
+        keys: dict = {}
+        graphs: dict = {}
+        for key, *graph in seen:
+            keys.setdefault(key, set()).add(tuple(graph))
+            graphs.setdefault(tuple(graph), set()).add(key)
+        assert all(len(g) == 1 for g in keys.values()), (k, n)
+        assert all(len(g) == 1 for g in graphs.values()), (k, n)
+        assert len(keys) < len(seen), (k, n)  # the memo has hits to give
 
 
 def test_pruned_candidates_per_order_pinned():
@@ -410,17 +411,53 @@ def test_pruned_candidates_per_order_pinned():
         assert {n: c.candidates for n, c in r.counts.items()} == per_order, (k, lam, n_max)
 
 
+def _stream_digest(items) -> str:
+    return hashlib.sha256(repr(list(items)).encode()).hexdigest()
+
+
+def test_candidate_stream_pinned(monkeypatch):
+    # the ordered stream of labelled candidates (bit rows) that reaches the
+    # dedup, and the worker states at the stop depth, recorded before the
+    # completion became a flat loop; the first candidate of each class is its
+    # representative, so the stream fixes every graph6 the search reports
+    seen: list = []
+    real = search.canonical_form
+
+    def recording(g, *args, **kwargs):
+        seen.append(g.bits())
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(search, "canonical_form", recording)
+    want = {
+        (3, 10, None): (250, "2d4174a6225711a85ebcc403259c56ec8dd45576ccfdc52965e83463397c4bc5"),
+        (4, 9, None): (268, "a96a36600da0d1fa34792f87249b3bd85ab6df57f586079ac2fe5b47925cad74"),
+        (3, 12, 1.5): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        (3, 12, 2.0): (546, "d66f6c1ff42bb02ab28faaa84ba87a443c5710d4d07f5b3f0abffba0ba359d87"),
+    }
+    for (k, n, lam), (count, digest) in want.items():
+        seen.clear()
+        search.enum_connected_regular(k, n, prune_lam=lam)
+        assert (len(seen), _stream_digest(seen)) == (count, digest), (k, n, lam)
+    states: list = []
+    list(search._complete_from(4, 11, [0] * 11, 0, None, 2, states))
+    assert (len(states), _stream_digest(rows for rows, _ in states)) == (
+        4,
+        "95bd03f48a77e0916390f1afc0e5b6c42d93b6d1cc1024a5594ef2416a615bf4",
+    )
+
+
 def test_saturated_subgraph_matches_induced():
     rng = random.Random(5)
     for k, n, depth in ((3, 10, 4), (3, 12, 6), (4, 9, 3), (4, 11, 5)):
         states: list = []
-        list(search._complete_from(k, n, [0] * n, [0] * n, 0, None, [0], depth, states))
+        list(search._complete_from(k, n, [0] * n, 0, None, depth, states))
         assert states
-        for rows, deg, _ in rng.sample(states, min(25, len(states))):
+        for rows, sat_mask in rng.sample(states, min(25, len(states))):
             g = Graph.from_edges(
                 n, [(u, w) for u in range(n) for w in range(u + 1, n) if rows[u] >> w & 1]
             )
-            sat = [u for u in range(n) if deg[u] == k]
+            sat = [u for u in range(n) if sat_mask >> u & 1]
+            assert sat == [u for u in range(n) if rows[u].bit_count() == k]
             subset = sorted(rng.sample(range(n), rng.randint(1, n)))
             for vertices in (sat, subset, range(n)):
                 got = search._saturated_subgraph(rows, vertices)
