@@ -37,6 +37,7 @@ from .spectra import (
     eig_symmetric,
     group_eigenvalues,
     lambda_max,
+    lambda_min,
     quotient_matrix,
     spectrum,
 )
@@ -236,10 +237,10 @@ def criterion_07() -> ClaimResult:
                 return False, {"lambda": str(lam), "t_prime": th.t_prime}, "t' closed form"
             lam_f = float(lam_fr)
             if th.m_prime > 1:
-                prev = eig_symmetric(k_tilde(th.m_prime - 1).adj.astype(float))[-1]
+                prev = lambda_min(k_tilde(th.m_prime - 1))
                 if not prev >= -lam_f - 1e-9:
                     return False, {"lambda": str(lam)}, "m' not minimal"
-            at = eig_symmetric(k_tilde(th.m_prime).adj.astype(float))[-1]
+            at = lambda_min(k_tilde(th.m_prime))
             if not at < -lam_f - 1e-9:
                 return False, {"lambda": str(lam)}, "m' does not qualify"
             details[str(lam)] = {"t_prime": th.t_prime, "m_prime": th.m_prime}
@@ -254,7 +255,7 @@ def criterion_07() -> ClaimResult:
             if tuple(tuple(int(x) for x in row) for row in q.matrix) != expected:
                 return False, {"m": m, "matrix": q.as_floats()}, "quotient matrix mismatch"
             qmin = min(q.eigenvalue_list())
-            gmin = eig_symmetric(g.adj.astype(float))[-1]
+            gmin = lambda_min(g)
             quotient_worst = max(quotient_worst, abs(qmin - gmin))
         details["quotient_vs_full_worst"] = quotient_worst
         return quotient_worst <= TOL, details, ""

@@ -154,9 +154,7 @@ def hypothesis_report(g: Graph, m: int, n: int) -> list[str]:
     return warnings
 
 
-def partition_classes(
-    fam: CliqueFamily, m: int, certified: bool = False, check_hypotheses: bool = True
-) -> CliquePartition:
+def partition_classes(fam: CliqueFamily, m: int, certified: bool = False) -> CliquePartition:
     """Classes of the mutual-non-neighbor relation over a clique family.
 
     Classes are the transitive closure of the pairwise predicate; when the
@@ -169,7 +167,7 @@ def partition_classes(
     if m < 1:
         raise ValueError("m must be >= 1")
     g = fam.graph
-    warnings = hypothesis_report(g, m, fam.threshold) if check_hypotheses else []
+    warnings = hypothesis_report(g, m, fam.threshold)
 
     t = len(fam.cliques)
     parent = list(range(t))

@@ -208,13 +208,7 @@ def _cmd_hoffman(args) -> int:
         val = hg.lambda_min()
         print(json.dumps({"lambda_min": val}) if args.json else f"{val:.12g}")
         return 0
-    g = hoffman.fatten(hg, args.p)
-    out = formats.dump_graph(g, args.out_format)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _emit_graph(hoffman.fatten(hg, args.p), args)
     return 0
 
 

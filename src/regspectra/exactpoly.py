@@ -1,11 +1,12 @@
 """Exact rational polynomial tools for small matrices.
 
-Characteristic polynomials are computed by Faddeev-LeVerrier over plain ints,
-real roots are isolated with Sturm chains and refined by bisection, and
-multiplicities come from Yun's square-free decomposition.  This powers the
-general small-matrix eigensolver for (possibly non-symmetric) quotient
-matrices and the exact second-eigenvalue recheck for boundary cases in the
-extremal search; degrees stay <= 16, so exact arithmetic is cheap.
+Characteristic polynomials are computed by Faddeev-LeVerrier over plain ints
+and real roots are counted with Sturm chains.  This serves the exact
+second-eigenvalue recheck for boundary cases in the extremal search
+(`search.second_eigenvalue_at_most`); degrees stay <= 16, so exact
+arithmetic is cheap.  No eigenvalue is computed here: every numeric
+eigenvalue goes through `kernel.sym_eigenvalues`.  Yun's square-free
+decomposition counts roots with multiplicity, for the tests' exact oracle.
 
 Polynomials are lists of Fractions indexed by power (low to high) with a
 nonzero leading coefficient, except for the zero polynomial [].
@@ -190,57 +191,6 @@ def count_roots_greater(p: Poly, a: Fraction) -> int:
     return variations_at(chain, a) - variations_at_inf(chain, positive=True)
 
 
-def root_bound(p: Poly) -> Fraction:
-    """Cauchy bound: all real roots lie in (-B, B]."""
-    p = _trim(p)
-    if degree(p) < 1:
-        return Fraction(1)
-    lead = abs(p[-1])
-    return 1 + max(abs(c) for c in p[:-1]) / lead
-
-
-# -- real root isolation ---------------------------------------------------------
-
-
-def _isolate(chain: list[Poly], a: Fraction, b: Fraction, count: int, out: list):
-    if count == 0:
-        return
-    if count == 1:
-        out.append((a, b))
-        return
-    mid = (a + b) / 2
-    left = variations_at(chain, a) - variations_at(chain, mid)
-    _isolate(chain, a, mid, left, out)
-    _isolate(chain, mid, b, count - left, out)
-
-
-def _refine(chain: list[Poly], a: Fraction, b: Fraction, width: Fraction) -> Fraction:
-    while b - a > width:
-        mid = (a + b) / 2
-        if poly_eval(chain[0], mid) == 0:
-            return mid  # landed exactly on the root (rational eigenvalue)
-        if variations_at(chain, a) - variations_at(chain, mid) == 1:
-            b = mid
-        else:
-            a = mid
-    return (a + b) / 2
-
-
-def real_roots(p: Poly, precision: Fraction = Fraction(1, 10**13)) -> list[float]:
-    """Distinct real roots of p, ascending, refined to the given width."""
-    p = _trim(p)
-    if degree(p) < 1:
-        return []
-    sf = monic(poly_divmod(p, poly_gcd(p, derivative(p)))[0])
-    chain = sturm_chain(sf)
-    bound = root_bound(sf)
-    total = count_roots_in(sf, -bound, bound, chain)
-    intervals: list[tuple[Fraction, Fraction]] = []
-    _isolate(chain, -bound, bound, total, intervals)
-    width = precision * max(Fraction(1), bound)
-    return [float(_refine(chain, a, b, width)) for a, b in intervals]
-
-
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Yun's algorithm: factors (q_i, i) with p ~ prod q_i^i, q_i square-free."""
     p = monic(p)
@@ -272,23 +222,3 @@ def _pad(a: Poly, b: Poly):
     a = list(a) + [Fraction(0)] * (ln - len(a))
     b = list(b) + [Fraction(0)] * (ln - len(b))
     return zip(a, b)
-
-
-def real_roots_with_multiplicity(p: Poly) -> list[tuple[float, int]]:
-    """Distinct real roots of p with multiplicities, sorted ascending."""
-    out: list[tuple[float, int]] = []
-    for factor, mult in squarefree_decomposition(p):
-        out.extend((r, mult) for r in real_roots(factor))
-    out.sort()
-    return out
-
-
-def eigenvalues_exact(matrix) -> list[tuple[float, int]]:
-    """Real eigenvalues (value, multiplicity) of a small rational matrix.
-
-    Computed via the characteristic polynomial; complex pairs are simply not
-    reported, so the multiplicities sum to the matrix dimension exactly when
-    the spectrum is real (always the case for the quotient matrices of
-    graphs, which are diagonally similar to symmetric matrices).
-    """
-    return real_roots_with_multiplicity(charpoly(matrix))

@@ -418,7 +418,7 @@ def regularity_params(g: Graph) -> RegularityParams:
     elif dist2_vals:
         d2min, d2max = min(dist2_vals), max(dist2_vals)
 
-    diam = diameter(g)
+    diam = max(max(row) for row in dist)  # math.inf when disconnected
     edge_regular = is_reg and a1_uniform
     co_edge_regular = is_reg and coedge_uniform
     amply = is_reg and a1_uniform and dist2_uniform

@@ -26,7 +26,7 @@ import numpy as np
 from .construct import complete, edgeless
 from .errors import ConsistencyError
 from .graphs import Graph, contains_induced
-from .spectra import eig_symmetric
+from .spectra import eig_symmetric, lambda_min
 
 HOFFMAN_PATTERN_CAP = 10
 SUBGRAPH_MIN_TOL = 1e-9
@@ -193,7 +193,7 @@ def fatten(h: HoffmanGraph, p: int) -> Graph:
 
 def fattening_lambda_min_sequence(h: HoffmanGraph, p_max: int) -> list[float]:
     """lambda_min(G(h, p)) for p = 1..p_max."""
-    return [eig_symmetric(fatten(h, p).adj.astype(float))[-1] for p in range(1, p_max + 1)]
+    return [lambda_min(fatten(h, p)) for p in range(1, p_max + 1)]
 
 
 # -- induced Hoffman subgraph containment ----------------------------------------

@@ -77,33 +77,17 @@ class LeafIndex(dict):
 
 def _twin_classes(bits: Sequence[int], n: int) -> list[int]:
     """twin[v] = representative of v's twin class (equal open or closed
-    neighborhoods); swapping twins is an automorphism."""
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    neighborhoods); swapping twins is an automorphism.  No vertex v has both
+    an open twin u and a closed twin w: w ~ v puts w in N(u), so u lies in
+    N[w] = N[v], yet open twins are not adjacent.  So the representative is
+    the first vertex seen with v's open or with v's closed neighborhood,
+    whichever is smaller."""
     by_open: dict[int, int] = {}
     by_closed: dict[int, int] = {}
-    for v in range(n):
-        o = bits[v]
-        c = bits[v] | (1 << v)
-        if o in by_open:
-            ri, rj = find(by_open[o]), find(v)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-        else:
-            by_open[o] = v
-        if c in by_closed:
-            ri, rj = find(by_closed[c]), find(v)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-        else:
-            by_closed[c] = v
-    return [find(v) for v in range(n)]
+    return [
+        min(by_open.setdefault(bits[v], v), by_closed.setdefault(bits[v] | (1 << v), v))
+        for v in range(n)
+    ]
 
 
 def _refine(

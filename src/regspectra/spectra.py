@@ -1,8 +1,8 @@
 """Spectra of graphs and small matrices.
 
-All symmetric eigenvalue work funnels through `kernel.sym_eigenvalues`
-(LAPACK through numpy); quotient matrices, which may be non-symmetric, go
-through the exact characteristic-polynomial solver instead.
+All eigenvalue work funnels through `kernel.sym_eigenvalues` (LAPACK
+through numpy).  Partition quotients are not symmetric in general, but they
+are diagonally similar to a symmetric matrix, which is what the kernel solves.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import exactpoly, kernel
+from . import kernel
 from .graphs import Graph
 
 SYMMETRY_TOL = 1e-12
@@ -194,15 +194,35 @@ class QuotientResult:
     def as_floats(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self.matrix]
 
+    def _spectrum(self) -> Spectrum:
+        """Eigenvalues grouped as `spectrum` groups a graph's, descending.
+
+        With D = diag(part sizes), D M counts the edges between parts, so it
+        is symmetric, and M is similar to the symmetric D^(1/2) M D^(-1/2),
+        whose (i, j) entry is (D M)[i][j] / sqrt(|P_i| |P_j|).  The check of
+        D M is exact; a hand-built result that fails it, or has an empty part,
+        raises ValueError.
+        """
+        sizes = [len(p) for p in self.parts]
+        edges = [[s * x for x in row] for s, row in zip(sizes, self.matrix)]
+        t = len(sizes)
+        if 0 in sizes or any(
+            edges[i][j] != edges[j][i] for i in range(t) for j in range(i)
+        ):
+            raise ValueError("quotient matrix is not symmetrized by its part sizes")
+        sym = np.array(edges, dtype=np.float64) / np.sqrt(np.outer(sizes, sizes))
+        norm = max(sum(abs(x) for x in row) for row in self.matrix)
+        return group_eigenvalues(
+            kernel.sym_eigenvalues(sym), GROUP_TOL * max(1.0, float(norm))
+        )
+
     def eigenvalues(self) -> list[tuple[float, int]]:
-        """Real eigenvalues (value, multiplicity), ascending, exact char-poly route."""
-        return exactpoly.eigenvalues_exact(self.matrix)
+        """Eigenvalues (value, multiplicity), ascending."""
+        return list(reversed(self._spectrum().pairs))
 
     def eigenvalue_list(self) -> list[float]:
-        out: list[float] = []
-        for v, m in self.eigenvalues():
-            out.extend([v] * m)
-        return sorted(out, reverse=True)
+        """Eigenvalues expanded with multiplicity, descending."""
+        return self._spectrum().values()
 
 
 def quotient_matrix(g: Graph, partition: Sequence[Sequence[int]]) -> QuotientResult:

@@ -91,6 +91,11 @@ def test_hoffman_commands(tmp_path, capsys):
     assert code == 0
     g = formats.from_edgelist_text(out)
     assert g.n == 5 and set(g.degrees()) == {4}  # K_5: fat becomes a joined K_3
+    out_file = tmp_path / "k5.txt"
+    code, out, _ = run(capsys, "hoffman", "fatten", str(hfile), "--p", "3",
+                       "--out-format", "edgelist", "--out", str(out_file))
+    assert code == 0 and out == ""
+    assert formats.from_edgelist_text(out_file.read_text()) == g
 
 
 def test_hoffman_validate_failure(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Exact characteristic polynomials, Sturm counting, root isolation."""
+"""Exact characteristic polynomials, Sturm counting, square-free factors."""
 
 from fractions import Fraction as F
 
@@ -57,27 +57,6 @@ def test_charpoly_vs_numpy_roots():
             assert abs(val) < 1e-6 * (1 + abs(z)) ** n
 
 
-def test_eigenvalues_exact_with_multiplicity():
-    k4 = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
-    roots = ep.eigenvalues_exact(k4)
-    assert len(roots) == 2
-    (v1, m1), (v2, m2) = roots
-    assert abs(v1 + 1) < 1e-10 and m1 == 3
-    assert abs(v2 - 3) < 1e-10 and m2 == 1
-
-
-def test_eigenvalues_exact_random_symmetric():
-    rng = np.random.default_rng(9)
-    for _ in range(15):
-        n = int(rng.integers(2, 8))
-        m = rng.integers(-2, 3, size=(n, n))
-        m = m + m.T
-        got = sorted(v for v, mult in ep.eigenvalues_exact(m.tolist()) for _ in range(mult))
-        ref = sorted(np.linalg.eigvalsh(m.astype(float)))
-        assert len(got) == n
-        assert max(abs(x - y) for x, y in zip(got, ref)) < 1e-8
-
-
 def test_count_roots_greater():
     k4 = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
     p = ep.charpoly(k4)
@@ -93,21 +72,15 @@ def test_squarefree_decomposition():
     factors = ep.squarefree_decomposition(poly)
     mults = sorted(m for _, m in factors)
     assert mults == [1, 2]
-    roots = ep.real_roots_with_multiplicity(poly)
-    assert [(round(r), m) for r, m in roots] == [(-2, 1), (1, 2)]
-
-
-def test_real_roots_precision():
-    # x^2 - 2: sqrt(2) to high precision
-    roots = ep.real_roots([F(-2), F(0), F(1)])
-    assert len(roots) == 2
-    assert abs(roots[1] - 2**0.5) < 1e-12
 
 
 def test_degenerate_polynomials():
-    assert ep.real_roots([F(3)]) == []
-    assert ep.real_roots([]) == []
-    assert ep.eigenvalues_exact([[0]]) == [(0.0, 1)]
+    # constants and the zero polynomial have no roots to count or factor
+    for p in ([F(3)], []):
+        assert ep.squarefree_decomposition(p) == []
+        assert ep.count_roots_greater(p, F(0)) == 0
+    assert ep.charpoly([[0]]) == [F(0), F(1)]
+    assert ep.count_roots_greater(ep.charpoly([[0]]), F(-1)) == 1
 
 
 def test_poly_division_and_gcd():

@@ -235,6 +235,16 @@ def test_regularity_params():
     assert not irr.is_regular and irr.k is None
 
 
+def test_regularity_params_diameter():
+    # read off the distance matrix: math.inf when disconnected
+    assert regularity_params(disjoint_union(cycle(3), cycle(4))).diameter == math.inf
+    assert regularity_params(edgeless(1)).diameter == 0
+    rng = random.Random(17)
+    for _ in range(30):
+        g = random_graph(rng.randint(1, 9), rng.random(), rng)
+        assert regularity_params(g).diameter == diameter(g)
+
+
 def test_petersen_complement_params():
     rp = regularity_params(complement(petersen()))
     assert rp.srg_params() == (10, 6, 3, 4)

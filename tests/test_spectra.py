@@ -4,10 +4,9 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from regspectra import spectra
+from regspectra import exactpoly, spectra
 from regspectra.construct import (
     complement,
     complete,
@@ -182,22 +181,66 @@ def test_equitable_quotient_eigs_inside_spectrum():
             assert min(abs(val - x) for x in full) < 1e-7
 
 
-def test_quotient_symmetrization_cross_check():
-    # D^{-1/2} E D^{-1/2} is symmetric with the same spectrum as the quotient
+def test_quotient_eigenvalues_against_exact_roots():
+    # Each value cluster of a non-equitable quotient, widened by 1e-9, must
+    # hold exactly one distinct root of the exact characteristic polynomial,
+    # with multiplicity equal to the cluster size.
     rng = random.Random(44)
-    for _ in range(10):
+    tol = Fraction(1, 10**9)
+    checked = 0
+    while checked < 30:
         g = random_graph(rng.randint(4, 9), 0.5, rng)
-        cut = rng.randint(1, g.n - 1)
-        parts = [list(range(cut)), list(range(cut, g.n))]
+        t = rng.randint(2, 4)
+        order = rng.sample(range(g.n), g.n)
+        cuts = sorted(rng.sample(range(1, g.n), t - 1))
+        parts = [order[a:b] for a, b in zip([0] + cuts, cuts + [g.n])]
         q = quotient_matrix(g, parts)
-        e = np.array(
-            [[float(q.matrix[i][j] * len(parts[i])) for j in range(2)] for i in range(2)]
-        )
-        d = np.diag([1 / math.sqrt(len(p)) for p in parts])
-        sym = d @ e @ d
-        ref = sorted(eig_symmetric(sym))
-        got = sorted(q.eigenvalue_list())
-        assert max(abs(x - y) for x, y in zip(got, ref)) < 1e-8
+        if q.equitable:
+            continue
+        checked += 1
+        vals = q.eigenvalue_list()
+        assert len(vals) == t and vals == sorted(vals, reverse=True)
+        poly = exactpoly.charpoly(q.matrix)
+        factors = exactpoly.squarefree_decomposition(poly)
+        clusters = [[vals[0]]]
+        for x in vals[1:]:
+            if x == clusters[-1][-1]:
+                clusters[-1].append(x)
+            else:
+                clusters.append([x])
+        assert q.eigenvalues() == [(c[0], len(c)) for c in reversed(clusters)]
+        for cluster in clusters:
+            lo, hi = Fraction(cluster[0]) - tol, Fraction(cluster[0]) + tol
+            assert exactpoly.count_roots_in(poly, lo, hi) == 1, (q.matrix, cluster)
+            total = sum(i * exactpoly.count_roots_in(f, lo, hi) for f, i in factors)
+            assert total == len(cluster), (q.matrix, cluster)
+
+
+def test_quotient_not_symmetrizable_rejected():
+    # parts of sizes 1 and 2: |P_0| m_01 = 2 = |P_1| m_10 passes, 1 != 2 fails;
+    # an empty part has no size to scale by
+    star = spectra.QuotientResult(
+        matrix=((Fraction(0), Fraction(2)), (Fraction(1), Fraction(0))),
+        parts=((0,), (1, 2)),
+        equitable=True,
+    )
+    assert star.eigenvalue_list() == pytest.approx([math.sqrt(2), -math.sqrt(2)])
+    bad = spectra.QuotientResult(
+        matrix=((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
+        parts=((0,), (1, 2)),
+        equitable=True,
+    )
+    with pytest.raises(ValueError):
+        bad.eigenvalues()
+    with pytest.raises(ValueError):
+        bad.eigenvalue_list()
+    empty_part = spectra.QuotientResult(
+        matrix=((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),
+        parts=((0,), ()),
+        equitable=True,
+    )
+    with pytest.raises(ValueError):
+        empty_part.eigenvalues()
 
 
 def test_interlacing():
