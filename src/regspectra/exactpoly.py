@@ -144,16 +144,9 @@ def variations_at(chain: list[Poly], x: Fraction) -> int:
     return _variations([_sign(poly_eval(q, x)) for q in chain])
 
 
-def variations_at_inf(chain: list[Poly], positive: bool) -> int:
-    signs = []
-    for q in chain:
-        if not q:
-            signs.append(0)
-        elif positive:
-            signs.append(_sign(q[-1]))
-        else:
-            signs.append(_sign(q[-1]) * (-1 if degree(q) % 2 else 1))
-    return _variations(signs)
+def variations_at_inf(chain: list[Poly]) -> int:
+    """Sign variations of the chain at +infinity (the leading coefficients)."""
+    return _variations([_sign(q[-1]) if q else 0 for q in chain])
 
 
 def _sign(x: Fraction) -> int:
@@ -188,7 +181,7 @@ def count_roots_greater(p: Poly, a: Fraction) -> int:
     if degree(sf) < 1:
         return 0
     chain = sturm_chain(sf)
-    return variations_at(chain, a) - variations_at_inf(chain, positive=True)
+    return variations_at(chain, a) - variations_at_inf(chain)
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:

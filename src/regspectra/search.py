@@ -1,11 +1,21 @@
 """Isomorph-free exhaustive search for extremal regular graphs.
 
 Three layers: a canonical labeling (iterated neighborhood refinement with
-individualization backtracking, twin-class pruning), an isomorph-free
-generator of connected k-regular graphs (vertex-by-vertex completion with a
-block-prefix symmetry rule, canonical-certificate rejection), and the search
-driver that filters by the second largest eigenvalue and reports extremal
-witnesses.
+individualization backtracking, twin-class and automorphism pruning), an
+isomorph-free generator of connected k-regular graphs (vertex-by-vertex
+completion with a block-prefix symmetry rule, canonical-certificate
+rejection), and the search driver that filters by the second largest
+eigenvalue and reports extremal witnesses.
+
+The labeling reads bit rows (one neighbor bitmask per vertex), either a
+`Graph`'s or the generator's own, and packs the certificate straight from
+them; the generator builds a `Graph` only for the first candidate of a
+class.  Two leaves with equal keys give an automorphism, and a sibling in
+the orbit of an explored one, under the automorphisms found so far that fix
+the individualized vertices, is skipped.  Its subtree is the image of an
+explored one, so it holds no key the walk has not met, and the first leaf
+of every key is still reached: the labeling and the recorded orders are
+those of the whole tree.
 
 Rejection uses a leaf-key index per dedup pass: the first candidate of a
 class walks its whole labelling tree and records every leaf key (the
@@ -25,15 +35,15 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Optional, Sequence
+from itertools import chain, islice
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import exactpoly, kernel
 from .bounds import to_fraction
 from .errors import UnsupportedSizeError
-from .formats import to_graph6
+from .formats import _encode_order, to_graph6
 from .graphs import Graph, reach
 from .spectra import spectrum
 
@@ -101,21 +111,33 @@ def _refine(
     `splitters` seeds the worklist (all cells by default; after an
     individualization only the two cells it created, since the inherited
     partition is already stable).  Cell order is decided only by parent
-    position and count vectors, hence deterministic and label-invariant."""
+    position and count vectors, hence deterministic and label-invariant.
+    A round with one splitter uses the bare count as its signature, which
+    sorts as the 1-tuple would."""
     if splitters is None:
         splitters = list(range(len(cells)))
     while splitters:
-        masks = [sum(1 << v for v in cells[i]) for i in splitters]
+        masks = []
+        for i in splitters:
+            m = 0
+            for v in cells[i]:
+                m |= 1 << v
+            masks.append(m)
+        single = masks[0] if len(masks) == 1 else None
         new_cells: list[list[int]] = []
         new_splitters: list[int] = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                sig = tuple((bits[v] & m).bit_count() for m in masks)
-                groups.setdefault(sig, []).append(v)
+            groups: dict = {}
+            if single is not None:
+                for v in cell:
+                    groups.setdefault((bits[v] & single).bit_count(), []).append(v)
+            else:
+                for v in cell:
+                    sig = tuple([(bits[v] & m).bit_count() for m in masks])
+                    groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
@@ -140,44 +162,124 @@ def _leaf_key(bits: Sequence[int], order: Sequence[int]) -> int:
     return key
 
 
-def _leaf_orders(bits: Sequence[int], n: int):
+def _certificate(bits: Sequence[int], order: Sequence[int]) -> str:
+    """graph6 of the graph relabelled by `order` (position -> vertex): the
+    upper triangle packed column-major, as `formats.to_graph6` packs it."""
+    n = len(order)
+    packed = 0
+    for j in range(1, n):
+        bj = bits[order[j]]
+        for i in range(j):
+            packed = (packed << 1) | (bj >> order[i] & 1)
+    length = n * (n - 1) // 2
+    groups = (length + 5) // 6
+    packed <<= 6 * groups - length
+    body = "".join(chr((packed >> 6 * (groups - 1 - p) & 63) + 63) for p in range(groups))
+    return _encode_order(n) + body
+
+
+def _leaf_orders(bits: Sequence[int], n: int, autos: list):
     """The leaves of the individualization-refinement tree, depth first; each
     is an order (position -> vertex).
 
-    A twin of an explored sibling is skipped: swapping twins is an
-    automorphism that fixes the individualized vertices, so its subtree
-    repeats the explored leaf keys.  The set of leaf keys is therefore that
-    of the full tree, which is the same for every graph of the class."""
-    twin = _twin_classes(bits, n)
+    Two rules skip a sibling of an explored vertex, each because its subtree
+    is the image of an explored subtree under an automorphism that fixes the
+    individualized vertices, so it repeats explored leaf keys:
+    - a twin of an earlier sibling (swapping twins is such an automorphism);
+    - a sibling in the orbit of an explored one, under the automorphisms in
+      `autos` that fix the path pointwise.  `autos` holds `(fixed mask,
+      permutation)` pairs; the caller may append to it between leaves, and
+      each node unions the new ones it admits into its own orbit partition.
+    The set of leaf keys is therefore that of the full tree, which is the
+    same for every graph of the class.  The twin classes are computed when a
+    cell first offers a second sibling, so a walk that stops at its first
+    leaf never needs them."""
+    twin: Optional[list[int]] = None
 
-    def descend(cells: list[list[int]], seed: Optional[list[int]]):
+    def descend(cells: list[list[int]], seed: Optional[list[int]], path: int):
+        nonlocal twin
         cells = _refine(bits, cells, seed)
         target = next((idx for idx, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             yield [cell[0] for cell in cells]
             return
         cell = cells[target]
-        seen_twins = set()
-        for v in cell:
-            rep = twin[v]
-            if rep in seen_twins:
-                continue  # a twin of an explored sibling: identical subtree
-            seen_twins.add(rep)
-            split = [cells[i] for i in range(target)]
-            split.append([v])
-            split.append([w for w in cell if w != v])
-            split.extend(cells[i] for i in range(target + 1, len(cells)))
-            yield from descend(split, [target, target + 1])
+        head, tail = cells[:target], cells[target + 1 :]
+        explored: list[int] = []
+        seen_twins: set = set()
+        orbit: dict[int, int] = {}  # union-find over the cell
+        used = 0  # automorphisms of `autos` already considered here
 
-    return descend([list(range(n))], None)
+        def find(u: int) -> int:
+            while orbit[u] != u:
+                orbit[u] = u = orbit[orbit[u]]
+            return u
+
+        for v in cell:
+            if explored:
+                if twin is None:
+                    twin = _twin_classes(bits, n)
+                if not seen_twins:
+                    seen_twins.add(twin[cell[0]])
+                if twin[v] in seen_twins:
+                    continue  # a twin of an earlier sibling: identical subtree
+                seen_twins.add(twin[v])
+                if not orbit:
+                    orbit = {u: u for u in cell}
+                for fixed, sigma in autos[used:]:
+                    if path & ~fixed == 0:  # sigma fixes the path, so maps cell to cell
+                        for u in cell:
+                            a, b = find(u), find(sigma[u])
+                            if a != b:
+                                orbit[max(a, b)] = min(a, b)
+                used = len(autos)
+                root = find(v)
+                if any(find(u) == root for u in explored):
+                    continue  # the image of an explored subtree
+            explored.append(v)
+            split = head + [[v], [w for w in cell if w != v]] + tail
+            yield from descend(split, [target, target + 1], path | 1 << v)
+
+    return descend([list(range(n))], None, 0)
+
+
+def _first_orders(bits: Sequence[int], leaves, autos: list) -> dict[int, list[int]]:
+    """Leaf key -> order of the first leaf with that key, over `leaves`.  A
+    leaf whose key is already there is an automorphism (the map from the
+    earlier order's vertices to this one's); it is appended to `autos` with
+    its fixed-point mask, where `_leaf_orders` prunes by it."""
+    orders: dict[int, list[int]] = {}
+    for order in leaves:
+        earlier = orders.setdefault(_leaf_key(bits, order), order)
+        if earlier is not order:
+            sigma = [0] * len(order)
+            fixed = 0
+            for u, w in zip(earlier, order):
+                sigma[u] = w
+                if u == w:
+                    fixed |= 1 << u
+            autos.append((fixed, sigma))
+    return orders
 
 
 def canonical_form(
-    g: Graph, cap: int = CANONICAL_CAP, *, index: Optional[LeafIndex] = None
+    g: Union[Graph, Sequence[int]],
+    cap: int = CANONICAL_CAP,
+    *,
+    index: Optional[LeafIndex] = None,
 ) -> CanonicalForm:
     """Canonical labeling and certificate; isomorphic graphs map to identical
     certificates (and only those - each leaf is an actual relabelling).  The
     canonical order is the first leaf with the least key.
+
+    `g` is a `Graph` or its bit rows (one neighbor bitmask per vertex,
+    symmetric and loop-free, not validated here); the certificate is packed
+    from the bits under the canonical order, so both forms give the same
+    result.  The walk prunes by the automorphisms its repeated leaf keys
+    reveal (see `_leaf_orders`): a pruned subtree is the image of an explored
+    one and holds the same keys, and the first leaf with a given key is never
+    pruned, since an earlier leaf with that key would then exist.  So the
+    canonical order and the recorded orders are those of the full tree.
 
     `index`, when given, is the `LeafIndex` shared by one dedup pass.  If the
     first leaf's key is in it, the graph belongs to that class and the walk
@@ -185,28 +287,29 @@ def canonical_form(
     the graph starts a new class (isomorphic graphs have the same leaf-key
     set), the whole tree is walked as without an index, and every leaf key it
     met is added."""
-    if g.n > cap:
-        raise UnsupportedSizeError(f"order {g.n} exceeds canonical cap {cap}")
-    n = g.n
-    bits = g.bits()
-    leaves = _leaf_orders(bits, n)
+    bits = g.bits() if isinstance(g, Graph) else g
+    n = len(bits)
+    if n > cap:
+        raise UnsupportedSizeError(f"order {n} exceeds canonical cap {cap}")
+    if n < 1:
+        raise ValueError("graph must have at least one vertex")
+    autos: list = []
+    leaves = _leaf_orders(bits, n, autos)
     first = next(leaves)
-    key = _leaf_key(bits, first)
     labeling = [0] * n
     if index is not None:
-        hit = index.get((n, key))
+        hit = index.get((n, _leaf_key(bits, first)))
         if hit is not None:
             index.hits += 1
             certificate, to_canon = hit
             for position, old in enumerate(first):
                 labeling[old] = to_canon[position]
             return CanonicalForm(labeling=tuple(labeling), certificate=certificate)
-    orders = {key: first}  # leaf key -> order of the first leaf with that key
-    for order in leaves:
-        orders.setdefault(_leaf_key(bits, order), order)
-    for position, old in enumerate(orders[min(orders)]):
+    orders = _first_orders(bits, chain([first], leaves), autos)
+    best = orders[min(orders)]
+    for position, old in enumerate(best):
         labeling[old] = position
-    certificate = to_graph6(g.relabel(labeling))
+    certificate = _certificate(bits, best)
     if index is not None:
         index.walks += 1
         for key, order in orders.items():
@@ -241,26 +344,26 @@ def brute_force_certificate(g: Graph) -> str:
 
 def enumerate_all_graphs(n: int) -> list[Graph]:
     """All graphs on n vertices up to isomorphism (vertex extension + canonical
-    rejection).  Intended for n <= 7."""
+    rejection).  Intended for n <= 7.  Each class is kept as its bit rows;
+    every extension by one vertex joined to the vertices of a mask is
+    labelled from its rows, and only the returned classes become `Graph`s."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    current = [Graph(np.zeros((1, 1), dtype=bool))]
+    current: list[tuple[int, ...]] = [(0,)]
     for size in range(2, n + 1):
-        seen: dict[str, Graph] = {}
+        new = 1 << (size - 1)
+        seen: dict[str, tuple[int, ...]] = {}
         index = LeafIndex()
-        for g in current:
-            for mask in range(1 << (size - 1)):
-                a = np.zeros((size, size), dtype=bool)
-                a[: size - 1, : size - 1] = g.adj
-                for w in range(size - 1):
-                    if mask >> w & 1:
-                        a[size - 1, w] = a[w, size - 1] = True
-                cand = Graph(a)
+        for rows in current:
+            for mask in range(new):
+                cand = tuple(
+                    row | new if mask >> w & 1 else row for w, row in enumerate(rows)
+                ) + (mask,)
                 cert = canonical_form(cand, index=index).certificate
                 if cert not in seen:
                     seen[cert] = cand
         current = [seen[c] for c in sorted(seen)]
-    return current
+    return [_saturated_subgraph(rows, range(n)) for rows in current]
 
 
 # -- isomorph-free generation of connected regular graphs --------------------------
@@ -507,10 +610,10 @@ def enum_connected_regular(
     index = LeafIndex()
     for rows in _candidate_rows(k, n, prune_lam, workers):
         candidates += 1
-        g = _saturated_subgraph(rows, range(n))  # a completed graph is all saturated
-        cert = canonical_form(g, index=index).certificate
+        cert = canonical_form(rows, index=index).certificate
         if cert not in by_cert:
-            by_cert[cert] = g
+            # a completed graph is all saturated
+            by_cert[cert] = _saturated_subgraph(rows, range(n))
     certs = sorted(by_cert)
     if _info is not None:
         _info["candidates"] = candidates

@@ -198,6 +198,116 @@ def test_enum_walks_once_per_class():
             assert info["hits"] == info["candidates"] - classes, (k, n, workers)
 
 
+def _refine_reference(bits, cells, splitters=None):
+    """The refinement as it was before the single-splitter and mask-building
+    shortcuts, kept verbatim as the oracle of `search._refine`."""
+    if splitters is None:
+        splitters = list(range(len(cells)))
+    while splitters:
+        masks = [sum(1 << v for v in cells[i]) for i in splitters]
+        new_cells = []
+        new_splitters = []
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                sig = tuple((bits[v] & m).bit_count() for m in masks)
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+            else:
+                for sig in sorted(groups):
+                    new_splitters.append(len(new_cells))
+                    new_cells.append(groups[sig])
+        cells = new_cells
+        splitters = new_splitters
+    return cells
+
+
+def test_refine_matches_reference():
+    # random graphs x random ordered partitions, with every cell a splitter
+    # and with two adjacent cells as the splitters of an individualization
+    rng = random.Random(47)
+    for _ in range(400):
+        g = random_graph(rng.randint(1, 14), rng.random(), rng)
+        bits = g.bits()
+        vertices = list(range(g.n))
+        rng.shuffle(vertices)
+        cuts = sorted(rng.sample(range(1, g.n), rng.randint(0, g.n - 1))) if g.n > 1 else []
+        cells = [vertices[a:b] for a, b in zip([0, *cuts], [*cuts, g.n])]
+        seeds = [None]
+        if len(cells) > 1:
+            t = rng.randrange(len(cells) - 1)
+            seeds.append([t, t + 1])
+        for splitters in seeds:
+            got = search._refine(bits, [list(c) for c in cells], splitters and list(splitters))
+            want = _refine_reference(bits, [list(c) for c in cells], splitters and list(splitters))
+            assert got == want, (g, cells, splitters)
+
+
+def _hypercube3() -> Graph:
+    return Graph.from_edges(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
+
+
+def test_automorphism_pruned_walk_keeps_first_orders():
+    # the pruned walk meets every leaf key of the full tree (the twin rule
+    # alone: an automorphism list that stays empty), first at the same order
+    # and in the same sequence; every recorded automorphism is one
+    rng = random.Random(31)
+    graphs = [petersen(), _hypercube3(), _rook4(), _shrikhande()]
+    graphs += [cycle(n) for n in (3, 5, 8, 11)]
+    graphs += [complete_bipartite(s, t) for s, t in ((1, 4), (3, 3), (2, 5), (4, 4))]
+    graphs += search.enumerate_all_graphs(6)
+    graphs += [_relabelled(g, rng) for g in graphs]
+    for g in graphs:
+        bits = g.bits()
+        full: dict = {}
+        for order in search._leaf_orders(bits, g.n, []):
+            full.setdefault(search._leaf_key(bits, order), order)
+        autos: list = []
+        pruned = search._first_orders(bits, search._leaf_orders(bits, g.n, autos), autos)
+        assert list(pruned.items()) == list(full.items()), g
+        for fixed, sigma in autos:
+            assert sorted(sigma) == list(range(g.n))
+            assert all(bits[sigma[u]] == sum(1 << sigma[w] for w in range(g.n) if bits[u] >> w & 1)
+                       for u in range(g.n))
+            assert fixed == sum(1 << u for u in range(g.n) if sigma[u] == u)
+
+
+def test_walk_refine_counts(monkeypatch):
+    # automorphism pruning: Petersen's whole walk took 191 refinements with
+    # the twin rule alone; K_{3,3} (all twins) must not pay for the orbits
+    calls = [0]
+    real = search._refine
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_refine", counted)
+    for g, most in ((petersen(), 20), (complete_bipartite(3, 3), 9)):
+        calls[0] = 0
+        search.canonical_form(g)
+        assert calls[0] <= most, (g, calls[0])
+
+
+def test_canonical_form_on_bit_rows():
+    rng = random.Random(71)
+    graphs = [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(60)]
+    graphs += [random_graph(n, 0.5, rng) for n in (62, 63, 64)]  # 63 and 64: long header
+    graphs += [complete(63), cycle(64)]
+    for g in graphs:
+        assert search.canonical_form(g.bits()) == search.canonical_form(g), g
+        index = search.LeafIndex()
+        assert search.canonical_form(g.bits(), index=index) == search.canonical_form(g)
+        assert search.canonical_form(g, index=index) == search.canonical_form(g)
+        assert (index.walks, index.hits) == (1, 1)
+    with pytest.raises(UnsupportedSizeError):
+        search.canonical_form(tuple([0] * 65))
+
+
 def test_enumerate_all_graphs_counts():
     for n, want in ((1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)):
         assert len(search.enumerate_all_graphs(n)) == want
@@ -443,7 +553,7 @@ def test_candidate_stream_pinned(monkeypatch):
     real = search.canonical_form
 
     def recording(g, *args, **kwargs):
-        seen.append(g.bits())
+        seen.append(g if isinstance(g, tuple) else g.bits())  # bit rows or a Graph
         return real(g, *args, **kwargs)
 
     monkeypatch.setattr(search, "canonical_form", recording)
