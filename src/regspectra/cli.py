@@ -38,9 +38,14 @@ def _emit_graph(g: Graph, args) -> None:
 
 def _parse_lambda(text: str) -> Fraction:
     try:
-        return bounds.to_fraction(text)
+        lam = bounds.to_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc
+    try:
+        float(lam)  # the search and the thresholds also compare in floats
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"lambda {text!r} is out of float range") from None
+    return lam
 
 
 def _parse_parts(text: str) -> list[int]:

@@ -10,7 +10,7 @@ byte extension so that every graph this package builds stays serializable.
 from __future__ import annotations
 
 import json
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -57,9 +57,17 @@ def to_json_obj(g: Graph) -> dict:
 
 
 def from_json_obj(obj: dict) -> Graph:
-    if "order" not in obj or "edges" not in obj:
-        raise ValueError("graph JSON needs 'order' and 'edges'")
-    return Graph.from_edges(int(obj["order"]), [tuple(e) for e in obj["edges"]])
+    """Inverse of to_json_obj; a malformed object raises ValueError."""
+    if not isinstance(obj, dict) or "order" not in obj or "edges" not in obj:
+        raise ValueError("graph JSON must be an object with 'order' and 'edges'")
+    n, edges = obj["order"], obj["edges"]
+    if type(n) is not int:
+        raise ValueError("graph JSON 'order' must be an integer")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in edges
+    ):
+        raise ValueError("graph JSON 'edges' must be a list of [u, v] integer pairs")
+    return Graph.from_edges(n, [tuple(e) for e in edges])
 
 
 def to_json_text(g: Graph) -> str:
@@ -81,20 +89,20 @@ def _encode_order(n: int) -> str:
     raise ValueError("graph too large for graph6 encoding")
 
 
+def pack_graph6(bits: Sequence[int], order: Sequence[int]) -> str:
+    """graph6 of the graph with neighbour bitmasks `bits` relabelled by
+    `order` (position -> vertex)."""
+    n = len(order)
+    column = "".join(
+        ["1" if bits[order[j]] >> order[i] & 1 else "0" for j in range(1, n) for i in range(j)]
+    )
+    column += "0" * (-len(column) % 6)
+    body = "".join([chr(int(column[p : p + 6], 2) + 63) for p in range(0, len(column), 6)])
+    return _encode_order(n) + body
+
+
 def to_graph6(g: Graph) -> str:
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.adj[i, j] else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [_encode_order(g.n)]
-    for p in range(0, len(bits), 6):
-        val = 0
-        for b in bits[p : p + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return "".join(chars)
+    return pack_graph6(g.bits(), range(g.n))
 
 
 def from_graph6(text: str) -> Graph:

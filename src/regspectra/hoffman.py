@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import formats
 from .construct import complete, edgeless
 from .errors import ConsistencyError
 from .graphs import Graph, contains_induced
@@ -74,19 +75,9 @@ class HoffmanGraph:
     def is_valid(self) -> bool:
         return not self.validate()
 
-    def slim_graph(self) -> Graph:
-        return self.graph.induced(self.slim_vertices())
-
     def incidence(self) -> np.ndarray:
         """Slim-fat 0/1 incidence matrix C (slim rows, fat columns)."""
-        slim = self.slim_vertices()
-        fat = self.fat_vertices()
-        c = np.zeros((len(slim), len(fat)), dtype=np.int64)
-        for i, s in enumerate(slim):
-            for j, f in enumerate(fat):
-                if self.graph.has_edge(s, f):
-                    c[i, j] = 1
-        return c
+        return self.graph.adj[np.ix_(self.slim_vertices(), self.fat_vertices())].astype(np.int64)
 
     def special_matrix(self) -> np.ndarray:
         """S = A_slim - C C^T, indexed by the sorted slim vertex list."""
@@ -110,16 +101,17 @@ class HoffmanGraph:
     # -- serialization ------------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        return {
-            "order": self.n,
-            "edges": [[u, v] for u, v in self.graph.edges()],
-            "fat": self.fat_vertices(),
-        }
+        return {**formats.to_json_obj(self.graph), "fat": self.fat_vertices()}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "HoffmanGraph":
-        g = Graph.from_edges(int(obj["order"]), [tuple(e) for e in obj["edges"]])
-        return cls(g, obj.get("fat", ()))
+        """Graph JSON (formats.from_json_obj) plus an optional 'fat' id list;
+        a malformed object raises ValueError."""
+        g = formats.from_json_obj(obj)
+        fat = obj.get("fat", [])
+        if not isinstance(fat, list) or not all(type(v) is int for v in fat):
+            raise ValueError("Hoffman graph JSON 'fat' must be a list of vertex ids")
+        return cls(g, fat)
 
     @classmethod
     def all_slim(cls, g: Graph) -> "HoffmanGraph":
@@ -171,23 +163,16 @@ def fatten(h: HoffmanGraph, p: int) -> Graph:
     if problems:
         raise ValueError("invalid Hoffman graph: " + "; ".join(problems))
     slim = h.slim_vertices()
-    fat = h.fat_vertices()
     s = len(slim)
-    n = s + p * len(fat)
-    pos = {v: i for i, v in enumerate(slim)}
+    f = len(h.fat)
+    n = s + p * f
     a = np.zeros((n, n), dtype=bool)
     a[:s, :s] = h.graph.adj[np.ix_(slim, slim)]
-    for bi, f in enumerate(fat):
-        start = s + bi * p
-        block = range(start, start + p)
-        for x in block:
-            for y in block:
-                if x != y:
-                    a[x, y] = True
-        for w in h.graph.neighbors(f):
-            # fat vertices are pairwise non-adjacent, so neighbors are slim
-            for x in block:
-                a[x, pos[w]] = a[pos[w], x] = True
+    a[s:, s:] = np.kron(np.eye(f, dtype=bool), ~np.eye(p, dtype=bool))
+    # fat vertices are pairwise non-adjacent, so the incidence holds every join
+    joins = np.repeat(h.incidence(), p, axis=1)
+    a[:s, s:] = joins
+    a[s:, :s] = joins.T
     return Graph(a, name=f"fatten(p={p})")
 
 

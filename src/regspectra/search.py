@@ -43,7 +43,7 @@ import numpy as np
 from . import exactpoly, kernel
 from .bounds import to_fraction
 from .errors import UnsupportedSizeError
-from .formats import _encode_order, to_graph6
+from .formats import pack_graph6, to_graph6
 from .graphs import Graph, reach
 from .spectra import spectrum
 
@@ -160,22 +160,6 @@ def _leaf_key(bits: Sequence[int], order: Sequence[int]) -> int:
         for j in range(i + 1, n):
             key = (key << 1) | (bi >> order[j] & 1)
     return key
-
-
-def _certificate(bits: Sequence[int], order: Sequence[int]) -> str:
-    """graph6 of the graph relabelled by `order` (position -> vertex): the
-    upper triangle packed column-major, as `formats.to_graph6` packs it."""
-    n = len(order)
-    packed = 0
-    for j in range(1, n):
-        bj = bits[order[j]]
-        for i in range(j):
-            packed = (packed << 1) | (bj >> order[i] & 1)
-    length = n * (n - 1) // 2
-    groups = (length + 5) // 6
-    packed <<= 6 * groups - length
-    body = "".join(chr((packed >> 6 * (groups - 1 - p) & 63) + 63) for p in range(groups))
-    return _encode_order(n) + body
 
 
 def _leaf_orders(bits: Sequence[int], n: int, autos: list):
@@ -309,7 +293,7 @@ def canonical_form(
     best = orders[min(orders)]
     for position, old in enumerate(best):
         labeling[old] = position
-    certificate = _certificate(bits, best)
+    certificate = pack_graph6(bits, best)
     if index is not None:
         index.walks += 1
         for key, order in orders.items():

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -78,10 +78,6 @@ class Spectrum:
 
     def lambda_min(self) -> float:
         return self.pairs[-1][0]
-
-    def multiplicity_of(self, x: float, tol: Optional[float] = None) -> int:
-        t = self.tolerance if tol is None else tol
-        return sum(m for v, m in self.pairs if abs(v - x) <= t)
 
     def approx_eq(self, other: "Spectrum", tol: float = GROUP_TOL) -> bool:
         if self.n != other.n or len(self.pairs) != len(other.pairs):

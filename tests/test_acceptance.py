@@ -1,77 +1,27 @@
-"""Acceptance suite: one test per criterion, printing a pass/fail line each.
+"""Acceptance suite: one test per registered claim, printing its pass/fail line.
 
-Criterion A5 is implemented exactly as stated and marked xfail(strict): the
-identity it asserts is off by a -1 shift for every input (the special matrix
-of the universal-fat construction is A - J = -(I + A(co-H))), so the check
-cannot pass; A5b runs the corrected identity at the same tolerance and sample
-size.  Details in the module docstrings of regspectra.hoffman and
-regspectra.acceptance.
+Claims in EXPECTED_FAILURES (A5) are implemented exactly as stated and run
+as xfail(strict): the identity A5 asserts is off by a -1 shift for every
+input (the special matrix of the universal-fat construction is
+A - J = -(I + A(co-H))), so the check cannot pass; A5b runs the corrected
+identity at the same tolerance and sample size.  Details in the module
+docstrings of regspectra.hoffman and regspectra.acceptance.
 """
 
 import pytest
 
 from regspectra import acceptance
 
+_XFAIL = pytest.mark.xfail(strict=True, reason="documented defect of the claim as stated")
 
-def _run(cid: str):
+
+@pytest.mark.parametrize(
+    "cid",
+    [pytest.param(cid, marks=_XFAIL) if cid in acceptance.EXPECTED_FAILURES else cid
+     for cid in acceptance.CRITERIA],
+)
+def test_claim(cid):
     result = acceptance.CRITERIA[cid]()
     print(result.line())
     assert result.seconds < acceptance.RUNTIME_CAPS[cid], "runtime budget exceeded"
-    return result
-
-
-def test_criterion_a01_line_graph_complement_spectrum():
-    assert _run("A1").passed
-
-
-def test_criterion_a02_coclique_extension_formula():
-    assert _run("A2").passed
-
-
-def test_criterion_a03_lower_bound_certificates():
-    assert _run("A3").passed
-
-
-def test_criterion_a04_fattening_convergence():
-    assert _run("A4").passed
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="universal-fat identity as quoted omits the -1 shift; "
-    "|lambda_min(q(H)) + lambda_max(co-H)| = 1 for every H (see A5b)",
-)
-def test_criterion_a05_universal_fat_identity_as_stated():
-    assert _run("A5").passed
-
-
-def test_criterion_a05b_universal_fat_identity_corrected():
-    assert _run("A5b").passed
-
-
-def test_criterion_a06_isolated_vertex_bound_exhaustive():
-    assert _run("A6").passed
-
-
-def test_criterion_a07_thresholds_and_quotient():
-    assert _run("A7").passed
-
-
-def test_criterion_a08_equivalence_relation_suite():
-    assert _run("A8").passed
-
-
-def test_criterion_a09_association_round_trip():
-    assert _run("A9").passed
-
-
-def test_criterion_a10_exhaustive_search_values():
-    assert _run("A10").passed
-
-
-def test_criterion_a11_mu_bound_consistency():
-    assert _run("A11").passed
-
-
-def test_criterion_a12_ramsey_and_verifier_corpus():
-    assert _run("A12").passed
+    assert result.passed

@@ -148,6 +148,36 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (("hoffman", "validate"), "{}"),
+        (("hoffman", "validate"), "[1,2]"),
+        (("hoffman", "validate"), '{"order":3,"edges":5}'),
+        (("hoffman", "validate"), '{"order":2,"edges":[[0,1]],"fat":5}'),
+        (("spectrum",), '{"order":3,"edges":5}'),
+        (("spectrum",), '{"order":[3],"edges":[]}'),
+    ],
+)
+def test_malformed_json_is_usage_error(tmp_path, capsys, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, _, err = run(capsys, *command, str(path))
+    assert code == 2 and "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--k", "3", "--lambda", "1e400", "--n-max", "8"),
+        ("bounds", "thresholds", "--lambda", "1e400"),
+    ],
+)
+def test_lambda_beyond_float_range_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "out of float range" in err and "Traceback" not in err
+
+
 def test_cap_exit_code(tmp_path, capsys):
     gfile = tmp_path / "c6.el"
     gfile.write_text(formats.dump_graph(cycle(6), "edgelist"))
