@@ -50,7 +50,6 @@ from .hoffman import (
     slim_with_fats,
 )
 from .search import (
-    LeafIndex,
     SearchReport,
     canonical_form,
     enum_connected_regular,
@@ -80,7 +79,6 @@ __all__ = [
     "Graph",
     "HoffmanGraph",
     "KnownValue",
-    "LeafIndex",
     "RegularityParams",
     "SearchReport",
     "Spectrum",

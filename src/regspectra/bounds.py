@@ -29,14 +29,7 @@ from .construct import (
 from .graphs import Graph, distance_matrix, reach, regularity_params
 from .hoffman import attach_universal_fat
 from .ramsey import RamseyValue, ramsey_lookup
-from .spectra import (
-    Spectrum,
-    eig_symmetric,
-    group_eigenvalues,
-    lambda_min,
-    second_largest,
-    spectrum,
-)
+from .spectra import group_eigenvalues, lambda_min, spectrum
 
 STRICT_MARGIN = 1e-9
 SPECTRUM_TOL = 1e-8

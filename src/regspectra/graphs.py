@@ -325,31 +325,6 @@ def contains_induced(
     return False, None
 
 
-def contains_induced_bruteforce(
-    g: Graph, h: Graph, colours: Optional[tuple[Sequence, Sequence]] = None
-) -> bool:
-    """Oracle: exhaustive subset enumeration + permutation check (tiny inputs).
-
-    `colours` follows contains_induced: pattern vertex a may map only to a
-    host vertex of the same colour.
-    """
-    from itertools import combinations, permutations
-
-    if h.n > g.n:
-        return False
-    gcol, hcol = colours if colours is not None else ((0,) * g.n, (0,) * h.n)
-    for subset in combinations(range(g.n), h.n):
-        sub = g.adj[np.ix_(subset, subset)]
-        for perm in permutations(range(h.n)):
-            if all(gcol[subset[perm[a]]] == hcol[a] for a in range(h.n)) and all(
-                sub[perm[a], perm[b]] == h.adj[a, b]
-                for a in range(h.n)
-                for b in range(a + 1, h.n)
-            ):
-                return True
-    return False
-
-
 # -- regularity parameters ---------------------------------------------------
 
 

@@ -18,7 +18,6 @@ way, and this module implements the exact identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -112,10 +111,6 @@ class HoffmanGraph:
         if not isinstance(fat, list) or not all(type(v) is int for v in fat):
             raise ValueError("Hoffman graph JSON 'fat' must be a list of vertex ids")
         return cls(g, fat)
-
-    @classmethod
-    def all_slim(cls, g: Graph) -> "HoffmanGraph":
-        return cls(g, ())
 
     @classmethod
     def with_fats(

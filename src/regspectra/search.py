@@ -17,12 +17,12 @@ explored one, so it holds no key the walk has not met, and the first leaf
 of every key is still reached: the labeling and the recorded orders are
 those of the whole tree.
 
-Rejection uses a leaf-key index per dedup pass: the first candidate of a
-class walks its whole labelling tree and records every leaf key (the
-adjacency matrix under that leaf's order) with the class's certificate;
-every later candidate of the class finds its first leaf's key there and
-stops after one root-to-leaf path.  A key absent from the index proves a new
-class, since isomorphic graphs have the same leaf-key set.
+Rejection is one loop per dedup pass (the candidates of one order), which
+holds the set of leaf keys (adjacency matrices under leaf orders) of the
+classes found so far.  A candidate whose first leaf's key is in the set
+belongs to a known class and is skipped after one root-to-leaf path; any
+other starts a new class, since isomorphic graphs have the same leaf-key
+set, and only it is labelled, by a whole walk that adds every key it meets.
 
 Eigenvalue comparisons give the graph the benefit of a +1e-9 tolerance;
 candidates within 1e-6 of the threshold are re-checked in exact rational
@@ -35,8 +35,8 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
-from typing import Optional, Sequence, Union
+from itertools import islice
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -69,20 +69,6 @@ class CanonicalForm:
 
     labeling: tuple[int, ...]
     certificate: str
-
-
-class LeafIndex(dict):
-    """Leaf-key index of one dedup pass, filled by `canonical_form`: maps
-    `(n, leaf key)` to the certificate of the class that owns the key and the
-    canonical position of each position of that leaf's order.  The order is
-    part of the key because leaf keys of different orders can be equal as
-    numbers (leading zeros).  `walks` counts the graphs whose whole tree was
-    walked (each a new class), `hits` those that stopped at their first leaf."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.walks = 0
-        self.hits = 0
 
 
 def _twin_classes(bits: Sequence[int], n: int) -> list[int]:
@@ -250,7 +236,7 @@ def canonical_form(
     g: Union[Graph, Sequence[int]],
     cap: int = CANONICAL_CAP,
     *,
-    index: Optional[LeafIndex] = None,
+    keys: Optional[set[int]] = None,
 ) -> CanonicalForm:
     """Canonical labeling and certificate; isomorphic graphs map to identical
     certificates (and only those - each leaf is an actual relabelling).  The
@@ -265,12 +251,9 @@ def canonical_form(
     pruned, since an earlier leaf with that key would then exist.  So the
     canonical order and the recorded orders are those of the full tree.
 
-    `index`, when given, is the `LeafIndex` shared by one dedup pass.  If the
-    first leaf's key is in it, the graph belongs to that class and the walk
-    stops there; the returned labeling realizes the certificate.  Otherwise
-    the graph starts a new class (isomorphic graphs have the same leaf-key
-    set), the whole tree is walked as without an index, and every leaf key it
-    met is added."""
+    `keys`, when given, receives every leaf key the walk met: the leaf-key
+    set of the class, shared by every graph isomorphic to `g` (see
+    `_dedup`)."""
     bits = g.bits() if isinstance(g, Graph) else g
     n = len(bits)
     if n > cap:
@@ -278,75 +261,58 @@ def canonical_form(
     if n < 1:
         raise ValueError("graph must have at least one vertex")
     autos: list = []
-    leaves = _leaf_orders(bits, n, autos)
-    first = next(leaves)
-    labeling = [0] * n
-    if index is not None:
-        hit = index.get((n, _leaf_key(bits, first)))
-        if hit is not None:
-            index.hits += 1
-            certificate, to_canon = hit
-            for position, old in enumerate(first):
-                labeling[old] = to_canon[position]
-            return CanonicalForm(labeling=tuple(labeling), certificate=certificate)
-    orders = _first_orders(bits, chain([first], leaves), autos)
+    orders = _first_orders(bits, _leaf_orders(bits, n, autos), autos)
     best = orders[min(orders)]
+    labeling = [0] * n
     for position, old in enumerate(best):
         labeling[old] = position
-    certificate = pack_graph6(bits, best)
-    if index is not None:
-        index.walks += 1
-        for key, order in orders.items():
-            index[(n, key)] = (certificate, bytes(labeling[old] for old in order))
-    return CanonicalForm(labeling=tuple(labeling), certificate=certificate)
+    if keys is not None:
+        keys.update(orders)
+    return CanonicalForm(labeling=tuple(labeling), certificate=pack_graph6(bits, best))
 
 
-def brute_force_certificate(g: Graph) -> str:
-    """Oracle: lexicographic minimum over all vertex permutations (order <= 8)."""
-    from itertools import permutations
+def _dedup(candidates: Iterable[tuple[int, ...]]) -> tuple[int, dict[str, tuple[int, ...]]]:
+    """Isomorph rejection over one dedup pass: `candidates` are the bit rows
+    of graphs of one order.  Returns the number of candidates and the first
+    candidate of each class, by certificate, in order of discovery.
 
-    if g.n > 8:
-        raise UnsupportedSizeError("brute-force certificate limited to order 8")
-    n = g.n
-    bits = g.bits()
-    best_key = None
-    best_perm = None
-    for perm in permutations(range(n)):
-        key = 0
-        for i in range(n):
-            bi = bits[perm[i]]
-            for j in range(i + 1, n):
-                key = (key << 1) | (bi >> perm[j] & 1)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_perm = perm
-    labeling = [0] * n
-    for position, old in enumerate(best_perm):
-        labeling[old] = position
-    return to_graph6(g.relabel(labeling))
+    The pass holds the leaf keys of the classes found so far.  A candidate
+    whose first leaf's key is among them is isomorphic to a found class and
+    is skipped, neither labelled nor certified.  Otherwise it is a new class
+    (isomorphic graphs have the same leaf-key set), and `canonical_form`
+    labels it and adds its keys.  A labelled class whose certificate was
+    already seen would mean the keys missed an isomorphism."""
+    keys: set[int] = set()
+    classes: dict[str, tuple[int, ...]] = {}
+    count = 0
+    for rows in candidates:
+        count += 1
+        if _leaf_key(rows, next(_leaf_orders(rows, len(rows), []))) in keys:
+            continue
+        cert = canonical_form(rows, keys=keys).certificate
+        if cert in classes:
+            raise AssertionError("leaf-key rejection missed an isomorphism")
+        classes[cert] = rows
+    return count, classes
 
 
 def enumerate_all_graphs(n: int) -> list[Graph]:
     """All graphs on n vertices up to isomorphism (vertex extension + canonical
     rejection).  Intended for n <= 7.  Each class is kept as its bit rows;
-    every extension by one vertex joined to the vertices of a mask is
-    labelled from its rows, and only the returned classes become `Graph`s."""
+    every extension by one vertex joined to the vertices of a mask goes
+    through one dedup pass per order, and only the returned classes become
+    `Graph`s."""
     if n < 1:
         raise ValueError("n must be >= 1")
     current: list[tuple[int, ...]] = [(0,)]
     for size in range(2, n + 1):
         new = 1 << (size - 1)
-        seen: dict[str, tuple[int, ...]] = {}
-        index = LeafIndex()
-        for rows in current:
-            for mask in range(new):
-                cand = tuple(
-                    row | new if mask >> w & 1 else row for w, row in enumerate(rows)
-                ) + (mask,)
-                cert = canonical_form(cand, index=index).certificate
-                if cert not in seen:
-                    seen[cert] = cand
-        current = [seen[c] for c in sorted(seen)]
+        _, classes = _dedup(
+            tuple(row | new if mask >> w & 1 else row for w, row in enumerate(rows)) + (mask,)
+            for rows in current
+            for mask in range(new)
+        )
+        current = [classes[c] for c in sorted(classes)]
     return [_saturated_subgraph(rows, range(n)) for rows in current]
 
 
@@ -546,10 +512,13 @@ def _candidate_rows(k: int, n: int, prune_lam: Optional[float], workers: int):
     states: list = []
     list(_complete_from(k, n, [0] * n, sat, prune_lam, stop_depth=2, states=states))
     jobs = [(k, n, rows, sat, prune_lam) for rows, sat in states]
-    # fork where the platform has it, else its default (the first listed)
+    if not jobs:
+        return
+    # fork where the platform has it, else its default (the first listed);
+    # a worker beyond the number of jobs would have nothing to do
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
-    with ctx.Pool(processes=workers) as pool:
+    with ctx.Pool(processes=min(workers, len(jobs))) as pool:
         for chunk in pool.imap(_worker_complete, jobs):
             yield from chunk
 
@@ -568,16 +537,14 @@ def enum_connected_regular(
 
     Vertex-by-vertex completion with interchangeable candidates restricted to
     block prefixes (any completion is isomorphic to a surviving one), followed
-    by canonical-certificate rejection; odd k*n yields the empty list.  The
-    candidates of one order share a leaf-key index (see `canonical_form`), so
-    only the first candidate of each class walks its whole labelling tree;
-    every later one stops at its first leaf.  When `prune_lam` is set,
+    by isomorph rejection in one dedup pass (`_dedup`): only the first
+    candidate of each class is labelled; every later one is skipped after its
+    first leaf.  Odd k*n yields the empty list.  When `prune_lam` is set,
     subtrees whose saturated induced subgraph already has second eigenvalue
     beyond it are cut (sound for the search driver, but the result is then
     only exhaustive for graphs passing that filter).
-    `_info`, when given, receives the candidate and class counts, the
-    certificates of the returned graphs, in the same order, and the number of
-    full tree walks and of index hits.
+    `_info`, when given, receives the candidate and class counts and the
+    certificates of the returned graphs, in the same order.
     """
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
@@ -589,23 +556,14 @@ def enum_connected_regular(
         )
     if not parity_ok(k, n):
         return []
-    candidates = 0
-    by_cert: dict[str, Graph] = {}
-    index = LeafIndex()
-    for rows in _candidate_rows(k, n, prune_lam, workers):
-        candidates += 1
-        cert = canonical_form(rows, index=index).certificate
-        if cert not in by_cert:
-            # a completed graph is all saturated
-            by_cert[cert] = _saturated_subgraph(rows, range(n))
-    certs = sorted(by_cert)
+    candidates, classes = _dedup(_candidate_rows(k, n, prune_lam, workers))
+    certs = sorted(classes)
     if _info is not None:
         _info["candidates"] = candidates
-        _info["classes"] = len(by_cert)
+        _info["classes"] = len(classes)
         _info["certificates"] = certs
-        _info["walks"] = index.walks
-        _info["hits"] = index.hits
-    return [by_cert[c] for c in certs]
+    # a completed graph is all saturated
+    return [_saturated_subgraph(classes[c], range(n)) for c in certs]
 
 
 # -- exact boundary recheck ---------------------------------------------------------

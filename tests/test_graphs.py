@@ -25,12 +25,12 @@ from regspectra.errors import UnsupportedSizeError
 from regspectra.graphs import (
     Graph,
     contains_induced,
-    contains_induced_bruteforce,
     diameter,
     distance_layers,
     reach,
     regularity_params,
 )
+from oracles import contains_induced_bruteforce
 
 
 def test_graph_validation():

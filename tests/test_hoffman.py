@@ -8,7 +8,7 @@ import pytest
 
 from regspectra.construct import complement, complete, cycle, edgeless, random_graph
 from regspectra.errors import UnsupportedSizeError
-from regspectra.graphs import Graph, contains_induced, contains_induced_bruteforce
+from regspectra.graphs import Graph, contains_induced
 from regspectra.hoffman import (
     HoffmanGraph,
     attach_universal_fat,
@@ -18,11 +18,12 @@ from regspectra.hoffman import (
     fattening_lambda_min_sequence,
     slim_with_fats,
 )
+from oracles import contains_induced_bruteforce
 from regspectra.spectra import lambda_max
 
 
 def test_validate():
-    assert HoffmanGraph.all_slim(complete(4)).validate() == []
+    assert HoffmanGraph(complete(4)).validate() == []
     # two adjacent fat vertices
     g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     bad = HoffmanGraph(g, fat=[1, 2])
@@ -37,7 +38,7 @@ def test_validate():
 
 def test_special_matrix_examples():
     # all slim: S = A_slim
-    hs = HoffmanGraph.all_slim(cycle(4))
+    hs = HoffmanGraph(cycle(4))
     assert np.array_equal(hs.special_matrix(), cycle(4).adj.astype(float))
     # one slim vertex with s fat neighbors: S = [-s]
     for s in (1, 2, 3):
@@ -104,7 +105,7 @@ def test_universal_fat_edgeless_and_isolated():
 def test_fatten_basics():
     # all slim: fattening changes nothing
     g = cycle(5)
-    assert fatten(HoffmanGraph.all_slim(g), 7) == g
+    assert fatten(HoffmanGraph(g), 7) == g
     # q(K1) with p = 2 gives a triangle
     tri = fatten(attach_universal_fat(complete(1)), 2)
     assert tri == complete(3)
@@ -131,15 +132,15 @@ def test_contains_hoffman_subgraph():
     assert found
     assert qk2.lambda_min() >= qk3.lambda_min() - 1e-9
     # single slim pattern embeds anywhere slim exists
-    single = HoffmanGraph.all_slim(complete(1))
+    single = HoffmanGraph(complete(1))
     assert contains_hoffman_subgraph(qk3, single)[0]
     # self-containment
     assert contains_hoffman_subgraph(qk3, qk3)[0]
     # label-respecting: an all-slim triangle is NOT inside q(K2) (whose K3 has a fat vertex)
-    tri_slim = HoffmanGraph.all_slim(complete(3))
+    tri_slim = HoffmanGraph(complete(3))
     assert not contains_hoffman_subgraph(qk2, tri_slim)[0]
     with pytest.raises(UnsupportedSizeError):
-        contains_hoffman_subgraph(qk3, HoffmanGraph.all_slim(complete(11)))
+        contains_hoffman_subgraph(qk3, HoffmanGraph(complete(11)))
 
 
 def test_contains_hoffman_witness_labels():
@@ -210,4 +211,4 @@ def test_all_slim_lambda_min_equals_graph():
     from regspectra.spectra import lambda_min as graph_lambda_min
 
     for g in (cycle(5), complete(4)):
-        assert abs(HoffmanGraph.all_slim(g).lambda_min() - graph_lambda_min(g)) < 1e-12
+        assert abs(HoffmanGraph(g).lambda_min() - graph_lambda_min(g)) < 1e-12

@@ -25,6 +25,8 @@ from regspectra.errors import UnsupportedSizeError
 from regspectra.graphs import Graph
 from regspectra.spectra import second_largest
 
+from oracles import brute_force_certificate
+
 
 def test_canonical_relabel_invariance():
     rng = random.Random(1234)
@@ -96,7 +98,7 @@ def test_canonical_matches_bruteforce_classifier_n4():
                 edges.append((u, v))
         graphs.append(Graph.from_edges(4, edges))
     ours = [search.canonical_form(g).certificate for g in graphs]
-    brute = [search.brute_force_certificate(g) for g in graphs]
+    brute = [brute_force_certificate(g) for g in graphs]
     for i in range(len(graphs)):
         for j in range(i + 1, len(graphs)):
             assert (ours[i] == ours[j]) == (brute[i] == brute[j])
@@ -112,7 +114,7 @@ def test_canonical_matches_bruteforce_classifier_n5():
                 edges.append((u, v))
         graphs.append(Graph.from_edges(5, edges))
     ours = [search.canonical_form(g).certificate for g in graphs]
-    brute = [search.brute_force_certificate(g) for g in graphs]
+    brute = [brute_force_certificate(g) for g in graphs]
     assert len(set(ours)) == 34
     assert len(set(brute)) == 34
     seen = {}
@@ -126,76 +128,75 @@ def _relabelled(g: Graph, rng: random.Random) -> Graph:
     return g.relabel(perm)
 
 
-def test_index_hits_realize_the_class_certificate():
-    from regspectra.formats import to_graph6
+def _first_key(g: Graph) -> int:
+    bits = g.bits()
+    return search._leaf_key(bits, next(search._leaf_orders(bits, g.n, [])))
 
+
+def test_index_hits_realize_the_class_certificate():
+    # the leaf-key sets of distinct classes are disjoint, and every relabelled
+    # copy of a class has its first leaf's key in that class's set
     rng = random.Random(17)
     for classes in (search.enum_connected_regular(3, 10), search.enumerate_all_graphs(5)):
-        index = search.LeafIndex()
-        own = 0  # entries of the classes, each indexed alone
+        sets = []
         for g in classes:
-            alone = search.LeafIndex()
-            cert = search.canonical_form(g, index=alone).certificate
-            assert cert == search.canonical_form(g, index=index).certificate
-            assert cert == search.canonical_form(g).certificate
-            own += len(alone)
-        # every class was new, and non-isomorphic classes never share a leaf key
-        assert (index.walks, index.hits) == (len(classes), 0)
-        assert own == len(index)
-        for g in classes:
-            cert = search.canonical_form(g).certificate
+            keys: set = set()
+            assert search.canonical_form(g, keys=keys) == search.canonical_form(g)
+            sets.append(keys)
+        assert sum(map(len, sets)) == len(set().union(*sets))
+        for g, keys in zip(classes, sets):
             for _ in range(4):
-                h = _relabelled(g, rng)
-                size, hits = len(index), index.hits
-                cf = search.canonical_form(h, index=index)
-                assert (len(index), index.hits) == (size, hits + 1)
-                assert cf.certificate == search.canonical_form(h).certificate == cert
-                assert to_graph6(h.relabel(cf.labeling)) == cert
+                assert _first_key(_relabelled(g, rng)) in keys
 
 
 def test_index_hits_agree_with_bruteforce_classifier():
+    # one dedup pass per order over relabelled copies keeps exactly one
+    # candidate of each brute-force class
     rng = random.Random(23)
-    graphs = [_relabelled(g, rng) for g in search.enumerate_all_graphs(5) for _ in range(2)]
+    five = [_relabelled(g, rng) for g in search.enumerate_all_graphs(5) for _ in range(2)]
     cubic8 = search.enum_connected_regular(3, 8)
-    graphs += [_relabelled(g, rng) for g in cubic8 + cubic8[:2]]
-    index = search.LeafIndex()
-    ours = [search.canonical_form(g, index=index).certificate for g in graphs]
-    brute = [search.brute_force_certificate(g) for g in graphs]
-    assert len(set(ours)) == len(set(brute)) == 34 + 5
-    for i in range(len(graphs)):
-        for j in range(i + 1, len(graphs)):
-            assert (ours[i] == ours[j]) == (brute[i] == brute[j])
+    eight = [_relabelled(g, rng) for g in cubic8 + cubic8[:2]]
+    for graphs, want in ((five, 34), (eight, 5)):
+        count, classes = search._dedup(g.bits() for g in graphs)
+        assert count == len(graphs)
+        kept = [
+            brute_force_certificate(search._saturated_subgraph(rows, range(len(rows))))
+            for rows in classes.values()
+        ]
+        assert len(set(kept)) == len(kept) == want
+        assert set(kept) == {brute_force_certificate(g) for g in graphs}
+        for cert, rows in classes.items():
+            assert search.canonical_form(rows).certificate == cert
 
 
-def test_index_keyed_by_order():
-    # an order-8 graph plus two isolated vertices, which come first in every
-    # leaf order, has the order-8 graph's leaf keys as numbers
-    from regspectra.construct import disjoint_union, edgeless
-
-    index = search.LeafIndex()
-    for g in search.enum_connected_regular(3, 8):
-        search.canonical_form(g, index=index)
-    small_keys = {key for _, key in index}
-    for g in search.enum_connected_regular(3, 8):
-        h = disjoint_union(edgeless(2), g)
-        own = search.LeafIndex()
-        search.canonical_form(h, index=own)
-        assert small_keys & {key for _, key in own}  # equal as numbers
-        walks = index.walks
-        cf = search.canonical_form(h, index=index)
-        assert (index.walks, index.hits) == (walks + 1, 0)  # no hit: a new class
-        assert cf.certificate == search.canonical_form(h).certificate
+def test_dedup_cross_checks_certificates(monkeypatch):
+    # a labelling that records no leaf keys lets a known class through the
+    # first-leaf check; its repeated certificate must then be caught
+    real = search.canonical_form
+    monkeypatch.setattr(search, "canonical_form", lambda rows, keys: real(rows))
+    g = petersen()
+    with pytest.raises(AssertionError, match="missed an isomorphism"):
+        search._dedup([g.bits(), _relabelled(g, random.Random(3)).bits()])
 
 
-def test_enum_walks_once_per_class():
-    # the leaf-key index walks one full tree per class; every other
-    # candidate is a hit, whatever the worker count
+def test_enum_walks_once_per_class(monkeypatch):
+    # only the first candidate of each class is labelled, whatever the worker
+    # count; every other one stops at its first leaf
+    calls = [0]
+    real = search.canonical_form
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "canonical_form", counted)
     for (k, n), classes in (((3, 12), 85), ((4, 10), 59)):
         for workers in (1, 2):
+            calls[0] = 0
             info: dict = {}
             search.enum_connected_regular(k, n, workers=workers, _info=info)
-            assert info["classes"] == info["walks"] == classes, (k, n, workers)
-            assert info["hits"] == info["candidates"] - classes, (k, n, workers)
+            assert info["classes"] == calls[0] == classes, (k, n, workers)
+            assert info["candidates"] > classes, (k, n, workers)
 
 
 def _refine_reference(bits, cells, splitters=None):
@@ -300,10 +301,6 @@ def test_canonical_form_on_bit_rows():
     graphs += [complete(63), cycle(64)]
     for g in graphs:
         assert search.canonical_form(g.bits()) == search.canonical_form(g), g
-        index = search.LeafIndex()
-        assert search.canonical_form(g.bits(), index=index) == search.canonical_form(g)
-        assert search.canonical_form(g, index=index) == search.canonical_form(g)
-        assert (index.walks, index.hits) == (1, 1)
     with pytest.raises(UnsupportedSizeError):
         search.canonical_form(tuple([0] * 65))
 
@@ -550,13 +547,17 @@ def test_candidate_stream_pinned(monkeypatch):
     # completion became a flat loop; the first candidate of each class is its
     # representative, so the stream fixes every graph6 the search reports
     seen: list = []
-    real = search.canonical_form
+    real = search._dedup
 
-    def recording(g, *args, **kwargs):
-        seen.append(g if isinstance(g, tuple) else g.bits())  # bit rows or a Graph
-        return real(g, *args, **kwargs)
+    def recording(candidates):
+        def tee():
+            for rows in candidates:
+                seen.append(rows)
+                yield rows
 
-    monkeypatch.setattr(search, "canonical_form", recording)
+        return real(tee())
+
+    monkeypatch.setattr(search, "_dedup", recording)
     want = {
         (3, 10, None): (250, "2d4174a6225711a85ebcc403259c56ec8dd45576ccfdc52965e83463397c4bc5"),
         (4, 9, None): (268, "a96a36600da0d1fa34792f87249b3bd85ab6df57f586079ac2fe5b47925cad74"),
@@ -615,6 +616,37 @@ def test_workers_without_fork_use_the_default_start_method(monkeypatch):
     b = search.v_search(3, 1, 10, workers=2)
     assert requested and set(requested) == {"spawn"}
     assert a.to_json_obj() == b.to_json_obj()
+
+
+def test_worker_pool_no_larger_than_the_jobs(monkeypatch):
+    # the partition at vertex 1 gives 3 jobs at (3, 10); a pool of 64 would
+    # start 61 idle processes, and no jobs start no pool.  The fake pool runs
+    # the jobs in this process and records its size.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, jobs):
+            return map(fn, jobs)
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: FakeContext())
+    serial = search.enum_connected_regular(3, 10)
+    assert search.enum_connected_regular(3, 10, workers=64) == serial
+    assert sizes == [3]
+    # every branch is cut by vertex 1, so there is no job at all
+    assert search.enum_connected_regular(3, 10, prune_lam=-5.0, workers=64) == []
+    assert sizes == [3]
 
 
 def test_v_search_incomplete_flag():
