@@ -179,9 +179,9 @@ def criterion_04():
     return True, {"catalog_size": len(rows), "gaps": {k: v["final_gap"] for k, v in rows.items()}}, ""
 
 
-def _universal_fat_sample(seed: int = 513, count: int = 100):
-    rng = random.Random(seed)
-    for _ in range(count):
+def _universal_fat_sample():
+    rng = random.Random(513)
+    for _ in range(100):
         n = rng.randint(1, 10)
         yield random_graph(n, rng.uniform(0.1, 0.9), rng)
 

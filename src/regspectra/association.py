@@ -6,6 +6,9 @@ and no induced K~_{2m}) when every vertex of one has at most m-1 non-neighbors
 in the other.  Each class has a quasi-clique - the vertices with at most m-1
 non-neighbors in a representative clique - and the associated Hoffman graph
 adds one fat vertex per class, joined to exactly its quasi-clique.
+
+The relation is held as bit rows over the family, like a graph's adjacency,
+so its classes are the `graphs.components` of those rows.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .construct import k_tilde
 from .errors import CapExceededError, ConsistencyError
-from .graphs import Graph, contains_induced
+from .graphs import Graph, components, contains_induced, members
 from .hoffman import HoffmanGraph
 
 CLIQUE_ORDER_CAP = 200
@@ -157,12 +160,14 @@ def hypothesis_report(g: Graph, m: int, n: int) -> list[str]:
 def partition_classes(fam: CliqueFamily, m: int, certified: bool = False) -> CliquePartition:
     """Classes of the mutual-non-neighbor relation over a clique family.
 
-    Classes are the transitive closure of the pairwise predicate; when the
+    The relation is held as bit rows over the clique indices, and its
+    classes (the transitive closure of the pairwise predicate) are their
+    connected components, in order of least index, members sorted.  When the
     predicate fails to be transitive on a class (possible only when the
-    hypotheses are violated), a warning is recorded.  Quasi-cliques are
-    computed from the lexicographically least representative; in certified
-    mode, agreement across all representatives is verified and a mismatch
-    raises ConsistencyError.
+    hypotheses are violated), a warning is recorded for each unrelated pair.
+    Quasi-cliques are computed from the lexicographically least
+    representative; in certified mode, agreement across all representatives
+    is verified and a mismatch raises ConsistencyError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -170,33 +175,18 @@ def partition_classes(fam: CliqueFamily, m: int, certified: bool = False) -> Cli
     warnings = hypothesis_report(g, m, fam.threshold)
 
     t = len(fam.cliques)
-    parent = list(range(t))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    related = [[False] * t for _ in range(t)]
+    related = [0] * t  # bit rows of the relation, one per clique
     for i in range(t):
-        related[i][i] = True
         for j in range(i + 1, t):
             if equiv_nm(g, fam.cliques[i], fam.cliques[j], m):
-                related[i][j] = related[j][i] = True
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(t):
-        groups.setdefault(find(i), []).append(i)
-    classes = tuple(tuple(sorted(members)) for _, members in sorted(groups.items()))
+                related[i] |= 1 << j
+                related[j] |= 1 << i
+    classes = tuple(members(comp) for comp in components(related))
 
     for cls in classes:
         for a in range(len(cls)):
             for b in range(a + 1, len(cls)):
-                if not related[cls[a]][cls[b]]:
+                if not related[cls[a]] >> cls[b] & 1:
                     warnings.append(
                         f"relation not transitive on class {cls} "
                         f"(cliques {cls[a]} and {cls[b]} unrelated)"

@@ -4,7 +4,8 @@ Real parameters are carried as exact Fractions wherever a floor or a boundary
 comparison is taken (floats are converted at their exact binary value), so
 quantities like floor(lambda^2) never misround at integer boundaries.
 Strict source inequalities are checked against a 1e-9 margin on eigenvalue
-comparisons.
+comparisons; the thresholds t'(lambda) and m'(lambda) need no eigensolve and
+are exact (a closed form, and a Sturm count on the tilde-graph quotient).
 
 The constants M(lambda), C1(lambda), C2(lambda), C3(lambda) are defined via
 Ramsey numbers and non-explicit integers, so they are exposed symbolically
@@ -23,10 +24,10 @@ from .construct import (
     complement,
     complete_bipartite,
     coclique_extension,
-    k_tilde,
     line_graph,
 )
-from .graphs import Graph, distance_matrix, reach, regularity_params
+from .exactpoly import charpoly, count_roots_greater
+from .graphs import Graph, components, distance_layers, members, regularity_params
 from .hoffman import attach_universal_fat
 from .ramsey import RamseyValue, ramsey_lookup
 from .spectra import group_eigenvalues, lambda_min, spectrum
@@ -96,35 +97,37 @@ def t_prime_closed_form(lam: Fraction) -> int:
     return floor_exact(lam * lam / 2) + 1
 
 
-def thresholds(lam: Real, m_cap: int = 64) -> Thresholds:
-    """t'(lambda) by closed form cross-checked by eigensolves; m'(lambda) by
-    incremental eigensolves of the tilde graphs."""
+def _k_tilde_below(m: int, lam: Fraction) -> bool:
+    """Whether lambda_min(K~_2m) < -lam, settled exactly.  The partition
+    {apex neighbours, other clique vertices, apex} is equitable with quotient
+    ((m-1, m, 0), (m, m-1, 1), (0, m, 0)), and every other eigenvalue is
+    -1 >= -lam; so it asks whether the quotient's characteristic polynomial p
+    has a root below -lam, that is p(-x) one above lam."""
+    p = charpoly([[m - 1, m, 0], [m, m - 1, 1], [0, m, 0]])
+    return count_roots_greater([c if i % 2 == 0 else -c for i, c in enumerate(p)], lam) > 0
+
+
+def thresholds(lam: Real) -> Thresholds:
+    """t'(lambda) by its closed form; m'(lambda) as the least m whose tilde
+    graph K~_2m falls strictly below -lambda, settled exactly.  Since K~_2m is
+    an induced subgraph of K~_2(m+1), lambda_min is non-increasing in m
+    (interlacing), so m' is found by doubling and then bisection."""
     lam = to_fraction(lam)
     if lam < 1:
         raise ValueError("lambda must be >= 1")
-    lam_f = float(lam)
-
-    t_prime = t_prime_closed_form(lam)
-    below = lambda_min(complete_bipartite(2, t_prime))
-    if not below < -lam_f - STRICT_MARGIN:
-        raise AssertionError("t' closed form disagrees with eigensolve")
-    if t_prime > 1:
-        at = lambda_min(complete_bipartite(2, t_prime - 1))
-        if at < -lam_f - STRICT_MARGIN:
-            raise AssertionError("t' not minimal against eigensolve")
-
-    m_prime = None
-    for m in range(1, m_cap + 1):
-        if lambda_min(k_tilde(m)) < -lam_f - STRICT_MARGIN:
-            m_prime = m
-            break
-    if m_prime is None:
-        raise AssertionError(f"m' not found below cap {m_cap}")
-
+    lo, hi = 0, 1  # not below at lo (vacuously at 0); below at hi once found
+    while not _k_tilde_below(hi, lam):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _k_tilde_below(mid, lam):
+            hi = mid
+        else:
+            lo = mid
     return Thresholds(
         lam=lam,
-        t_prime=t_prime,
-        m_prime=m_prime,
+        t_prime=t_prime_closed_form(lam),
+        m_prime=hi,
         gamma2_cap=floor_exact(lam) * floor_exact(lam * lam),
         isolated_cap=floor_exact(lam * lam) + 1,
     )
@@ -192,31 +195,20 @@ def prop13_verifier(g: Graph, lam: Real, m_common: int) -> BoundCertificate:
     neighbors, (ii) lambda_min(g) >= -lambda.  Conclusions: no pair at finite
     distance >= 3, and |Gamma_2(x)| <= floor(lambda) * floor(lambda^2) for
     every x.  The certificate is verified when the premises fail (vacuous) or
-    the conclusions hold.
+    the conclusions hold.  The largest finite distance is the largest
+    eccentricity and Gamma_2(x) the BFS layer at distance 2.
     """
     lam = to_fraction(lam)
-    dist = distance_matrix(g)
-    common = (g.adj.astype(int) @ g.adj.astype(int))
-
-    d2_min = None
-    max_finite = 0
-    for u in range(g.n):
-        for w in range(u + 1, g.n):
-            d = dist[u][w]
-            if d == 2:
-                c = int(common[u, w])
-                d2_min = c if d2_min is None else min(d2_min, c)
-            if d != math.inf:
-                max_finite = max(max_finite, int(d))
+    d2_min = regularity_params(g).dist2_common_min
+    around = [distance_layers(g, x) for x in range(g.n)]
+    max_finite = max(dl.eccentricity for dl in around)
+    gamma2_max = max(len(dl.layer(2)) for dl in around)
 
     premise_common = d2_min is None or d2_min >= m_common
     lmin = lambda_min(g)
     premise_eig = lmin >= -float(lam) - STRICT_MARGIN
 
     gamma2_cap = floor_exact(lam) * floor_exact(lam * lam)
-    gamma2_max = 0
-    for x in range(g.n):
-        gamma2_max = max(gamma2_max, sum(1 for w in range(g.n) if dist[x][w] == 2))
     concl_diameter = max_finite <= 2
     concl_gamma2 = gamma2_max <= gamma2_cap
 
@@ -370,16 +362,10 @@ def lower_bound_graph(lam: int, a: int) -> tuple[Graph, BoundCertificate]:
 def is_complete_multipartite(g: Graph) -> bool:
     """True iff the complement is a disjoint union of cliques."""
     bits = complement(g).bits()
-    seen = 0
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = reach(bits, v)
-        seen |= comp
-        # a component is a clique iff each member's closed neighbourhood is all of it
-        if any(comp >> u & 1 and (bits[u] | 1 << u) != comp for u in range(g.n)):
-            return False
-    return True
+    # a component is a clique iff each member's closed neighbourhood is all of it
+    return all(
+        (bits[u] | 1 << u) == comp for comp in components(bits) for u in members(comp)
+    )
 
 
 def co_edge_bound_check(g: Graph, lam: Real) -> BoundCertificate:

@@ -3,8 +3,8 @@
 Characteristic polynomials are computed by Faddeev-LeVerrier over plain ints
 and real roots are counted with Sturm chains.  This serves the exact
 second-eigenvalue recheck for boundary cases in the extremal search
-(`search.second_eigenvalue_at_most`); degrees stay <= 16, so exact
-arithmetic is cheap.  No eigenvalue is computed here: every numeric
+(`search.second_eigenvalue_at_most`) and the tilde-graph threshold m'(lambda)
+(`bounds.thresholds`); degrees stay <= 16, so exact arithmetic is cheap.  No eigenvalue is computed here: every numeric
 eigenvalue goes through `kernel.sym_eigenvalues`.  Yun's square-free
 decomposition counts roots with multiplicity, for the tests' exact oracle.
 
@@ -160,15 +160,14 @@ def squarefree_part(p: Poly) -> Poly:
     return monic(poly_divmod(p, poly_gcd(p, derivative(p)))[0])
 
 
-def count_roots_in(p: Poly, a: Fraction, b: Fraction, chain=None) -> int:
+def count_roots_in(p: Poly, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of p in the half-open interval (a, b].
 
-    `chain` must be the Sturm chain of a squarefree polynomial; with the
-    zero-skipping sign convention the variation count is right-continuous,
-    which makes the half-open semantics exact even at root endpoints.
+    The Sturm chain is that of p's squarefree part; with the zero-skipping
+    sign convention the variation count is right-continuous, which makes the
+    half-open semantics exact even at root endpoints.
     """
-    if chain is None:
-        chain = sturm_chain(squarefree_part(p))
+    chain = sturm_chain(squarefree_part(p))
     return variations_at(chain, a) - variations_at(chain, b)
 
 

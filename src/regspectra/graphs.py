@@ -4,14 +4,17 @@ Vertices are the integers 0..n-1.  Adjacency is a symmetric boolean matrix
 with a zero diagonal; everything in this package lives in the dense regime
 (cliques, complements, joins), so a bit matrix plus per-vertex integer
 bitmasks is the representation of choice.
+
+Breadth-first search has one implementation, `layers`, which yields the
+frontiers from a source as bitmasks; reachability, components, distance
+layers and the diameter are read from it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -124,24 +127,49 @@ class Graph:
         return f"<Graph{tag} n={self.n} m={self.num_edges()}>"
 
 
+def layers(bits: Sequence[int], start: int) -> Iterator[int]:
+    """Breadth-first frontiers from `start` over the neighbourhood bitmasks
+    `bits`: the bitmask of the vertices at distance 0, 1, 2, ... in turn,
+    ending after the last non-empty one.  The package's one BFS."""
+    seen = frontier = 1 << start
+    while frontier:
+        yield frontier
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= bits[b.bit_length() - 1]
+        frontier = nxt & ~seen
+        seen |= frontier
+
+
 def reach(bits: Sequence[int], start: int, stop_mask: int = 0) -> int:
     """Bitmask of the vertices reachable from `start` over the neighbourhood
     bitmasks `bits`.
 
     The search stops as soon as it reaches a vertex of `stop_mask`; the mask
     it then returns holds that vertex but may miss other reachable ones."""
-    seen = frontier = 1 << start
-    while frontier:
-        nxt = 0
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            nxt |= bits[b.bit_length() - 1]
-            if nxt & stop_mask:
-                return seen | nxt
-        frontier = nxt & ~seen
+    seen = 0
+    for frontier in layers(bits, start):
         seen |= frontier
+        if frontier & stop_mask:
+            break
     return seen
+
+
+def components(bits: Sequence[int]) -> Iterator[int]:
+    """Bitmasks of the connected components, in order of their least vertex."""
+    seen = 0
+    for v in range(len(bits)):
+        if not seen >> v & 1:
+            comp = reach(bits, v)
+            seen |= comp
+            yield comp
+
+
+def members(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, in increasing order."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 # -- distance structure ----------------------------------------------------
@@ -164,42 +192,13 @@ def distance_layers(g: Graph, x: int) -> DistanceLayers:
     """Breadth-first distance layers from x; unreachable vertices listed apart."""
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
-    dist = [-1] * g.n
-    dist[x] = 0
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    ecc = max(d for d in dist if d >= 0)
-    layers = [[] for _ in range(ecc + 1)]
-    unreached = []
-    for v, d in enumerate(dist):
-        if d >= 0:
-            layers[d].append(v)
-        else:
-            unreached.append(v)
+    frontiers = list(layers(g.bits(), x))
     return DistanceLayers(
         source=x,
-        layers=tuple(tuple(layer) for layer in layers),
-        eccentricity=ecc,
-        unreached=tuple(unreached),
+        layers=tuple(members(f) for f in frontiers),
+        eccentricity=len(frontiers) - 1,
+        unreached=members(((1 << g.n) - 1) & ~sum(frontiers)),  # frontiers are disjoint
     )
-
-
-def distance_matrix(g: Graph) -> list[list[float]]:
-    """All-pairs distances via BFS; math.inf for unreachable pairs."""
-    out = []
-    for x in range(g.n):
-        dl = distance_layers(g, x)
-        row = [math.inf] * g.n
-        for d, layer in enumerate(dl.layers):
-            for v in layer:
-                row[v] = d
-        out.append(row)
-    return out
 
 
 def diameter(g: Graph) -> float:
@@ -356,25 +355,26 @@ class RegularityParams:
 
 
 def regularity_params(g: Graph) -> RegularityParams:
-    """Brute-force count of the (v, k, a1, c2) regularity data of g."""
+    """The (v, k, a1, c2) regularity data of g, counted over every vertex
+    pair: common neighbours are the popcount of the two bit rows ANDed, and
+    a non-adjacent pair is at distance 2 iff it has one."""
     degs = g.degrees()
     is_reg = len(set(degs)) == 1
     k = degs[0] if is_reg else None
 
-    common = g.adj.astype(np.int64) @ g.adj.astype(np.int64)
-    dist = distance_matrix(g)
-
+    bits = g.bits()
     a1_vals = set()
     coedge_vals = set()
     dist2_vals = set()
     for u in range(g.n):
+        bu = bits[u]
         for w in range(u + 1, g.n):
-            c = int(common[u, w])
-            if g.adj[u, w]:
+            c = (bu & bits[w]).bit_count()  # common neighbours
+            if bu >> w & 1:
                 a1_vals.add(c)
             else:
                 coedge_vals.add(c)
-                if dist[u][w] == 2:
+                if c:  # non-adjacent with a common neighbour: distance 2
                     dist2_vals.add(c)
 
     a1 = a1_vals.pop() if len(a1_vals) == 1 else None
@@ -393,7 +393,7 @@ def regularity_params(g: Graph) -> RegularityParams:
     elif dist2_vals:
         d2min, d2max = min(dist2_vals), max(dist2_vals)
 
-    diam = max(max(row) for row in dist)  # math.inf when disconnected
+    diam = diameter(g)
     edge_regular = is_reg and a1_uniform
     co_edge_regular = is_reg and coedge_uniform
     amply = is_reg and a1_uniform and dist2_uniform

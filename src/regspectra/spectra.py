@@ -19,6 +19,7 @@ from .graphs import Graph
 SYMMETRY_TOL = 1e-12
 GROUP_TOL = 1e-8
 EIG_ACCURACY = 1e-10  # contract: error <= EIG_ACCURACY * (1 + max-norm)
+INTERLACING_TOL = 1e-9
 
 
 def eig_symmetric(matrix) -> list[float]:
@@ -257,13 +258,13 @@ def quotient_matrix(g: Graph, partition: Sequence[Sequence[int]]) -> QuotientRes
 # -- interlacing -----------------------------------------------------------------
 
 
-def interlacing_check(g: Graph, subset: Sequence[int], tol: float = 1e-9) -> bool:
+def interlacing_check(g: Graph, subset: Sequence[int]) -> bool:
     """Cauchy interlacing between g and the subgraph induced on `subset`.
 
     With full spectrum l_1 >= ... >= l_n and induced spectrum m_1 >= ... >= m_s:
     l_i >= m_i >= l_{i + n - s} must hold for every i; returns True when all
-    inequalities hold within `tol` (they always should - this doubles as an
-    eigensolver self-test).
+    inequalities hold within INTERLACING_TOL (they always should - this
+    doubles as an eigensolver self-test).
     """
     subset = list(subset)
     if not subset:
@@ -272,6 +273,6 @@ def interlacing_check(g: Graph, subset: Sequence[int], tol: float = 1e-9) -> boo
     sub = eig_symmetric(g.induced(subset).adj.astype(np.float64))
     n, s = len(full), len(sub)
     for i in range(s):
-        if not (full[i] + tol >= sub[i] >= full[i + n - s] - tol):
+        if not (full[i] + INTERLACING_TOL >= sub[i] >= full[i + n - s] - INTERLACING_TOL):
             return False
     return True

@@ -1,8 +1,11 @@
 """Brute-force oracles for the tests: exhaustive over subsets and
-permutations, so only for tiny inputs."""
+permutations, so only for tiny inputs; and a breadth-first search by vertex
+queue, independent of the package's bitmask frontiers."""
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
@@ -10,7 +13,7 @@ import numpy as np
 
 from regspectra.errors import UnsupportedSizeError
 from regspectra.formats import to_graph6
-from regspectra.graphs import Graph
+from regspectra.graphs import DistanceLayers, Graph
 
 
 def brute_force_certificate(g: Graph) -> str:
@@ -57,3 +60,75 @@ def contains_induced_bruteforce(
             ):
                 return True
     return False
+
+
+def bfs_distance_layers(g: Graph, x: int) -> DistanceLayers:
+    """Oracle: breadth-first distance layers from x by a vertex queue;
+    unreachable vertices listed apart."""
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} out of range")
+    dist = [-1] * g.n
+    dist[x] = 0
+    queue = deque([x])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    ecc = max(d for d in dist if d >= 0)
+    layers = [[] for _ in range(ecc + 1)]
+    unreached = []
+    for v, d in enumerate(dist):
+        if d >= 0:
+            layers[d].append(v)
+        else:
+            unreached.append(v)
+    return DistanceLayers(
+        source=x,
+        layers=tuple(tuple(layer) for layer in layers),
+        eccentricity=ecc,
+        unreached=tuple(unreached),
+    )
+
+
+def bfs_distance_matrix(g: Graph) -> list[list[float]]:
+    """Oracle: all-pairs distances via the queue BFS; math.inf for
+    unreachable pairs."""
+    out = []
+    for x in range(g.n):
+        dl = bfs_distance_layers(g, x)
+        row = [math.inf] * g.n
+        for d, layer in enumerate(dl.layers):
+            for v in layer:
+                row[v] = d
+        out.append(row)
+    return out
+
+
+def bfs_pair_data(g: Graph) -> dict:
+    """Oracle: pair statistics from the queue-BFS distance matrix and the
+    integer square of the adjacency matrix (common-neighbour counts)."""
+    dist = bfs_distance_matrix(g)
+    common = g.adj.astype(np.int64) @ g.adj.astype(np.int64)
+    a1, coedge, dist2 = set(), set(), set()
+    max_finite = 0
+    for u in range(g.n):
+        for w in range(u + 1, g.n):
+            c = int(common[u, w])
+            if g.adj[u, w]:
+                a1.add(c)
+            else:
+                coedge.add(c)
+                if dist[u][w] == 2:
+                    dist2.add(c)
+            if dist[u][w] != math.inf:
+                max_finite = max(max_finite, int(dist[u][w]))
+    return {
+        "a1": a1,
+        "coedge": coedge,
+        "dist2": dist2,
+        "diameter": max(max(row) for row in dist),
+        "max_finite": max_finite,
+        "gamma2_max": max(row.count(2) for row in dist),
+    }

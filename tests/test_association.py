@@ -160,3 +160,22 @@ def test_partition_json():
     obj = part.to_json_obj()
     assert obj["m"] == 2 and len(obj["classes"]) == 1
     assert obj["classes"][0]["quasi_clique"] == list(range(12))
+
+
+def test_non_transitive_relation_warnings():
+    # a strip of four triangles (edges |u - w| <= 2 on 0..5) plus a separate
+    # triangle: each triangle is related to its strip neighbours only, so the
+    # strip's class holds unrelated pairs, each warned about in index order
+    edges = [(u, w) for u in range(6) for w in range(u + 1, min(u + 3, 6))]
+    g = Graph.from_edges(9, edges + [(6, 7), (6, 8), (7, 8)])
+    fam = association.maximal_cliques(g, 3)
+    part = association.partition_classes(fam, 2)
+    assert part.classes == ((0, 1, 2, 3), (4,))
+    assert part.quasi_cliques == (frozenset({0, 1, 2, 3}), frozenset({6, 7, 8}))
+    strip = "relation not transitive on class (0, 1, 2, 3)"
+    assert part.warnings == (
+        "threshold n=3 below (m+1)^2=9",
+        f"{strip} (cliques 0 and 2 unrelated)",
+        f"{strip} (cliques 0 and 3 unrelated)",
+        f"{strip} (cliques 1 and 3 unrelated)",
+    )

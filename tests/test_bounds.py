@@ -1,5 +1,6 @@
 """Thresholds, known values, certificates, and the bound checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,13 @@ from regspectra.construct import (
     complete_bipartite,
     complete_multipartite,
     cycle,
+    disjoint_union,
     petersen,
+    random_graph,
 )
 from regspectra.graphs import Graph, regularity_params
 from regspectra.spectra import lambda_min
+from oracles import bfs_pair_data
 
 
 def test_to_fraction():
@@ -55,6 +59,20 @@ def test_thresholds_minimality():
         assert lambda_min(k_tilde(th.m_prime)) < -lam_f - 1e-9
 
 
+@pytest.mark.parametrize(
+    "lam, t_prime, m_prime",
+    [
+        # lambda_min(K_{2,2}) = -2 lies only 1e-9 below -lambda
+        (Fraction(1999999999, 10**9), 2, 4),
+        # m' far beyond the 64 that once capped the search
+        (10, 51, 176),
+    ],
+)
+def test_thresholds_exact_near_boundary_and_large(lam, t_prime, m_prime):
+    th = bounds.thresholds(lam)
+    assert (th.t_prime, th.m_prime) == (t_prime, m_prime)
+
+
 def test_isolated_vertex_bound():
     # boundary case: order 2 equals the lambda=1 cap, so nothing to check
     h = Graph.from_edges(2, [])
@@ -90,6 +108,19 @@ def test_prop13_detects_conclusion_failure():
     cert = bounds.prop13_verifier(g, 2, 1)
     assert cert.evidence["applicable"]
     assert not cert.verified
+
+
+def test_prop13_evidence_matches_queue_oracle():
+    rng = random.Random(37)
+    graphs = [random_graph(rng.randint(1, 11), rng.random() * rng.choice([0.3, 1.0]), rng)
+              for _ in range(150)]
+    graphs.append(disjoint_union(cycle(5), complete(3)))
+    for g in graphs:
+        want = bfs_pair_data(g)
+        ev = bounds.prop13_verifier(g, 2, 1).evidence
+        assert ev["distance2_common_min"] == (min(want["dist2"]) if want["dist2"] else None)
+        assert ev["max_finite_distance"] == want["max_finite"]
+        assert ev["gamma2_max"] == want["gamma2_max"]
 
 
 def test_m_lambda_interval():

@@ -32,6 +32,13 @@ def test_thresholds_json(capsys):
     assert code == 0 and blob["t_prime"] == 3
 
 
+@pytest.mark.parametrize("lam, m_prime", [("1999999999/1000000000", 4), ("10", 176)])
+def test_thresholds_answers_near_boundary_and_large(capsys, lam, m_prime):
+    code, out, err = run(capsys, "bounds", "thresholds", "--lambda", lam, "--json")
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["m_prime"] == m_prime
+
+
 def test_ramsey(capsys):
     code, out, _ = run(capsys, "bounds", "ramsey", "--s", "3", "--t", "4")
     assert code == 0 and out.strip() == "9"

@@ -30,7 +30,11 @@ from regspectra.graphs import (
     reach,
     regularity_params,
 )
-from oracles import contains_induced_bruteforce
+from oracles import (
+    bfs_distance_layers,
+    bfs_pair_data,
+    contains_induced_bruteforce,
+)
 
 
 def test_graph_validation():
@@ -236,7 +240,7 @@ def test_regularity_params():
 
 
 def test_regularity_params_diameter():
-    # read off the distance matrix: math.inf when disconnected
+    # the largest eccentricity over the BFS frontiers: math.inf when disconnected
     assert regularity_params(disjoint_union(cycle(3), cycle(4))).diameter == math.inf
     assert regularity_params(edgeless(1)).diameter == 0
     rng = random.Random(17)
@@ -271,7 +275,7 @@ def test_reach_matches_bfs_layers():
         bits = g.bits()
         assert bits == tuple(sum(1 << w for w in g.neighbors(u)) for u in range(n))
         for s in range(n):
-            dl = distance_layers(g, s)
+            dl = bfs_distance_layers(g, s)
             full = sum(1 << v for layer in dl.layers for v in layer)
             assert reach(bits, s) == full
             stop = rng.getrandbits(n)
@@ -281,5 +285,30 @@ def test_reach_matches_bfs_layers():
                 assert part & stop  # a reachable stop vertex is always found
             else:
                 assert part == full  # no stop vertex: the whole component
-        assert g.is_connected() == (not distance_layers(g, 0).unreached)
+        assert g.is_connected() == (not bfs_distance_layers(g, 0).unreached)
 
+
+def test_bfs_queries_match_queue_oracle():
+    # distance layers, diameter and the regularity data against a vertex-queue
+    # BFS and the integer A @ A, on connected and disconnected graphs
+    rng = random.Random(31)
+    graphs = [random_graph(rng.randint(1, 12), rng.random() * rng.choice([0.3, 1.0]), rng)
+              for _ in range(200)]
+    graphs += [disjoint_union(cycle(3), cycle(4)), disjoint_union(complete(3), edgeless(2))]
+    for g in graphs:
+        for x in range(g.n):
+            assert distance_layers(g, x) == bfs_distance_layers(g, x)
+        want = bfs_pair_data(g)
+        assert diameter(g) == want["diameter"]
+        rp = regularity_params(g)
+        assert rp.diameter == want["diameter"]
+        assert rp.a1 == (min(want["a1"]) if len(want["a1"]) == 1 else None)
+        assert rp.c2_coedge == (min(want["coedge"]) if len(want["coedge"]) == 1 else None)
+        assert rp.c2_dist2 == (min(want["dist2"]) if len(want["dist2"]) == 1 else None)
+        assert rp.dist2_common_min == (min(want["dist2"]) if want["dist2"] else None)
+        assert rp.dist2_common_max == (max(want["dist2"]) if want["dist2"] else None)
+        assert rp.edge_regular == (rp.is_regular and len(want["a1"]) <= 1)
+        assert rp.co_edge_regular == (rp.is_regular and len(want["coedge"]) <= 1)
+        amply = rp.is_regular and len(want["a1"]) <= 1 and len(want["dist2"]) <= 1
+        assert rp.amply_regular == amply
+        assert rp.strongly_regular == (amply and want["diameter"] == 2)
