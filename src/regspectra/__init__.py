@@ -31,6 +31,7 @@ from .bounds import (
     ramsey_lookup,
     srg_mu_check,
     thresholds,
+    triangle_cap,
 )
 from .errors import CapExceededError, ConsistencyError, UnsupportedSizeError
 from .graphs import (
@@ -117,6 +118,7 @@ __all__ = [
     "spectrum",
     "srg_mu_check",
     "thresholds",
+    "triangle_cap",
     "v_search",
     "__version__",
 ]

@@ -24,6 +24,17 @@ belongs to a known class and is skipped after one root-to-leaf path; any
 other starts a new class, since isomorphic graphs have the same leaf-key
 set, and only it is labelled, by a whole walk that adds every key it meets.
 
+The pruned completion has two spectral cuts, cheapest first.  A moment cut:
+`bounds.triangle_cap` bounds, exactly, the triangles of a connected k-regular
+graph on n vertices with second eigenvalue at most lambda, through two dual
+polynomials non-positive on [-k, lambda], (x - lambda)(x - r)^2 and
+(x + k)(x - lambda)(x - r)^2 (the second with the fourth moment); the
+completion carries the partial graph's triangle count, which only grows, and
+cuts a choice that exceeds the cap before applying it.  Then the
+interlacing cut: the subgraph induced on the saturated vertices must itself
+have second eigenvalue at most lambda (one eigensolve per distinct labelled
+subgraph and order).
+
 Eigenvalue comparisons give the graph the benefit of a +1e-9 tolerance;
 candidates within 1e-6 of the threshold are re-checked in exact rational
 arithmetic through the characteristic polynomial, at every supported order,
@@ -41,7 +52,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import exactpoly, kernel
-from .bounds import to_fraction
+from .bounds import Real, to_fraction, triangle_cap
 from .errors import UnsupportedSizeError
 from .formats import pack_graph6, to_graph6
 from .graphs import Graph, reach
@@ -355,6 +366,8 @@ def _complete_from(
     states: Optional[list] = None,
     verdicts: Optional[dict[int, bool]] = None,
     key: int = 1,
+    tri_cap: Optional[int] = None,
+    tri: int = 0,
 ):
     """Completion of the bit rows `rows` (degree = popcount) with saturated
     bitmask `sat`; yields completed row tuples.  The next vertex v is the
@@ -363,6 +376,12 @@ def _complete_from(
     (equal rows), most from the first block first; they are built once as
     neighbour bitmasks, then each is applied, checked by `_feasible` with the
     updated saturated mask and memo key, recursed into and undone.
+
+    `tri` is the number of triangles of the partial graph.  When `tri_cap` is
+    set (`bounds.triangle_cap`), a choice whose child has more is cut before
+    it is applied: edges are only added, so every completion has more too.
+    The choice's new triangles are the edges from each new neighbour u to
+    v's old neighbours and to the new ones below u.
 
     When `stop_depth` is set, the completion stops once v >= stop_depth and
     appends `(rows, sat)` to `states` instead (used to partition work across
@@ -420,6 +439,17 @@ def _complete_from(
                 c -= 1
         choices = grown
     for _, mask in choices:
+        t = tri
+        if tri_cap is not None:
+            seen = base
+            rest = mask
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                t += (rows[b.bit_length() - 1] & seen).bit_count()
+                seen |= b
+            if t > tri_cap:
+                continue
         child = sat | bv | mask & last
         rows[v] = base | mask
         ckey = key << n | rows[v] & child
@@ -433,7 +463,7 @@ def _complete_from(
                 ckey = ckey << n | rows[u]
         if _feasible(k, n, rows, v, child, prune_lam, verdicts, ckey):
             yield from _complete_from(
-                k, n, rows, child, prune_lam, stop_depth, states, verdicts, ckey
+                k, n, rows, child, prune_lam, stop_depth, states, verdicts, ckey, tri_cap, t
             )
         rest = mask
         while rest:
@@ -495,25 +525,45 @@ def _rows_connected(rows: Sequence[int], n: int) -> bool:
     return reach(rows, 0) == (1 << n) - 1
 
 
+def _triangles(rows: Sequence[int]) -> int:
+    """Triangles of the graph on the bit rows: each is counted once per
+    edge, as a common neighbour of its ends."""
+    n = len(rows)
+    return sum(
+        (rows[u] & rows[w]).bit_count()
+        for u in range(n)
+        for w in range(u + 1, n)
+        if rows[u] >> w & 1
+    ) // 3
+
+
 def _worker_complete(args):
-    k, n, rows, sat, prune_lam = args
-    return list(_complete_from(k, n, list(rows), sat, prune_lam))
+    k, n, rows, sat, prune_lam, tri_cap, tri = args
+    return list(_complete_from(k, n, list(rows), sat, prune_lam, tri_cap=tri_cap, tri=tri))
 
 
-def _candidate_rows(k: int, n: int, prune_lam: Optional[float], workers: int):
+def _candidate_rows(k: int, n: int, prune_lam: Optional[Real], workers: int):
     """Yields the completed labeled candidates (row tuples).  Serially they
     come in batches of _STREAM_BATCH straight from the completion; with
-    workers, each job's list comes back whole."""
+    workers, each job's list comes back whole.
+
+    With `prune_lam` set, the eigenvalue prune compares against its float and
+    the triangle cut uses `bounds.triangle_cap` of its exact value."""
     sat = 0 if k else (1 << n) - 1  # the empty graph; with k = 0 it is complete
+    lam = tri_cap = None
+    if prune_lam is not None:
+        exact = to_fraction(prune_lam)
+        lam, tri_cap = float(exact), triangle_cap(k, n, exact)
     if workers <= 1 or n <= 3:
-        completion = _complete_from(k, n, [0] * n, sat, prune_lam)
+        completion = _complete_from(k, n, [0] * n, sat, lam, tri_cap=tri_cap)
         while batch := list(islice(completion, _STREAM_BATCH)):
             yield from batch
         return
-    # partition the tree at the completion of vertex 1 across processes
+    # partition the tree at the completion of vertex 1 across processes; a
+    # job's triangle count is recounted from its rows
     states: list = []
-    list(_complete_from(k, n, [0] * n, sat, prune_lam, stop_depth=2, states=states))
-    jobs = [(k, n, rows, sat, prune_lam) for rows, sat in states]
+    list(_complete_from(k, n, [0] * n, sat, lam, 2, states, tri_cap=tri_cap))
+    jobs = [(k, n, rows, sat, lam, tri_cap, _triangles(rows)) for rows, sat in states]
     if not jobs:
         return
     # fork where the platform has it, else its default (the first listed);
@@ -530,7 +580,7 @@ def enum_connected_regular(
     n: int,
     max_k: int = DEFAULT_MAX_K,
     max_n: int = DEFAULT_MAX_N,
-    prune_lam: Optional[float] = None,
+    prune_lam: Optional[Real] = None,
     workers: int = 1,
     _info: Optional[dict] = None,
 ) -> list[Graph]:
@@ -541,10 +591,12 @@ def enum_connected_regular(
     block prefixes (any completion is isomorphic to a surviving one), followed
     by isomorph rejection in one dedup pass (`_dedup`): only the first
     candidate of each class is labelled; every later one is skipped after its
-    first leaf.  Odd k*n yields the empty list.  When `prune_lam` is set,
-    subtrees whose saturated induced subgraph already has second eigenvalue
-    beyond it are cut (sound for the search driver, but the result is then
-    only exhaustive for graphs passing that filter).
+    first leaf.  Odd k*n yields the empty list.  When `prune_lam` is set (any
+    rational `bounds.to_fraction` takes), subtrees whose saturated induced
+    subgraph already has second eigenvalue beyond it, or whose partial graph
+    already has more triangles than `bounds.triangle_cap` allows, are cut
+    (sound for the search driver, but the result is then only exhaustive for
+    graphs passing that filter).
     `_info`, when given, receives the candidate and class counts and the
     certificates of the returned graphs, in the same order.
     """
@@ -736,7 +788,7 @@ def v_search(
             n,
             max_k=max_k,
             max_n=max_n,
-            prune_lam=lam_f if prune else None,
+            prune_lam=lam_fr if prune else None,
             workers=workers,
             _info=cinfo,
         )

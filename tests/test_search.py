@@ -483,9 +483,10 @@ def test_prune_verdicts_memoized_per_order(monkeypatch):
 
     monkeypatch.setattr(search, "spectral_prune", counted)
     # one verdict per distinct labelled saturated subgraph in each order; an
-    # unshared prune ran 6,743 and 6,639 times on these searches, and one
-    # shared only among siblings 4,415 and 3,917 times
-    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 2655), ((4, 1, 10), 1653)):
+    # unshared prune ran 6,743 and 6,639 times on these searches, one shared
+    # only among siblings 4,415 and 3,917 times, and the memo without the
+    # triangle cut 2,655 and 1,653 times
+    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 2344), ((4, 1, 10), 1360)):
         calls[0] = 0
         pruned = search.v_search(k, lam, n_max)
         assert calls[0] == want, (k, lam, n_max)
@@ -595,9 +596,23 @@ def test_saturated_subgraph_matches_induced():
 
 
 def test_v_search_workers_deterministic():
-    a = search.v_search(3, 1, 10, workers=1)
-    b = search.v_search(3, 1, 10, workers=2)
-    assert a.to_json_obj() == b.to_json_obj()
+    # the report, candidates per order included, whether or not the triangle
+    # cut reaches the jobs (at (3, 3/2, 14) the cap is 1 at order 12, 0 at 14)
+    for k, lam, n_max in ((3, 1, 10), (3, Fraction(3, 2), 14)):
+        a = search.v_search(k, lam, n_max, workers=1)
+        b = search.v_search(k, lam, n_max, workers=2)
+        assert a.to_json_obj() == b.to_json_obj(), (k, lam, n_max)
+
+
+def test_prune_lam_takes_any_rational():
+    # the eigenvalue prune compares against float(lam) + ACCEPT_TOL and the
+    # triangle cap takes the exact value, so "5/3", Fraction(5, 3) and the
+    # v_search threshold give one result
+    want = search.enum_connected_regular(3, 12, prune_lam=Fraction(5, 3))
+    assert want and search.enum_connected_regular(3, 12, prune_lam="5/3") == want
+    report = search.v_search(3, "5/3", 12)
+    assert report.counts[12].classes == len(want)
+    assert report.same_result(search.v_search(3, "5/3", 12, prune=False))
 
 
 def test_workers_without_fork_use_the_default_start_method(monkeypatch):
