@@ -14,6 +14,7 @@ on the same sample.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ from .hoffman import HoffmanGraph, attach_universal_fat, fatten
 from .spectra import (
     coclique_extension_spectrum,
     eig_symmetric,
+    eigenvalue_at_most,
     group_eigenvalues,
     lambda_max,
     lambda_min,
@@ -233,19 +235,18 @@ def criterion_06():
 @_claim("A7", "t'/m' minimality and the 3x3 tilde quotient matrix", suite="bounds", cap=1)
 def criterion_07():
     """Threshold minimality and the tilde-graph quotient matrix."""
+    def at_least(g, lam):  # lambda_min(g) >= -lam
+        return eigenvalue_at_most(-g.adj.astype(int), 1, lam, [-lambda_min(g)])[0]
+
     details: dict = {}
     for lam in (1, Fraction(3, 2), 2, Fraction(5, 2), 3):
         th = bounds.thresholds(lam)
         lam_fr = bounds.to_fraction(lam)
-        if th.t_prime != bounds.floor_exact(lam_fr**2 / 2) + 1:
+        if th.t_prime != math.floor(lam_fr**2 / 2) + 1:
             return False, {"lambda": str(lam), "t_prime": th.t_prime}, "t' closed form"
-        lam_f = float(lam_fr)
-        if th.m_prime > 1:
-            prev = lambda_min(k_tilde(th.m_prime - 1))
-            if not prev >= -lam_f - 1e-9:
-                return False, {"lambda": str(lam)}, "m' not minimal"
-        at = lambda_min(k_tilde(th.m_prime))
-        if not at < -lam_f - 1e-9:
+        if th.m_prime > 1 and not at_least(k_tilde(th.m_prime - 1), lam_fr):
+            return False, {"lambda": str(lam)}, "m' not minimal"
+        if at_least(k_tilde(th.m_prime), lam_fr):
             return False, {"lambda": str(lam)}, "m' does not qualify"
         details[str(lam)] = {"t_prime": th.t_prime, "m_prime": th.m_prime}
     quotient_worst = 0.0

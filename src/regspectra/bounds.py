@@ -3,9 +3,10 @@
 Real parameters are carried as exact Fractions wherever a floor or a boundary
 comparison is taken (floats are converted at their exact binary value), so
 quantities like floor(lambda^2) never misround at integer boundaries.
-Strict source inequalities are checked against a 1e-9 margin on eigenvalue
-comparisons; the thresholds t'(lambda) and m'(lambda) need no eigensolve and
-are exact (a closed form, and a Sturm count on the tilde-graph quotient).
+Every comparison of an eigenvalue with -lambda goes through
+`spectra.eigenvalue_at_most` on the negated matrix, so it is settled exactly
+at the boundary; the thresholds t'(lambda) and m'(lambda) need no eigensolve
+and are exact (a closed form, and a Sturm count on the tilde-graph quotient).
 
 The constants M(lambda), C1(lambda), C2(lambda), C3(lambda) are defined via
 Ramsey numbers and non-explicit integers, so they are exposed symbolically
@@ -26,13 +27,18 @@ from .construct import (
     coclique_extension,
     line_graph,
 )
-from .exactpoly import charpoly, count_roots_greater
 from .graphs import Graph, components, distance_layers, members, regularity_params
 from .hoffman import attach_universal_fat
 from .ramsey import RamseyValue, ramsey_lookup
-from .spectra import group_eigenvalues, lambda_min, spectrum
+from .spectra import (
+    eig_symmetric,
+    eigenvalue_at_most,
+    eigenvalue_at_most_exact,
+    group_eigenvalues,
+    lambda_min,
+    spectrum,
+)
 
-STRICT_MARGIN = 1e-9
 SPECTRUM_TOL = 1e-8
 
 Real = Union[int, float, str, Fraction]
@@ -44,19 +50,17 @@ def to_fraction(x: Real) -> Fraction:
     return Fraction(x)
 
 
-def floor_exact(x: Fraction) -> int:
-    return math.floor(x)
-
-
 @dataclass(frozen=True)
 class BoundCertificate:
-    """Outcome of one verifiable claim: parameters, verdict, numeric evidence."""
+    """Outcome of one verifiable claim: parameters, verdict, numeric evidence.
+    `tolerance` is the float margin the verdict used, 0 when it was settled
+    exactly."""
 
     claim: str
     params: dict
     verified: bool
     evidence: dict = field(default_factory=dict)
-    tolerance: float = STRICT_MARGIN
+    tolerance: float = 0.0
 
     def to_json_obj(self) -> dict:
         return {
@@ -94,17 +98,15 @@ class Thresholds:
 
 def t_prime_closed_form(lam: Fraction) -> int:
     """Least t with lambda_min(K_{2,t}) = -sqrt(2t) < -lambda, i.e. t > lam^2/2."""
-    return floor_exact(lam * lam / 2) + 1
+    return math.floor(lam * lam / 2) + 1
 
 
 def _k_tilde_below(m: int, lam: Fraction) -> bool:
     """Whether lambda_min(K~_2m) < -lam, settled exactly.  The partition
     {apex neighbours, other clique vertices, apex} is equitable with quotient
-    ((m-1, m, 0), (m, m-1, 1), (0, m, 0)), and every other eigenvalue is
-    -1 >= -lam; so it asks whether the quotient's characteristic polynomial p
-    has a root below -lam, that is p(-x) one above lam."""
-    p = charpoly([[m - 1, m, 0], [m, m - 1, 1], [0, m, 0]])
-    return count_roots_greater([c if i % 2 == 0 else -c for i, c in enumerate(p)], lam) > 0
+    Q = ((m-1, m, 0), (m, m-1, 1), (0, m, 0)), and every other eigenvalue is
+    -1 >= -lam; so it asks whether the largest eigenvalue of -Q exceeds lam."""
+    return not eigenvalue_at_most_exact([[1 - m, -m, 0], [-m, 1 - m, -1], [0, -m, 0]], 1, lam)
 
 
 def thresholds(lam: Real) -> Thresholds:
@@ -128,8 +130,8 @@ def thresholds(lam: Real) -> Thresholds:
         lam=lam,
         t_prime=t_prime_closed_form(lam),
         m_prime=hi,
-        gamma2_cap=floor_exact(lam) * floor_exact(lam * lam),
-        isolated_cap=floor_exact(lam * lam) + 1,
+        gamma2_cap=math.floor(lam) * math.floor(lam * lam),
+        isolated_cap=math.floor(lam * lam) + 1,
     )
 
 
@@ -188,7 +190,7 @@ def triangle_cap(k: int, n: int, lam: Real) -> Optional[int]:
     e = s2 + k * lam
     if d_a < 0 or (d_a == 0 and e != 0):
         return -1
-    cap_a = floor_exact((k**3 + lam * s2 - (e * e / d_a if d_a else 0)) / 6)
+    cap_a = math.floor((k**3 + lam * s2 - (e * e / d_a if d_a else 0)) / 6)
     # family B: the numerator a0 + a1 r + a2 r^2, then r = (d - s) / 2, so
     # alpha = a2 / 4 and sqrt(4 alpha gamma) = sqrt(a2 gamma)
     d = k - lam
@@ -214,10 +216,11 @@ def isolated_vertex_bound_check(lam: Real, h: Graph) -> BoundCertificate:
         raise ValueError("lambda must be >= 1")
     if all(h.degree(v) > 0 for v in range(h.n)):
         raise ValueError("graph has no isolated vertex")
-    cap = floor_exact(lam * lam) + 1
-    lam_min_q = attach_universal_fat(h).lambda_min()
+    cap = math.floor(lam * lam) + 1
+    s = attach_universal_fat(h).special_matrix()
+    lam_min_q = eig_symmetric(s)[-1]
     applicable = h.n > cap
-    strictly_below = lam_min_q < -float(lam) - STRICT_MARGIN
+    strictly_below = not eigenvalue_at_most(-s, 1, lam, [-lam_min_q])[0]
     verified = (not applicable) or strictly_below
     return BoundCertificate(
         claim="isolated-vertex-bound",
@@ -238,7 +241,7 @@ def isolated_vertex_bound_check(lam: Real, h: Graph) -> BoundCertificate:
 def m_lambda_lower(lam: Real) -> int:
     """Computable part of the common-neighbor constant: floor(lam^3 + 1)."""
     lam = to_fraction(lam)
-    return floor_exact(lam**3) + 1
+    return math.floor(lam**3) + 1
 
 
 def m_lambda_interval(lam: Real, n_prime: Optional[int] = None) -> tuple[int, Optional[int]]:
@@ -275,9 +278,9 @@ def prop13_verifier(g: Graph, lam: Real, m_common: int) -> BoundCertificate:
 
     premise_common = d2_min is None or d2_min >= m_common
     lmin = lambda_min(g)
-    premise_eig = lmin >= -float(lam) - STRICT_MARGIN
+    premise_eig = eigenvalue_at_most(-g.adj.astype(int), 1, lam, [-lmin])[0]
 
-    gamma2_cap = floor_exact(lam) * floor_exact(lam * lam)
+    gamma2_cap = math.floor(lam) * math.floor(lam * lam)
     concl_diameter = max_finite <= 2
     concl_gamma2 = gamma2_max <= gamma2_cap
 
@@ -450,7 +453,7 @@ def co_edge_bound_check(g: Graph, lam: Real) -> BoundCertificate:
     c2 = rp.c2_coedge
     vacuous = c2 is None  # complete graph: no non-adjacent pairs
     lmin = lambda_min(g)
-    premise_eig = lmin >= -float(lam) - STRICT_MARGIN
+    premise_eig = eigenvalue_at_most(-g.adj.astype(int), 1, lam, [-lmin])[0]
     ell = g.n - rp.k - 1
     ell_cap = (lam - 1) ** 2 / 4 + 1
     ell_ok = Fraction(ell) <= ell_cap
@@ -505,7 +508,7 @@ def amply_regular_check(g: Graph, lam: int) -> BoundCertificate:
     if not rp.amply_regular:
         raise ValueError("graph is not amply regular")
     lmin = lambda_min(g)
-    premise_eig = lmin >= -float(lam) - STRICT_MARGIN
+    premise_eig = eigenvalue_at_most(-g.adj.astype(int), 1, lam, [-lmin])[0]
     multipartite = is_complete_multipartite(g)
     mu_cap = mu_bound(lam)
     c2 = rp.c2_dist2

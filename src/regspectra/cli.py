@@ -42,7 +42,7 @@ def _parse_lambda(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc
     try:
-        float(lam)  # the search and the thresholds also compare in floats
+        float(lam)  # the prune and the boundary rule's float leg compare in floats
     except OverflowError:
         raise argparse.ArgumentTypeError(f"lambda {text!r} is out of float range") from None
     return lam

@@ -1,12 +1,14 @@
 """Exact rational polynomial tools for small matrices.
 
 Characteristic polynomials are computed by Faddeev-LeVerrier over plain ints
-and real roots are counted with Sturm chains.  This serves the exact
-second-eigenvalue recheck for boundary cases in the extremal search
-(`search.second_eigenvalue_at_most`) and the tilde-graph threshold m'(lambda)
-(`bounds.thresholds`); degrees stay <= 16, so exact arithmetic is cheap.  No eigenvalue is computed here: every numeric
-eigenvalue goes through `kernel.sym_eigenvalues`.  Yun's square-free
-decomposition counts roots with multiplicity, for the tests' exact oracle.
+and real roots are counted with Sturm chains; Yun's square-free decomposition
+gives the multiplicities.  Together they are the exact leg of the boundary
+rule (`spectra.eigenvalue_at_most_exact`: how many eigenvalues, counted with
+multiplicity, exceed a rational bound), which settles every eigenvalue
+verdict near lambda in the search, the bound certificates and the tilde-graph
+threshold m'(lambda); orders stay small, so exact arithmetic is cheap.  No
+eigenvalue is computed here: every numeric eigenvalue goes through
+`kernel.sym_eigenvalues`.
 
 Polynomials are lists of Fractions indexed by power (low to high) with a
 nonzero leading coefficient, except for the zero polynomial [].

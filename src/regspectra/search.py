@@ -35,10 +35,12 @@ interlacing cut: the subgraph induced on the saturated vertices must itself
 have second eigenvalue at most lambda (one eigensolve per distinct labelled
 subgraph and order).
 
-Eigenvalue comparisons give the graph the benefit of a +1e-9 tolerance;
-candidates within 1e-6 of the threshold are re-checked in exact rational
-arithmetic through the characteristic polynomial, at every supported order,
-so boundary graphs are never accepted or rejected by rounding.
+The prune's float cut gives the partial graph a +1e-9 benefit, so it errs
+toward keeping.  Every accept or reject of a class goes through
+`spectra.eigenvalue_at_most`: within 1e-6 of the threshold it is settled in
+exact rational arithmetic through the characteristic polynomial, at every
+supported order, so boundary graphs are never accepted or rejected by
+rounding.
 """
 
 from __future__ import annotations
@@ -51,18 +53,17 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import exactpoly, kernel
+from . import kernel
 from .bounds import Real, to_fraction, triangle_cap
 from .errors import UnsupportedSizeError
 from .formats import pack_graph6, to_graph6
 from .graphs import Graph, reach
-from .spectra import spectrum
+from .spectra import eigenvalue_at_most, eigenvalue_at_most_exact, spectrum
 
 CANONICAL_CAP = 64
 DEFAULT_MAX_K = 5
 DEFAULT_MAX_N = 16
 ACCEPT_TOL = 1e-9
-BOUNDARY_WINDOW = 1e-6
 # Serial candidates reach the dedup in batches: handing them over one at a
 # time cost about 7 % more CPU on v_search(3, 2, 12, prune=False) (median of
 # 24 in-process pairs; CPython 3.11, 2-core x86 host); from 256 up a batch is
@@ -246,10 +247,7 @@ def _first_orders(bits: Sequence[int], leaves, autos: list) -> dict[int, list[in
 
 
 def canonical_form(
-    g: Union[Graph, Sequence[int]],
-    cap: int = CANONICAL_CAP,
-    *,
-    keys: Optional[set[int]] = None,
+    g: Union[Graph, Sequence[int]], *, keys: Optional[set[int]] = None
 ) -> CanonicalForm:
     """Canonical labeling and certificate; isomorphic graphs map to identical
     certificates (and only those - each leaf is an actual relabelling).  The
@@ -269,8 +267,8 @@ def canonical_form(
     `_dedup`)."""
     bits = g.bits() if isinstance(g, Graph) else g
     n = len(bits)
-    if n > cap:
-        raise UnsupportedSizeError(f"order {n} exceeds canonical cap {cap}")
+    if n > CANONICAL_CAP:
+        raise UnsupportedSizeError(f"order {n} exceeds canonical cap {CANONICAL_CAP}")
     if n < 1:
         raise ValueError("graph must have at least one vertex")
     autos: list = []
@@ -578,8 +576,6 @@ def _candidate_rows(k: int, n: int, prune_lam: Optional[Real], workers: int):
 def enum_connected_regular(
     k: int,
     n: int,
-    max_k: int = DEFAULT_MAX_K,
-    max_n: int = DEFAULT_MAX_N,
     prune_lam: Optional[Real] = None,
     workers: int = 1,
     _info: Optional[dict] = None,
@@ -604,9 +600,9 @@ def enum_connected_regular(
         raise ValueError("need k >= 0 and n >= 1")
     if k >= n:
         raise ValueError("a simple k-regular graph needs n > k")
-    if k > max_k or n > max_n:
+    if k > DEFAULT_MAX_K or n > DEFAULT_MAX_N:
         raise UnsupportedSizeError(
-            f"(k={k}, n={n}) beyond caps (max_k={max_k}, max_n={max_n})"
+            f"(k={k}, n={n}) beyond caps (max_k={DEFAULT_MAX_K}, max_n={DEFAULT_MAX_N})"
         )
     if not parity_ok(k, n):
         return []
@@ -624,16 +620,9 @@ def enum_connected_regular(
 
 
 def second_eigenvalue_at_most(g: Graph, lam: Fraction) -> bool:
-    """Exact check that lambda_2(g) <= lam for a connected graph.
-
-    Counts distinct characteristic roots above lam with a Sturm chain; the
-    Perron root of a connected graph is simple, so lambda_2 > lam iff at
-    least two distinct roots exceed lam.
-    """
-    if not g.is_connected():
-        raise ValueError("exact recheck requires a connected graph")
-    poly = exactpoly.charpoly(g.adj.astype(int).tolist())
-    return exactpoly.count_roots_greater(poly, lam) <= 1
+    """Exact check that lambda_2(g) <= lam: at most one characteristic root,
+    counted with multiplicity, exceeds lam (`spectra.eigenvalue_at_most_exact`)."""
+    return eigenvalue_at_most_exact(g.adj, 2, lam)
 
 
 # -- the search driver ---------------------------------------------------------------
@@ -727,25 +716,19 @@ def _judge(g: Graph, certificate: str, lam: Fraction) -> Optional[ExtremalGraph]
     """The witness record of `g` (canonical certificate `certificate`) if
     lambda_2(g) <= lam, else None.
 
-    The float filter gives the graph a +ACCEPT_TOL benefit; within
-    BOUNDARY_WINDOW of lam the exact recheck decides instead."""
-    lam_f = float(lam)
+    The verdict is `spectra.eigenvalue_at_most`'s on the spectrum's floats;
+    `boundary` records that its exact leg decided."""
     spec = spectrum(g)
-    l2 = spec.second_largest()
-    boundary = abs(l2 - lam_f) < BOUNDARY_WINDOW
-    accept = l2 <= lam_f + ACCEPT_TOL
-    exact_confirmed: Optional[bool] = None
-    if boundary:
-        exact_confirmed = accept = second_eigenvalue_at_most(g, lam)
+    accept, boundary = eigenvalue_at_most(g.adj, 2, lam, spec.values())
     if not accept:
         return None
     return ExtremalGraph(
         graph6=to_graph6(g),
         certificate=certificate,
-        second_largest=l2,
+        second_largest=spec.second_largest(),
         spectrum_json=spec.to_json_obj(),
         boundary=boundary,
-        exact_confirmed=exact_confirmed,
+        exact_confirmed=True if boundary else None,
     )
 
 
@@ -755,15 +738,14 @@ def v_search(
     n_max: int,
     prune: bool = True,
     workers: int = 1,
-    max_k: int = DEFAULT_MAX_K,
-    max_n: int = DEFAULT_MAX_N,
 ) -> SearchReport:
     """Maximum order of a connected k-regular graph with second largest
     eigenvalue at most lam, exhaustively over orders <= n_max.
 
-    Every candidate class is re-validated (connected, k-regular, eigenvalue
-    filter with +1e-9 tolerance; exact rational recheck within 1e-6 of the
-    threshold).  When caps cut the range, the report is marked incomplete.
+    Every candidate class is re-validated (connected, k-regular) and judged
+    by `spectra.eigenvalue_at_most` (exact within 1e-6 of the threshold).
+    When the caps DEFAULT_MAX_K and DEFAULT_MAX_N cut the range, the report
+    is marked incomplete.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -772,8 +754,8 @@ def v_search(
     lam_fr = to_fraction(lam)
     lam_f = float(lam_fr)
 
-    complete = k <= max_k and n_max <= max_n
-    n_cap = min(n_max, max_n) if k <= max_k else k  # empty range when k too big
+    complete = k <= DEFAULT_MAX_K and n_max <= DEFAULT_MAX_N
+    n_cap = min(n_max, DEFAULT_MAX_N) if k <= DEFAULT_MAX_K else k  # empty range when k too big
 
     counts: dict[int, OrderCount] = {}
     passed_by_order: dict[int, list[ExtremalGraph]] = {}
@@ -784,13 +766,7 @@ def v_search(
             continue
         cinfo: dict = {}
         graphs = enum_connected_regular(
-            k,
-            n,
-            max_k=max_k,
-            max_n=max_n,
-            prune_lam=lam_fr if prune else None,
-            workers=workers,
-            _info=cinfo,
+            k, n, prune_lam=lam_fr if prune else None, workers=workers, _info=cinfo
         )
         passed: list[ExtremalGraph] = []
         for g, cert in zip(graphs, cinfo["certificates"]):

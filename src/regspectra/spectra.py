@@ -3,6 +3,10 @@
 All eigenvalue work funnels through `kernel.sym_eigenvalues` (LAPACK
 through numpy).  Partition quotients are not symmetric in general, but they
 are diagonally similar to a symmetric matrix, which is what the kernel solves.
+
+Every verdict of an eigenvalue against a rational bound lambda goes through
+`eigenvalue_at_most`: floats decide away from the bound, and within
+BOUNDARY_WINDOW of it the characteristic polynomial does, exactly.
 """
 
 from __future__ import annotations
@@ -13,13 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernel
+from . import exactpoly, kernel
 from .graphs import Graph
 
 SYMMETRY_TOL = 1e-12
 GROUP_TOL = 1e-8
-EIG_ACCURACY = 1e-10  # contract: error <= EIG_ACCURACY * (1 + max-norm)
 INTERLACING_TOL = 1e-9
+BOUNDARY_WINDOW = 1e-6
 
 
 def eig_symmetric(matrix) -> list[float]:
@@ -141,6 +145,39 @@ def lambda_min(g: Graph) -> float:
 
 def lambda_max(g: Graph) -> float:
     return eig_symmetric(g.adj.astype(np.float64))[0]
+
+
+# -- the boundary rule -------------------------------------------------------------
+
+
+def eigenvalue_at_most_exact(matrix, i: int, x: Fraction) -> bool:
+    """Whether the i-th largest eigenvalue of a rational square matrix with
+    real spectrum is at most x, exactly: at most i - 1 characteristic roots,
+    counted with multiplicity (Yun's square-free decomposition), exceed x.
+    For i = 1 the count of distinct roots already settles it."""
+    p = exactpoly.charpoly(np.asarray(matrix).tolist())
+    if i == 1:
+        return exactpoly.count_roots_greater(p, x) == 0
+    factors = exactpoly.squarefree_decomposition(p)
+    return sum(m * exactpoly.count_roots_greater(q, x) for q, m in factors) < i
+
+
+def eigenvalue_at_most(matrix, i: int, x, vals=None) -> tuple[bool, bool]:
+    """(verdict, exact): whether the i-th largest eigenvalue (1-indexed,
+    counting multiplicity) of an integer symmetric matrix is at most the
+    rational x, and whether the exact leg decided it.
+
+    `vals` are the caller's floats for the matrix's eigenvalues, descending
+    (only the first i are read); without them `eig_symmetric` computes them.
+    Farther than BOUNDARY_WINDOW from x the floats decide; nearer,
+    `eigenvalue_at_most_exact` does."""
+    x = Fraction(x)
+    if vals is None:
+        vals = eig_symmetric(matrix)
+    gap = vals[i - 1] - float(x)
+    if abs(gap) >= BOUNDARY_WINDOW:
+        return bool(gap < 0), False
+    return eigenvalue_at_most_exact(matrix, i, x), True
 
 
 # -- coclique extension spectrum (closed form) ---------------------------------

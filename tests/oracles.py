@@ -1,11 +1,14 @@
 """Brute-force oracles for the tests: exhaustive over subsets and
-permutations, so only for tiny inputs; and a breadth-first search by vertex
-queue, independent of the package's bitmask frontiers."""
+permutations, so only for tiny inputs; a breadth-first search by vertex
+queue, independent of the package's bitmask frontiers; and integer
+eigenvalue multiplicities by exact rank, independent of the characteristic
+polynomial."""
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
@@ -132,3 +135,37 @@ def bfs_pair_data(g: Graph) -> dict:
         "max_finite": max_finite,
         "gamma2_max": max(row.count(2) for row in dist),
     }
+
+
+def _rank(rows: list[list[Fraction]]) -> int:
+    """Rank over the rationals by Gaussian elimination."""
+    rows = [row[:] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def integer_spectrum(g: Graph) -> list[int]:
+    """Oracle: the eigenvalues of a graph whose spectrum is integral,
+    descending with multiplicity; theta has multiplicity n - rank(A - theta I),
+    computed exactly.  Raises ValueError when the integer eigenvalues in
+    [-max degree, max degree] do not account for all n."""
+    n = g.n
+    top = max(g.degrees(), default=0)
+    out: list[int] = []
+    for theta in range(top, -top - 1, -1):
+        rows = [[Fraction(int(g.adj[u, w]) - (theta if u == w else 0)) for w in range(n)]
+                for u in range(n)]
+        out += [theta] * (n - _rank(rows))
+    if len(out) != n:
+        raise ValueError("spectrum is not integral")
+    return out

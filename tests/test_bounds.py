@@ -13,12 +13,17 @@ from regspectra.construct import (
     complete_multipartite,
     cycle,
     disjoint_union,
+    edgeless,
     petersen,
     random_graph,
 )
 from regspectra.graphs import Graph, regularity_params
-from regspectra.spectra import lambda_min
+from regspectra.spectra import eigenvalue_at_most
 from oracles import bfs_pair_data
+
+
+def _lambda_min_at_least(g: Graph, lam) -> bool:
+    return eigenvalue_at_most(-g.adj.astype(int), 1, lam)[0]
 
 
 def test_to_fraction():
@@ -50,13 +55,12 @@ def test_thresholds_minimality():
 
     for lam in (1, Fraction(3, 2), 2, Fraction(5, 2), 3):
         th = bounds.thresholds(lam)
-        lam_f = float(bounds.to_fraction(lam))
         if th.t_prime > 1:
-            assert lambda_min(complete_bipartite(2, th.t_prime - 1)) >= -lam_f - 1e-9
-        assert lambda_min(complete_bipartite(2, th.t_prime)) < -lam_f - 1e-9
+            assert _lambda_min_at_least(complete_bipartite(2, th.t_prime - 1), lam)
+        assert not _lambda_min_at_least(complete_bipartite(2, th.t_prime), lam)
         if th.m_prime > 1:
-            assert lambda_min(k_tilde(th.m_prime - 1)) >= -lam_f - 1e-9
-        assert lambda_min(k_tilde(th.m_prime)) < -lam_f - 1e-9
+            assert _lambda_min_at_least(k_tilde(th.m_prime - 1), lam)
+        assert not _lambda_min_at_least(k_tilde(th.m_prime), lam)
 
 
 @pytest.mark.parametrize(
@@ -99,6 +103,24 @@ def test_prop13_examples():
     cert = bounds.prop13_verifier(complete_bipartite(4, 4), 1, 4)
     assert cert.verified and not cert.evidence["applicable"]
     assert not cert.evidence["premise_lambda_min"]
+
+
+@pytest.mark.parametrize(
+    "lam, holds",
+    [(2 - Fraction(1, 10**9), False), (Fraction(2), True), (2 + Fraction(1, 10**9), True)],
+)
+def test_lambda_min_premise_settled_exactly_at_the_boundary(lam, holds):
+    # lambda_min = -2 exactly for all three; the floats give -2.0 for C4 and
+    # K_{2,2,2,2} but -2.0000000000000004 for the octahedron, so a float
+    # margin answered differently for them near lambda = 2
+    graphs = [cycle(4), complete_multipartite([2, 2, 2, 2]), complete_multipartite([2, 2, 2])]
+    for g in graphs:
+        for cert in (bounds.prop13_verifier(g, lam, 1), bounds.co_edge_bound_check(g, lam)):
+            assert cert.evidence["premise_lambda_min"] is holds, (g.n, cert.claim)
+            assert cert.tolerance == 0
+    # lambda_min(q(2K1)) = -1 - lambda_max(K2) = -2 exactly
+    cert = bounds.isolated_vertex_bound_check(lam, edgeless(2))
+    assert cert.evidence["strictly_below_minus_lambda"] is not holds
 
 
 def test_prop13_detects_conclusion_failure():
@@ -227,6 +249,9 @@ def test_certificate_json():
     _, cert = bounds.lower_bound_graph(1, 2)
     obj = cert.to_json_obj()
     assert obj["verified"] and obj["claim"] == "coclique-extension-lower-bound"
+    # the numeric spectrum match uses SPECTRUM_TOL; the exact checks use none
+    assert obj["tolerance"] == bounds.SPECTRUM_TOL
+    assert bounds.prop13_verifier(petersen(), 2, 1).to_json_obj()["tolerance"] == 0
 
 
 def test_isolated_vertex_bound_exhaustive_small():
@@ -249,16 +274,6 @@ def test_isolated_vertex_bound_exhaustive_small():
 CAP_GRID = tuple(
     Fraction(x) for x in ("-1", "0", "1/2", "1", "5/4", "3/2", "5/3", "2", "9/4", "5/2")
 )
-
-
-def _lambda2_at_most(g: Graph, lam: Fraction) -> bool:
-    from regspectra.search import second_eigenvalue_at_most
-    from regspectra.spectra import second_largest
-
-    l2 = second_largest(g)
-    if abs(l2 - lam) < 1e-6:
-        return second_eigenvalue_at_most(g, lam)
-    return l2 < lam
 
 
 def test_triangle_cap_sound_and_attained():
@@ -284,7 +299,7 @@ def test_triangle_cap_sound_and_attained():
                 cap = bounds.triangle_cap(k, n, lam)
                 assert cap is not None and cap == bounds.triangle_cap(k, n, str(lam))
                 most = max(
-                    (t for g, t in zip(classes, triangles) if _lambda2_at_most(g, lam)),
+                    (t for g, t in zip(classes, triangles) if eigenvalue_at_most(g.adj, 2, lam)[0]),
                     default=None,
                 )
                 if most is None:

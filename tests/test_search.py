@@ -665,8 +665,9 @@ def test_worker_pool_no_larger_than_the_jobs(monkeypatch):
 
 
 def test_v_search_incomplete_flag():
-    r = search.v_search(3, 0, 18, max_n=10)
-    assert not r.complete
+    r = search.v_search(3, 0, search.DEFAULT_MAX_N + 2)
+    assert not r.complete and r.n_max == search.DEFAULT_MAX_N + 2
+    assert max(r.counts) == search.DEFAULT_MAX_N
     assert r.exact_v == 6
 
 

@@ -21,11 +21,13 @@ from regspectra.construct import (
 from regspectra.spectra import (
     coclique_extension_spectrum,
     eig_symmetric,
+    eigenvalue_at_most,
     group_eigenvalues,
     interlacing_check,
     quotient_matrix,
     spectrum,
 )
+from oracles import integer_spectrum
 
 
 def test_eig_symmetric_validation():
@@ -270,3 +272,48 @@ def test_quotient_singleton_partition_is_adjacency():
     got = sorted(q.eigenvalue_list())
     want = sorted(eig_symmetric(g.adj.astype(float)))
     assert max(abs(x - y) for x, y in zip(got, want)) < 1e-8
+
+
+def test_eigenvalue_at_most_counts_multiplicity(monkeypatch):
+    # L(Petersen): spectrum 4, 2^5, -1^4, -2^5.  Just below 2 six eigenvalues
+    # exceed x but only two distinct roots do, so for i = 3..6 a distinct
+    # count would wrongly say lambda_i <= x; the floats (2.0 up to rounding)
+    # lie inside the window, so the exact leg decides
+    g = line_graph(petersen())
+    exact = integer_spectrum(g)
+    assert exact == [4] + [2] * 5 + [-1] * 4 + [-2] * 5
+    vals = eig_symmetric(g.adj)
+    x = Fraction(2) - Fraction(1, 10**10)
+    poly = exactpoly.charpoly(g.adj.astype(int).tolist())
+    assert exactpoly.count_roots_greater(poly, x) == 2
+    for i in range(3, 7):
+        assert eigenvalue_at_most(g.adj, i, x, vals) == (False, True)
+    # every index against the oracle, at and around each eigenvalue, with the
+    # caller's floats (no eigensolve) and without them
+    eps = Fraction(1, 10**10)
+    points = [t + d for t in (4, 2, -1, -2) for d in (-eps, 0, eps)] + [Fraction(1, 2), 3]
+    expected = {(i, p): exact[i - 1] <= p for i in range(1, 16) for p in points}
+    unsolved = {}
+    for (i, p), want in expected.items():
+        unsolved[i, p] = eigenvalue_at_most(g.adj, i, p)
+        assert unsolved[i, p][0] == want, (i, p)
+        assert unsolved[i, p][1] == (abs(exact[i - 1] - p) <= eps), (i, p)
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve despite the caller's floats")
+
+    monkeypatch.setattr(spectra, "eig_symmetric", no_eigensolve)
+    for (i, p), got in unsolved.items():
+        assert eigenvalue_at_most(g.adj, i, p, vals) == got
+
+
+def test_eigenvalue_at_most_exact_leg_on_a_non_symmetric_matrix():
+    # the tilde-graph quotient ((m-1, m, 0), (m, m-1, 1), (0, m, 0)) at m = 2
+    # has characteristic polynomial x^3 - 2x^2 - 5x + 2, with roots 3.323...,
+    # 0.357... and -1.681...; so its negation has 1.681..., -0.357..., -3.323...
+    neg = [[-1, -2, 0], [-2, -1, -1], [0, -2, 0]]
+    assert spectra.eigenvalue_at_most_exact(neg, 1, Fraction(27, 16))
+    assert not spectra.eigenvalue_at_most_exact(neg, 1, Fraction(5, 3))
+    assert spectra.eigenvalue_at_most_exact(neg, 2, Fraction(0))
+    assert not spectra.eigenvalue_at_most_exact(neg, 2, Fraction(-2, 5))
+    assert spectra.eigenvalue_at_most_exact(neg, 3, Fraction(-3))
