@@ -38,17 +38,17 @@ from .construct import (
 from .graphs import regularity_params
 from .hoffman import HoffmanGraph, attach_universal_fat, fatten
 from .spectra import (
+    GROUP_TOL,
+    INTERLACING_TOL,
     coclique_extension_spectrum,
     eig_symmetric,
-    eigenvalue_at_most,
     group_eigenvalues,
     lambda_max,
     lambda_min,
+    lambda_min_at_least,
     quotient_matrix,
     spectrum,
 )
-
-TOL = 1e-8
 
 
 @dataclass
@@ -121,9 +121,9 @@ def criterion_01():
         g = complement(line_graph(complete_bipartite(2, a + 1)))
         got = spectrum(g)
         want = group_eigenvalues(
-            [float(a)] + [1.0] * a + [-1.0] * a + [-float(a)], TOL
+            [float(a)] + [1.0] * a + [-1.0] * a + [-float(a)], GROUP_TOL
         )
-        if not got.approx_eq(want, tol=TOL):
+        if not got.approx_eq(want):
             failures.append((a, str(got)))
     return not failures, {"a_range": [2, 10], "failures": failures}, ""
 
@@ -144,7 +144,7 @@ def criterion_02():
             expanded = formula.values()
             diffs = [abs(x - y) for x, y in zip(expanded, direct)]
             worst = max(worst, max(diffs))
-            if len(expanded) != len(direct) or worst > TOL:
+            if len(expanded) != len(direct) or worst > GROUP_TOL:
                 return False, {"worst": worst, "n": n, "q": q}, ""
     return True, {"graphs": 50, "q": [2, 3], "worst_abs_diff": worst}, ""
 
@@ -171,8 +171,8 @@ def criterion_04():
     for name, h in hoffman.catalog():
         lm = h.lambda_min()
         seq = hoffman.fattening_lambda_min_sequence(h, 30)
-        monotone = all(seq[i + 1] <= seq[i] + 1e-9 for i in range(len(seq) - 1))
-        bounded = all(x >= lm - 1e-9 for x in seq)
+        monotone = all(seq[i + 1] <= seq[i] + INTERLACING_TOL for i in range(len(seq) - 1))
+        bounded = all(x >= lm - INTERLACING_TOL for x in seq)
         gap = seq[-1] - lm
         rows[name] = {"lambda_min": lm, "final_gap": gap,
                       "monotone": monotone, "bounded_below": bounded}
@@ -201,7 +201,7 @@ def criterion_05_as_stated():
     for h in _universal_fat_sample():
         value = abs(attach_universal_fat(h).lambda_min() + lambda_max(complement(h)))
         worst = max(worst, value)
-    return worst <= TOL, {"sample": 100, "worst_abs": worst}, (
+    return worst <= GROUP_TOL, {"sample": 100, "worst_abs": worst}, (
         "identity as quoted is off by one: S(q(H)) = A - J = -(I + A(co-H))"
     )
 
@@ -214,7 +214,7 @@ def criterion_05_corrected():
     for h in _universal_fat_sample():
         value = abs(attach_universal_fat(h).lambda_min() + 1.0 + lambda_max(complement(h)))
         worst = max(worst, value)
-    return worst <= TOL, {"sample": 100, "worst_abs": worst}, ""
+    return worst <= GROUP_TOL, {"sample": 100, "worst_abs": worst}, ""
 
 
 @_claim("A6", "every order-7 graph with an isolated vertex has lambda_min(q) < -2",
@@ -236,12 +236,12 @@ def criterion_06():
 def criterion_07():
     """Threshold minimality and the tilde-graph quotient matrix."""
     def at_least(g, lam):  # lambda_min(g) >= -lam
-        return eigenvalue_at_most(-g.adj.astype(int), 1, lam, [-lambda_min(g)])[0]
+        return lambda_min_at_least(g.adj.astype(int), lam)[0]
 
     details: dict = {}
     for lam in (1, Fraction(3, 2), 2, Fraction(5, 2), 3):
         th = bounds.thresholds(lam)
-        lam_fr = bounds.to_fraction(lam)
+        lam_fr = Fraction(lam)
         if th.t_prime != math.floor(lam_fr**2 / 2) + 1:
             return False, {"lambda": str(lam), "t_prime": th.t_prime}, "t' closed form"
         if th.m_prime > 1 and not at_least(k_tilde(th.m_prime - 1), lam_fr):
@@ -263,7 +263,7 @@ def criterion_07():
         gmin = lambda_min(g)
         quotient_worst = max(quotient_worst, abs(qmin - gmin))
     details["quotient_vs_full_worst"] = quotient_worst
-    return quotient_worst <= TOL, details, ""
+    return quotient_worst <= GROUP_TOL, details, ""
 
 
 def _random_hoffman(rng: random.Random) -> HoffmanGraph:

@@ -67,21 +67,16 @@ class CliquePartition:
         }
 
 
-def maximal_cliques(
-    g: Graph,
-    n: int,
-    max_order: int = CLIQUE_ORDER_CAP,
-    max_cliques: int = CLIQUE_COUNT_CAP,
-) -> CliqueFamily:
+def maximal_cliques(g: Graph, n: int) -> CliqueFamily:
     """All maximal cliques of g with at least n vertices (Bron-Kerbosch, pivoting).
 
     Deterministic: the family is sorted by the sorted vertex tuples.  Raises
-    CapExceededError past `max_order` vertices or `max_cliques` cliques.
+    CapExceededError past CLIQUE_ORDER_CAP vertices or CLIQUE_COUNT_CAP cliques.
     """
     if n < 1:
         raise ValueError("threshold must be >= 1")
-    if g.n > max_order:
-        raise CapExceededError(f"graph order {g.n} exceeds clique cap {max_order}")
+    if g.n > CLIQUE_ORDER_CAP:
+        raise CapExceededError(f"graph order {g.n} exceeds clique cap {CLIQUE_ORDER_CAP}")
     bits = g.bits()
     found: list[int] = []
 
@@ -89,9 +84,9 @@ def maximal_cliques(
         if p == 0 and x == 0:
             if r.bit_count() >= n:
                 found.append(r)
-                if len(found) > max_cliques:
+                if len(found) > CLIQUE_COUNT_CAP:
                     raise CapExceededError(
-                        f"more than {max_cliques} maximal cliques of size >= {n}"
+                        f"more than {CLIQUE_COUNT_CAP} maximal cliques of size >= {n}"
                     )
             return
         if r.bit_count() + p.bit_count() < n:

@@ -31,23 +31,16 @@ from .graphs import Graph, components, distance_layers, members, regularity_para
 from .hoffman import attach_universal_fat
 from .ramsey import RamseyValue, ramsey_lookup
 from .spectra import (
-    eig_symmetric,
-    eigenvalue_at_most,
+    GROUP_TOL,
     eigenvalue_at_most_exact,
     group_eigenvalues,
-    lambda_min,
+    lambda_min_at_least,
     spectrum,
 )
 
-SPECTRUM_TOL = 1e-8
-
+# anything `Fraction` takes: 'p/q' and decimal strings, and a float at its
+# exact binary value
 Real = Union[int, float, str, Fraction]
-
-
-def to_fraction(x: Real) -> Fraction:
-    """Exact rational value of x ('p/q' and decimal strings accepted; a float
-    gives its exact binary value)."""
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -114,7 +107,7 @@ def thresholds(lam: Real) -> Thresholds:
     graph K~_2m falls strictly below -lambda, settled exactly.  Since K~_2m is
     an induced subgraph of K~_2(m+1), lambda_min is non-increasing in m
     (interlacing), so m' is found by doubling and then bisection."""
-    lam = to_fraction(lam)
+    lam = Fraction(lam)
     if lam < 1:
         raise ValueError("lambda must be >= 1")
     lo, hi = 0, 1  # not below at lo (vacuously at 0); below at hi once found
@@ -180,7 +173,7 @@ def triangle_cap(k: int, n: int, lam: Real) -> Optional[int]:
     floor((k^3 + min(A, B)) / 6), settled without rounding."""
     if k < 0 or n <= k:
         raise ValueError("need 0 <= k < n")
-    lam = to_fraction(lam)
+    lam = Fraction(lam)
     if lam >= k:
         return None
     s2 = n * k - k * k
@@ -211,16 +204,15 @@ def isolated_vertex_bound_check(lam: Real, h: Graph) -> BoundCertificate:
     """Contrapositive instance of the isolated-vertex bound: a graph with an
     isolated vertex on more than floor(lam^2)+1 vertices must give
     lambda_min(q(H)) < -lambda."""
-    lam = to_fraction(lam)
+    lam = Fraction(lam)
     if lam < 1:
         raise ValueError("lambda must be >= 1")
     if all(h.degree(v) > 0 for v in range(h.n)):
         raise ValueError("graph has no isolated vertex")
     cap = math.floor(lam * lam) + 1
-    s = attach_universal_fat(h).special_matrix()
-    lam_min_q = eig_symmetric(s)[-1]
+    at_least, lam_min_q = lambda_min_at_least(attach_universal_fat(h).special_matrix(), lam)
     applicable = h.n > cap
-    strictly_below = not eigenvalue_at_most(-s, 1, lam, [-lam_min_q])[0]
+    strictly_below = not at_least
     verified = (not applicable) or strictly_below
     return BoundCertificate(
         claim="isolated-vertex-bound",
@@ -240,7 +232,7 @@ def isolated_vertex_bound_check(lam: Real, h: Graph) -> BoundCertificate:
 
 def m_lambda_lower(lam: Real) -> int:
     """Computable part of the common-neighbor constant: floor(lam^3 + 1)."""
-    lam = to_fraction(lam)
+    lam = Fraction(lam)
     return math.floor(lam**3) + 1
 
 
@@ -251,7 +243,7 @@ def m_lambda_interval(lam: Real, n_prime: Optional[int] = None) -> tuple[int, Op
     bounds from below and no upper end exists.  With a hypothesized n', the
     Ramsey interval sharpens both ends.
     """
-    lam = to_fraction(lam)
+    lam = Fraction(lam)
     lo = m_lambda_lower(lam)
     if n_prime is None:
         return lo, None
@@ -270,15 +262,14 @@ def prop13_verifier(g: Graph, lam: Real, m_common: int) -> BoundCertificate:
     the conclusions hold.  The largest finite distance is the largest
     eccentricity and Gamma_2(x) the BFS layer at distance 2.
     """
-    lam = to_fraction(lam)
+    lam = Fraction(lam)
     d2_min = regularity_params(g).dist2_common_min
     around = [distance_layers(g, x) for x in range(g.n)]
     max_finite = max(dl.eccentricity for dl in around)
     gamma2_max = max(len(dl.layer(2)) for dl in around)
 
     premise_common = d2_min is None or d2_min >= m_common
-    lmin = lambda_min(g)
-    premise_eig = eigenvalue_at_most(-g.adj.astype(int), 1, lam, [-lmin])[0]
+    premise_eig, lmin = lambda_min_at_least(g.adj.astype(int), lam)
 
     gamma2_cap = math.floor(lam) * math.floor(lam * lam)
     concl_diameter = max_finite <= 2
@@ -346,7 +337,7 @@ def known_v(k: int, lam: Real) -> KnownValue:
     """Piecewise-known maximum order for degree k and eigenvalue bound lambda."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    lam = to_fraction(lam)
+    lam = Fraction(lam)
 
     if lam < -1:
         return KnownValue(
@@ -404,11 +395,11 @@ def lower_bound_graph(lam: int, a: int) -> tuple[Graph, BoundCertificate]:
 
     expected_vals = [float(k)] + [float(lam)] * a + [-float(lam)] * a + [-float(k)]
     expected_vals += [0.0] * ((lam - 1) * (2 * a + 2))
-    expected = group_eigenvalues(expected_vals, SPECTRUM_TOL)
-    actual = spectrum(g, tol=SPECTRUM_TOL)
-    spectrum_ok = actual.approx_eq(expected, tol=SPECTRUM_TOL)
+    expected = group_eigenvalues(expected_vals, GROUP_TOL)
+    actual = spectrum(g)
+    spectrum_ok = actual.approx_eq(expected)
     lam2 = actual.second_largest()
-    lam2_ok = abs(lam2 - lam) <= SPECTRUM_TOL
+    lam2_ok = abs(lam2 - lam) <= GROUP_TOL
 
     verified = regular_ok and order_ok and spectrum_ok and lam2_ok
     cert = BoundCertificate(
@@ -423,7 +414,7 @@ def lower_bound_graph(lam: int, a: int) -> tuple[Graph, BoundCertificate]:
             "spectrum": actual.to_json_obj(),
             "consequence": f"max order for (k={k}, lambda={lam}) >= {order_expected}",
         },
-        tolerance=SPECTRUM_TOL,
+        tolerance=GROUP_TOL,
     )
     return g, cert
 
@@ -444,7 +435,7 @@ def co_edge_bound_check(g: Graph, lam: Real) -> BoundCertificate:
     """Report (v, k, c2), lambda_min and v-k-1 against the (lambda-1)^2/4 + 1
     cap for a connected co-edge-regular graph; for lambda = 2 the computable
     threshold C2(2) = 8 makes the implication falsifiable and it is checked."""
-    lam = to_fraction(lam)
+    lam = Fraction(lam)
     rp = regularity_params(g)
     if not g.is_connected():
         raise ValueError("graph must be connected")
@@ -452,8 +443,7 @@ def co_edge_bound_check(g: Graph, lam: Real) -> BoundCertificate:
         raise ValueError("graph is not co-edge-regular")
     c2 = rp.c2_coedge
     vacuous = c2 is None  # complete graph: no non-adjacent pairs
-    lmin = lambda_min(g)
-    premise_eig = eigenvalue_at_most(-g.adj.astype(int), 1, lam, [-lmin])[0]
+    premise_eig, lmin = lambda_min_at_least(g.adj.astype(int), lam)
     ell = g.n - rp.k - 1
     ell_cap = (lam - 1) ** 2 / 4 + 1
     ell_ok = Fraction(ell) <= ell_cap
@@ -507,8 +497,7 @@ def amply_regular_check(g: Graph, lam: int) -> BoundCertificate:
     rp = regularity_params(g)
     if not rp.amply_regular:
         raise ValueError("graph is not amply regular")
-    lmin = lambda_min(g)
-    premise_eig = eigenvalue_at_most(-g.adj.astype(int), 1, lam, [-lmin])[0]
+    premise_eig, lmin = lambda_min_at_least(g.adj.astype(int), lam)
     multipartite = is_complete_multipartite(g)
     mu_cap = mu_bound(lam)
     c2 = rp.c2_dist2
@@ -557,5 +546,4 @@ __all__ = [
     "srg_mu_check",
     "t_prime_closed_form",
     "thresholds",
-    "to_fraction",
 ]

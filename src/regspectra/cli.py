@@ -3,17 +3,15 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
 exceeded (a search whose range the caps cut still prints its report, marked
 incomplete, and exits 3).  `--lambda` accepts exact rationals ("3/2") as well
-as decimals so floor-based thresholds never misround.  REGSPECTRA_THREADS sets
-the default worker count for the search subcommand (results are identical for
-every worker count; workers only change wall time); a value that is not an
-integer is a usage error.
+as decimals so floor-based thresholds never misround.  `search --threads N`
+splits the generation tree over N worker processes (default 1); results are
+identical for every worker count, workers only change wall time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -38,7 +36,7 @@ def _emit_graph(g: Graph, args) -> None:
 
 def _parse_lambda(text: str) -> Fraction:
     try:
-        lam = bounds.to_fraction(text)
+        lam = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc
     try:
@@ -122,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="worker processes for the generation tree (default: REGSPECTRA_THREADS, else 1)",
+        default=1,
+        help="worker processes for the generation tree (default: 1)",
     )
 
     vp = sub.add_parser("verify", help="run the acceptance criteria", parents=[common])
@@ -273,22 +271,13 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _env_threads() -> int:
-    text = os.environ.get("REGSPECTRA_THREADS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"REGSPECTRA_THREADS must be an integer, not {text!r}") from None
-
-
 def _cmd_search(args) -> int:
-    threads = args.threads if args.threads is not None else _env_threads()
     report = search.v_search(
         args.k,
         args.lam,
         args.n_max,
         prune=not args.no_prune,
-        workers=max(1, threads),
+        workers=max(1, args.threads),
     )
     if args.json:
         print(json.dumps(report.to_json_obj()))

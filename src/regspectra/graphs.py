@@ -60,10 +60,6 @@ class Graph:
 
     # -- basic queries ----------------------------------------------------
 
-    @property
-    def order(self) -> int:
-        return self.n
-
     def bits(self) -> tuple[int, ...]:
         """Neighborhood bitmasks, one integer per vertex (cached)."""
         if self._bits is None:

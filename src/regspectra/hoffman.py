@@ -26,10 +26,9 @@ from . import formats
 from .construct import complete, edgeless
 from .errors import ConsistencyError
 from .graphs import Graph, contains_induced
-from .spectra import eig_symmetric, lambda_min
+from .spectra import INTERLACING_TOL, eig_symmetric, lambda_min
 
 HOFFMAN_PATTERN_CAP = 10
-SUBGRAPH_MIN_TOL = 1e-9
 
 
 class HoffmanGraph:
@@ -180,21 +179,24 @@ def fattening_lambda_min_sequence(h: HoffmanGraph, p_max: int) -> list[float]:
 
 
 def contains_hoffman_subgraph(
-    h: HoffmanGraph, pattern: HoffmanGraph, cap: int = HOFFMAN_PATTERN_CAP
+    h: HoffmanGraph, pattern: HoffmanGraph
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Label-respecting induced subgraph containment.
 
     This is graphs.contains_induced with the fat/slim labels as the two
-    colours.  Returns (found, witness) with witness[i] the host vertex for
-    pattern vertex i.  On success the induced-subgraph eigenvalue inequality
+    colours, for patterns of at most HOFFMAN_PATTERN_CAP vertices.  Returns
+    (found, witness) with witness[i] the host vertex for pattern vertex i.
+    On success the induced-subgraph eigenvalue inequality
     lambda_min(pattern) >= lambda_min(h) is asserted as a post-check.
     """
     h_fat = [h.is_fat(v) for v in range(h.n)]
     pattern_fat = [pattern.is_fat(v) for v in range(pattern.n)]
-    found, witness = contains_induced(h.graph, pattern.graph, cap, colours=(h_fat, pattern_fat))
+    found, witness = contains_induced(
+        h.graph, pattern.graph, HOFFMAN_PATTERN_CAP, colours=(h_fat, pattern_fat)
+    )
     # Induced Hoffman subgraphs cannot have a smaller lambda_min than the host.
     if found and pattern.slim_vertices() and h.slim_vertices():
-        if pattern.lambda_min() < h.lambda_min() - SUBGRAPH_MIN_TOL:
+        if pattern.lambda_min() < h.lambda_min() - INTERLACING_TOL:
             raise ConsistencyError(
                 "induced Hoffman subgraph with smaller lambda_min than its host"
             )

@@ -35,12 +35,12 @@ interlacing cut: the subgraph induced on the saturated vertices must itself
 have second eigenvalue at most lambda (one eigensolve per distinct labelled
 subgraph and order).
 
-The prune's float cut gives the partial graph a +1e-9 benefit, so it errs
-toward keeping.  Every accept or reject of a class goes through
-`spectra.eigenvalue_at_most`: within 1e-6 of the threshold it is settled in
-exact rational arithmetic through the characteristic polynomial, at every
-supported order, so boundary graphs are never accepted or rejected by
-rounding.
+The prune's float cut gives the partial graph `spectra.INTERLACING_TOL`
+(1e-9) of benefit, so it errs toward keeping.  Every accept or reject of a
+class goes through `spectra.eigenvalue_at_most`: within 1e-6 of the
+threshold it is settled in exact rational arithmetic through the
+characteristic polynomial, at every supported order, so boundary graphs are
+never accepted or rejected by rounding.
 """
 
 from __future__ import annotations
@@ -54,16 +54,15 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import kernel
-from .bounds import Real, to_fraction, triangle_cap
+from .bounds import Real, triangle_cap
 from .errors import UnsupportedSizeError
 from .formats import pack_graph6, to_graph6
 from .graphs import Graph, reach
-from .spectra import eigenvalue_at_most, eigenvalue_at_most_exact, spectrum
+from .spectra import INTERLACING_TOL, eigenvalue_at_most, eigenvalue_at_most_exact, spectrum
 
 CANONICAL_CAP = 64
 DEFAULT_MAX_K = 5
 DEFAULT_MAX_N = 16
-ACCEPT_TOL = 1e-9
 # Serial candidates reach the dedup in batches: handing them over one at a
 # time cost about 7 % more CPU on v_search(3, 2, 12, prune=False) (median of
 # 24 in-process pairs; CPython 3.11, 2-core x86 host); from 256 up a batch is
@@ -344,7 +343,7 @@ def spectral_prune(saturated: Graph, lam: float) -> bool:
     if saturated.n < 2:
         return True
     vals = kernel.sym_eigenvalues(saturated.adj)
-    return bool(vals[-2] <= lam + ACCEPT_TOL)
+    return bool(vals[-2] <= lam + INTERLACING_TOL)
 
 
 def _saturated_subgraph(rows: Sequence[int], sat: Sequence[int]) -> Graph:
@@ -550,7 +549,7 @@ def _candidate_rows(k: int, n: int, prune_lam: Optional[Real], workers: int):
     sat = 0 if k else (1 << n) - 1  # the empty graph; with k = 0 it is complete
     lam = tri_cap = None
     if prune_lam is not None:
-        exact = to_fraction(prune_lam)
+        exact = Fraction(prune_lam)
         lam, tri_cap = float(exact), triangle_cap(k, n, exact)
     if workers <= 1 or n <= 3:
         completion = _complete_from(k, n, [0] * n, sat, lam, tri_cap=tri_cap)
@@ -588,7 +587,7 @@ def enum_connected_regular(
     by isomorph rejection in one dedup pass (`_dedup`): only the first
     candidate of each class is labelled; every later one is skipped after its
     first leaf.  Odd k*n yields the empty list.  When `prune_lam` is set (any
-    rational `bounds.to_fraction` takes), subtrees whose saturated induced
+    rational `Fraction` takes), subtrees whose saturated induced
     subgraph already has second eigenvalue beyond it, or whose partial graph
     already has more triangles than `bounds.triangle_cap` allows, are cut
     (sound for the search driver, but the result is then only exhaustive for
@@ -635,7 +634,6 @@ class ExtremalGraph:
     second_largest: float
     spectrum_json: dict
     boundary: bool
-    exact_confirmed: Optional[bool]
 
     def graph(self) -> Graph:
         from .formats import from_graph6
@@ -705,7 +703,6 @@ class SearchReport:
                     "second_largest": e.second_largest,
                     "spectrum": e.spectrum_json,
                     "boundary": e.boundary,
-                    "exact_confirmed": e.exact_confirmed,
                 }
                 for e in self.extremal
             ],
@@ -728,7 +725,6 @@ def _judge(g: Graph, certificate: str, lam: Fraction) -> Optional[ExtremalGraph]
         second_largest=spec.second_largest(),
         spectrum_json=spec.to_json_obj(),
         boundary=boundary,
-        exact_confirmed=True if boundary else None,
     )
 
 
@@ -751,7 +747,7 @@ def v_search(
         raise ValueError("k must be >= 1")
     if n_max < k + 1:
         raise ValueError("n_max must allow at least k+1 vertices")
-    lam_fr = to_fraction(lam)
+    lam_fr = Fraction(lam)
     lam_f = float(lam_fr)
 
     complete = k <= DEFAULT_MAX_K and n_max <= DEFAULT_MAX_N

@@ -6,7 +6,10 @@ are diagonally similar to a symmetric matrix, which is what the kernel solves.
 
 Every verdict of an eigenvalue against a rational bound lambda goes through
 `eigenvalue_at_most`: floats decide away from the bound, and within
-BOUNDARY_WINDOW of it the characteristic polynomial does, exactly.
+BOUNDARY_WINDOW of it the characteristic polynomial does, exactly.  A least
+eigenvalue against -lambda goes through `lambda_min_at_least`, which asks it
+of the negated matrix.  The package's float tolerances are the four
+constants below and are set nowhere else.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ import numpy as np
 from . import exactpoly, kernel
 from .graphs import Graph
 
-SYMMETRY_TOL = 1e-12
-GROUP_TOL = 1e-8
-INTERLACING_TOL = 1e-9
-BOUNDARY_WINDOW = 1e-6
+SYMMETRY_TOL = 1e-12  # largest |a_ij - a_ji| an eigensolve input may have
+GROUP_TOL = 1e-8  # floats this close are one eigenvalue (scaled by the norm)
+INTERLACING_TOL = 1e-9  # slack on a float eigenvalue inequality that holds exactly
+BOUNDARY_WINDOW = 1e-6  # nearer than this to lambda, the exact leg decides
 
 
 def eig_symmetric(matrix) -> list[float]:
@@ -37,7 +40,7 @@ def eig_symmetric(matrix) -> list[float]:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     if a.shape[0] > 1 and np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric within 1e-12")
+        raise ValueError(f"matrix is not symmetric within {SYMMETRY_TOL}")
     vals = kernel.sym_eigenvalues(a)
     return [float(x) for x in vals[::-1]]
 
@@ -84,11 +87,11 @@ class Spectrum:
     def lambda_min(self) -> float:
         return self.pairs[-1][0]
 
-    def approx_eq(self, other: "Spectrum", tol: float = GROUP_TOL) -> bool:
+    def approx_eq(self, other: "Spectrum") -> bool:
         if self.n != other.n or len(self.pairs) != len(other.pairs):
             return False
         return all(
-            m1 == m2 and abs(v1 - v2) <= tol
+            m1 == m2 and abs(v1 - v2) <= GROUP_TOL
             for (v1, m1), (v2, m2) in zip(self.pairs, other.pairs)
         )
 
@@ -124,11 +127,11 @@ def group_eigenvalues(values: Sequence[float], tol: float) -> Spectrum:
     return Spectrum(pairs=pairs, tolerance=tol)
 
 
-def spectrum(g: Graph, tol: float = GROUP_TOL) -> Spectrum:
-    """Adjacency spectrum of g, grouped with norm-scaled tolerance."""
+def spectrum(g: Graph) -> Spectrum:
+    """Adjacency spectrum of g, grouped with GROUP_TOL scaled by the norm."""
     vals = eig_symmetric(g.adj.astype(np.float64))
     norm = max(g.degrees()) if g.n else 0
-    return group_eigenvalues(vals, tol * max(1.0, float(norm)))
+    return group_eigenvalues(vals, GROUP_TOL * max(1.0, float(norm)))
 
 
 def second_largest(g: Graph) -> float:
@@ -178,6 +181,16 @@ def eigenvalue_at_most(matrix, i: int, x, vals=None) -> tuple[bool, bool]:
     if abs(gap) >= BOUNDARY_WINDOW:
         return bool(gap < 0), False
     return eigenvalue_at_most_exact(matrix, i, x), True
+
+
+def lambda_min_at_least(matrix, lam) -> tuple[bool, float]:
+    """(verdict, lambda_min): whether the least eigenvalue of an integer
+    symmetric matrix is at least -lam, asked of `eigenvalue_at_most` as
+    "the largest eigenvalue of the negated matrix is at most lam", and the
+    least eigenvalue's float."""
+    m = np.asarray(matrix)
+    lmin = eig_symmetric(m)[-1]
+    return eigenvalue_at_most(-m, 1, lam, [-lmin])[0], lmin
 
 
 # -- coclique extension spectrum (closed form) ---------------------------------
@@ -273,22 +286,14 @@ def quotient_matrix(g: Graph, partition: Sequence[Sequence[int]]) -> QuotientRes
         raise ValueError("partition must cover the vertex set disjointly")
     if any(len(p) == 0 for p in parts):
         raise ValueError("partition parts must be nonempty")
-    t = len(parts)
+    bits = g.bits()
+    masks = [sum(1 << w for w in p) for p in parts]
     matrix = []
     equitable = True
-    for i in range(t):
-        row = []
-        for j in range(t):
-            counts = {sum(1 for w in parts[j] if g.adj[v, w]) for v in parts[i]}
-            if len(counts) > 1:
-                equitable = False
-                total = sum(
-                    sum(1 for w in parts[j] if g.adj[v, w]) for v in parts[i]
-                )
-                row.append(Fraction(total, len(parts[i])))
-            else:
-                row.append(Fraction(counts.pop()))
-        matrix.append(tuple(row))
+    for p in parts:
+        counts = [tuple((bits[v] & mask).bit_count() for mask in masks) for v in p]
+        equitable = equitable and len(set(counts)) == 1
+        matrix.append(tuple(Fraction(sum(col), len(p)) for col in zip(*counts)))
     return QuotientResult(matrix=tuple(matrix), parts=tuple(parts), equitable=equitable)
 
 

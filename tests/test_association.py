@@ -43,15 +43,19 @@ def test_maximal_cliques_against_oracle():
         assert list(fam.cliques) == brute_maximal_cliques(g, n)
 
 
-def test_clique_caps():
-    with pytest.raises(CapExceededError):
-        association.maximal_cliques(complete(5), 1, max_order=4)
+def test_clique_caps(monkeypatch):
+    # the caps are read at call time
+    monkeypatch.setattr(association, "CLIQUE_ORDER_CAP", 4)
+    with pytest.raises(CapExceededError, match="exceeds clique cap 4"):
+        association.maximal_cliques(complete(5), 1)
+    monkeypatch.undo()
     # cocktail-party graphs have 2^(n/2) maximal cliques
     from regspectra.construct import complete_multipartite
 
+    monkeypatch.setattr(association, "CLIQUE_COUNT_CAP", 10)
     g = complete_multipartite([2] * 6)
-    with pytest.raises(CapExceededError):
-        association.maximal_cliques(g, 1, max_cliques=10)
+    with pytest.raises(CapExceededError, match="more than 10 maximal cliques"):
+        association.maximal_cliques(g, 1)
 
 
 def test_equiv_nm():

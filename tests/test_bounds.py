@@ -18,19 +18,12 @@ from regspectra.construct import (
     random_graph,
 )
 from regspectra.graphs import Graph, regularity_params
-from regspectra.spectra import eigenvalue_at_most
+from regspectra.spectra import GROUP_TOL, eigenvalue_at_most, lambda_min_at_least
 from oracles import bfs_pair_data
 
 
 def _lambda_min_at_least(g: Graph, lam) -> bool:
-    return eigenvalue_at_most(-g.adj.astype(int), 1, lam)[0]
-
-
-def test_to_fraction():
-    assert bounds.to_fraction("3/2") == Fraction(3, 2)
-    assert bounds.to_fraction(2.0) == 2
-    assert bounds.to_fraction(1) == 1
-    assert bounds.to_fraction("2.5") == Fraction(5, 2)
+    return lambda_min_at_least(g.adj.astype(int), lam)[0]
 
 
 def test_thresholds_examples():
@@ -249,8 +242,8 @@ def test_certificate_json():
     _, cert = bounds.lower_bound_graph(1, 2)
     obj = cert.to_json_obj()
     assert obj["verified"] and obj["claim"] == "coclique-extension-lower-bound"
-    # the numeric spectrum match uses SPECTRUM_TOL; the exact checks use none
-    assert obj["tolerance"] == bounds.SPECTRUM_TOL
+    # the numeric spectrum match uses GROUP_TOL; the exact checks use none
+    assert obj["tolerance"] == GROUP_TOL
     assert bounds.prop13_verifier(petersen(), 2, 1).to_json_obj()["tolerance"] == 0
 
 

@@ -220,12 +220,9 @@ def test_negative_lambda_parses(capsys):
     assert code == 0
 
 
-def test_bad_threads_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("REGSPECTRA_THREADS", "abc")
-    code, out, _ = run(capsys, "bounds", "ramsey", "--s", "3", "--t", "4")
-    assert code == 0 and out.strip() == "9"  # only search reads the variable
-    code, _, err = run(capsys, "search", "--k", "2", "--lambda", "0", "--n-max", "4")
-    assert code == 2 and "REGSPECTRA_THREADS" in err
-    code, _, _ = run(capsys, "search", "--k", "2", "--lambda", "0", "--n-max", "4",
-                     "--threads", "1")
-    assert code == 0  # an explicit --threads does not read the variable
+def test_threads_give_the_same_report(capsys):
+    argv = ("search", "--k", "3", "--lambda", "1", "--n-max", "10", "--json")
+    code1, out1, _ = run(capsys, *argv, "--threads", "1")
+    code2, out2, _ = run(capsys, *argv, "--threads", "2")
+    assert code1 == code2 == 0 and out1 == out2
+    assert json.loads(out1)["exact_v"] == 10

@@ -458,7 +458,7 @@ def test_v_search_lower_bound_witness():
 def test_v_search_boundary_flags():
     r = search.v_search(2, 1, 10)
     c6 = [e for e in r.extremal][0]
-    assert c6.boundary and c6.exact_confirmed
+    assert c6.boundary
 
 
 def test_boundary_graph_above_order_12_settled_exactly():
@@ -467,7 +467,7 @@ def test_boundary_graph_above_order_12_settled_exactly():
     assert g.n == 15 and set(g.degrees()) == {4}
     cert = search.canonical_form(g).certificate
     at = search._judge(g, cert, Fraction(2))
-    assert at is not None and at.boundary and at.exact_confirmed
+    assert at is not None and at.boundary
     assert at.certificate == cert
     # just below 2 the float filter (+1e-9 benefit) would accept; exact rejects
     assert search._judge(g, cert, Fraction(2) - Fraction(1, 10**10)) is None
@@ -605,7 +605,7 @@ def test_v_search_workers_deterministic():
 
 
 def test_prune_lam_takes_any_rational():
-    # the eigenvalue prune compares against float(lam) + ACCEPT_TOL and the
+    # the eigenvalue prune compares against float(lam) + INTERLACING_TOL and the
     # triangle cap takes the exact value, so "5/3", Fraction(5, 3) and the
     # v_search threshold give one result
     want = search.enum_connected_regular(3, 12, prune_lam=Fraction(5, 3))

@@ -34,3 +34,31 @@ def test_no_unused_imports():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def _module_tolerances(tree: ast.Module) -> list[str]:
+    """Module-level names assigned a value whose last word is TOL or WINDOW."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names += [
+            t.id
+            for t in targets
+            if isinstance(t, ast.Name) and t.id.split("_")[-1] in ("TOL", "WINDOW")
+        ]
+    return names
+
+
+def test_tolerances_named_once():
+    # every float tolerance is one constant of spectra.py, imported elsewhere
+    outside = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = _module_tolerances(ast.parse(path.read_text(), str(path)))
+        if names and path.name != "spectra.py":
+            outside[path.name] = names
+    assert outside == {}
