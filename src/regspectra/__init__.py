@@ -61,10 +61,7 @@ from .spectra import (
     Spectrum,
     coclique_extension_spectrum,
     eig_symmetric,
-    interlacing_check,
-    lambda_min,
     quotient_matrix,
-    second_largest,
     spectrum,
 )
 
@@ -99,10 +96,8 @@ __all__ = [
     "enum_connected_regular",
     "equiv_nm",
     "fatten",
-    "interlacing_check",
     "isolated_vertex_bound_check",
     "known_v",
-    "lambda_min",
     "lower_bound_graph",
     "maximal_cliques",
     "mu_bound",
@@ -112,7 +107,6 @@ __all__ = [
     "quotient_matrix",
     "ramsey_lookup",
     "regularity_params",
-    "second_largest",
     "slim_with_fats",
     "spectral_prune",
     "spectrum",

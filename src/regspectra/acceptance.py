@@ -43,8 +43,6 @@ from .spectra import (
     coclique_extension_spectrum,
     eig_symmetric,
     group_eigenvalues,
-    lambda_max,
-    lambda_min,
     lambda_min_at_least,
     quotient_matrix,
     spectrum,
@@ -139,8 +137,8 @@ def criterion_02():
         base = spectrum(g)
         for q in (2, 3):
             ext = coclique_extension(g, q)
-            formula = coclique_extension_spectrum(base, g.n, q)
-            direct = eig_symmetric(ext.adj.astype(float))
+            formula = coclique_extension_spectrum(base, q)
+            direct = eig_symmetric(ext)
             expanded = formula.values()
             diffs = [abs(x - y) for x, y in zip(expanded, direct)]
             worst = max(worst, max(diffs))
@@ -199,7 +197,7 @@ def criterion_05_as_stated():
     """
     worst = 0.0
     for h in _universal_fat_sample():
-        value = abs(attach_universal_fat(h).lambda_min() + lambda_max(complement(h)))
+        value = abs(attach_universal_fat(h).lambda_min() + eig_symmetric(complement(h))[0])
         worst = max(worst, value)
     return worst <= GROUP_TOL, {"sample": 100, "worst_abs": worst}, (
         "identity as quoted is off by one: S(q(H)) = A - J = -(I + A(co-H))"
@@ -212,7 +210,7 @@ def criterion_05_corrected():
     """|lambda_min(q(H)) + 1 + lambda_max(co-H)| <= 1e-8 on the same sample."""
     worst = 0.0
     for h in _universal_fat_sample():
-        value = abs(attach_universal_fat(h).lambda_min() + 1.0 + lambda_max(complement(h)))
+        value = abs(attach_universal_fat(h).lambda_min() + 1.0 + eig_symmetric(complement(h))[0])
         worst = max(worst, value)
     return worst <= GROUP_TOL, {"sample": 100, "worst_abs": worst}, ""
 
@@ -235,18 +233,15 @@ def criterion_06():
 @_claim("A7", "t'/m' minimality and the 3x3 tilde quotient matrix", suite="bounds", cap=1)
 def criterion_07():
     """Threshold minimality and the tilde-graph quotient matrix."""
-    def at_least(g, lam):  # lambda_min(g) >= -lam
-        return lambda_min_at_least(g.adj.astype(int), lam)[0]
-
     details: dict = {}
     for lam in (1, Fraction(3, 2), 2, Fraction(5, 2), 3):
         th = bounds.thresholds(lam)
         lam_fr = Fraction(lam)
         if th.t_prime != math.floor(lam_fr**2 / 2) + 1:
             return False, {"lambda": str(lam), "t_prime": th.t_prime}, "t' closed form"
-        if th.m_prime > 1 and not at_least(k_tilde(th.m_prime - 1), lam_fr):
+        if th.m_prime > 1 and not lambda_min_at_least(k_tilde(th.m_prime - 1), lam_fr)[0]:
             return False, {"lambda": str(lam)}, "m' not minimal"
-        if at_least(k_tilde(th.m_prime), lam_fr):
+        if lambda_min_at_least(k_tilde(th.m_prime), lam_fr)[0]:
             return False, {"lambda": str(lam)}, "m' does not qualify"
         details[str(lam)] = {"t_prime": th.t_prime, "m_prime": th.m_prime}
     quotient_worst = 0.0
@@ -258,9 +253,10 @@ def criterion_07():
         if not q.equitable:
             return False, {"m": m}, "tilde partition should be equitable"
         if tuple(tuple(int(x) for x in row) for row in q.matrix) != expected:
-            return False, {"m": m, "matrix": q.as_floats()}, "quotient matrix mismatch"
-        qmin = min(q.eigenvalue_list())
-        gmin = lambda_min(g)
+            matrix = [[float(x) for x in row] for row in q.matrix]
+            return False, {"m": m, "matrix": matrix}, "quotient matrix mismatch"
+        qmin = q.spectrum().lambda_min()
+        gmin = eig_symmetric(g)[-1]
         quotient_worst = max(quotient_worst, abs(qmin - gmin))
     details["quotient_vs_full_worst"] = quotient_worst
     return quotient_worst <= GROUP_TOL, details, ""

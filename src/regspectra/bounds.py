@@ -269,7 +269,7 @@ def prop13_verifier(g: Graph, lam: Real, m_common: int) -> BoundCertificate:
     gamma2_max = max(len(dl.layer(2)) for dl in around)
 
     premise_common = d2_min is None or d2_min >= m_common
-    premise_eig, lmin = lambda_min_at_least(g.adj.astype(int), lam)
+    premise_eig, lmin = lambda_min_at_least(g, lam)
 
     gamma2_cap = math.floor(lam) * math.floor(lam * lam)
     concl_diameter = max_finite <= 2
@@ -443,7 +443,7 @@ def co_edge_bound_check(g: Graph, lam: Real) -> BoundCertificate:
         raise ValueError("graph is not co-edge-regular")
     c2 = rp.c2_coedge
     vacuous = c2 is None  # complete graph: no non-adjacent pairs
-    premise_eig, lmin = lambda_min_at_least(g.adj.astype(int), lam)
+    premise_eig, lmin = lambda_min_at_least(g, lam)
     ell = g.n - rp.k - 1
     ell_cap = (lam - 1) ** 2 / 4 + 1
     ell_ok = Fraction(ell) <= ell_cap
@@ -497,7 +497,7 @@ def amply_regular_check(g: Graph, lam: int) -> BoundCertificate:
     rp = regularity_params(g)
     if not rp.amply_regular:
         raise ValueError("graph is not amply regular")
-    premise_eig, lmin = lambda_min_at_least(g.adj.astype(int), lam)
+    premise_eig, lmin = lambda_min_at_least(g, lam)
     multipartite = is_complete_multipartite(g)
     mu_cap = mu_bound(lam)
     c2 = rp.c2_dist2

@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
 exceeded (a search whose range the caps cut still prints its report, marked
-incomplete, and exits 3).  `--lambda` accepts exact rationals ("3/2") as well
+incomplete, and exits 3; an input too large for memory prints one `error:`
+line and exits 3 too).  `--lambda` accepts exact rationals ("3/2") as well
 as decimals so floor-based thresholds never misround.  `search --threads N`
-splits the generation tree over N worker processes (default 1); results are
-identical for every worker count, workers only change wall time.
+splits the generation tree over N >= 1 worker processes (default 1); results
+are identical for every worker count, workers only change wall time.
 """
 
 from __future__ import annotations
@@ -44,6 +45,16 @@ def _parse_lambda(text: str) -> Fraction:
     except OverflowError:
         raise argparse.ArgumentTypeError(f"lambda {text!r} is out of float range") from None
     return lam
+
+
+def _parse_workers(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad worker count {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {n}")
+    return n
 
 
 def _parse_parts(text: str) -> list[int]:
@@ -119,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--no-prune", action="store_true")
     sr.add_argument(
         "--threads",
-        type=int,
+        type=_parse_workers,
         default=1,
         help="worker processes for the generation tree (default: 1)",
     )
@@ -204,7 +215,7 @@ def _cmd_hoffman(args) -> int:
         if args.json:
             print(json.dumps({"slim": hg.slim_vertices(), "matrix": m.tolist()}))
         else:
-            for row in m.astype(int):
+            for row in m:
                 print(" ".join(f"{x:3d}" for x in row))
         return 0
     if args.action == "lambda-min":
@@ -237,8 +248,12 @@ def _cmd_bounds(args) -> int:
     if args.action == "thresholds":
         if args.lam is None:
             raise ValueError("thresholds needs --lambda")
-        th = bounds.thresholds(args.lam)
-        print(json.dumps(th.to_json_obj()) if args.json else th)
+        blob = bounds.thresholds(args.lam).to_json_obj()
+        if args.json:
+            print(json.dumps(blob))
+        else:
+            for name, value in blob.items():
+                print(f"{name}: {value}")
         return 0
     if args.action == "known-v":
         if args.k is None or args.lam is None:
@@ -277,7 +292,7 @@ def _cmd_search(args) -> int:
         args.lam,
         args.n_max,
         prune=not args.no_prune,
-        workers=max(1, args.threads),
+        workers=args.threads,
     )
     if args.json:
         print(json.dumps(report.to_json_obj()))
@@ -327,8 +342,8 @@ def main(argv=None) -> int:
         if args.command == "search":
             return _cmd_search(args)
         return _cmd_verify(args)
-    except (UnsupportedSizeError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UnsupportedSizeError, CapExceededError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from . import formats
 from .construct import complete, edgeless
 from .errors import ConsistencyError
 from .graphs import Graph, contains_induced
-from .spectra import INTERLACING_TOL, eig_symmetric, lambda_min
+from .spectra import INTERLACING_TOL, eig_symmetric
 
 HOFFMAN_PATTERN_CAP = 10
 
@@ -78,23 +78,18 @@ class HoffmanGraph:
         return self.graph.adj[np.ix_(self.slim_vertices(), self.fat_vertices())].astype(np.int64)
 
     def special_matrix(self) -> np.ndarray:
-        """S = A_slim - C C^T, indexed by the sorted slim vertex list."""
+        """S = A_slim - C C^T (int64), indexed by the sorted slim vertex list."""
         problems = self.validate()
         if problems:
             raise ValueError("invalid Hoffman graph: " + "; ".join(problems))
         slim = self.slim_vertices()
         if not slim:
             raise ValueError("Hoffman graph has no slim vertices")
-        a_slim = self.graph.adj[np.ix_(slim, slim)].astype(np.int64)
         c = self.incidence()
-        return (a_slim - c @ c.T).astype(np.float64)
+        return self.graph.adj[np.ix_(slim, slim)] - c @ c.T
 
     def lambda_min(self) -> float:
         return eig_symmetric(self.special_matrix())[-1]
-
-    def eigenvalues(self) -> list[float]:
-        """Eigenvalues of the special matrix, descending."""
-        return eig_symmetric(self.special_matrix())
 
     # -- serialization ------------------------------------------------------
 
@@ -172,7 +167,7 @@ def fatten(h: HoffmanGraph, p: int) -> Graph:
 
 def fattening_lambda_min_sequence(h: HoffmanGraph, p_max: int) -> list[float]:
     """lambda_min(G(h, p)) for p = 1..p_max."""
-    return [lambda_min(fatten(h, p)) for p in range(1, p_max + 1)]
+    return [eig_symmetric(fatten(h, p))[-1] for p in range(1, p_max + 1)]
 
 
 # -- induced Hoffman subgraph containment ----------------------------------------

@@ -621,7 +621,7 @@ def enum_connected_regular(
 def second_eigenvalue_at_most(g: Graph, lam: Fraction) -> bool:
     """Exact check that lambda_2(g) <= lam: at most one characteristic root,
     counted with multiplicity, exceeds lam (`spectra.eigenvalue_at_most_exact`)."""
-    return eigenvalue_at_most_exact(g.adj, 2, lam)
+    return eigenvalue_at_most_exact(g, 2, lam)
 
 
 # -- the search driver ---------------------------------------------------------------
@@ -716,7 +716,7 @@ def _judge(g: Graph, certificate: str, lam: Fraction) -> Optional[ExtremalGraph]
     The verdict is `spectra.eigenvalue_at_most`'s on the spectrum's floats;
     `boundary` records that its exact leg decided."""
     spec = spectrum(g)
-    accept, boundary = eigenvalue_at_most(g.adj, 2, lam, spec.values())
+    accept, boundary = eigenvalue_at_most(g, 2, lam, spec.values())
     if not accept:
         return None
     return ExtremalGraph(

@@ -4,6 +4,10 @@ All eigenvalue work funnels through `kernel.sym_eigenvalues` (LAPACK
 through numpy).  Partition quotients are not symmetric in general, but they
 are diagonally similar to a symmetric matrix, which is what the kernel solves.
 
+`eig_symmetric`, `eigenvalue_at_most`, `eigenvalue_at_most_exact` and
+`lambda_min_at_least` take a `Graph` (its adjacency matrix) or a matrix;
+`_matrix` is the one place a graph becomes an eigensolver input.
+
 Every verdict of an eigenvalue against a rational bound lambda goes through
 `eigenvalue_at_most`: floats decide away from the bound, and within
 BOUNDARY_WINDOW of it the characteristic polynomial does, exactly.  A least
@@ -29,12 +33,21 @@ INTERLACING_TOL = 1e-9  # slack on a float eigenvalue inequality that holds exac
 BOUNDARY_WINDOW = 1e-6  # nearer than this to lambda, the exact leg decides
 
 
+def _matrix(x) -> np.ndarray:
+    """x as a numpy matrix: a `Graph` by its adjacency matrix, and a 0/1
+    matrix (a graph's `adj`) as integers, so it can be negated; any other
+    input as numpy reads it."""
+    a = np.asarray(x.adj if isinstance(x, Graph) else x)
+    return a.astype(np.int64) if a.dtype == bool else a
+
+
 def eig_symmetric(matrix) -> list[float]:
-    """All eigenvalues of a real symmetric matrix, sorted descending.
+    """All eigenvalues of a real symmetric matrix or of a graph's adjacency
+    matrix, sorted descending.
 
     Input asymmetry beyond SYMMETRY_TOL (absolute) is rejected.
     """
-    a = np.asarray(matrix, dtype=np.float64)
+    a = np.asarray(_matrix(matrix), dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):
@@ -129,36 +142,21 @@ def group_eigenvalues(values: Sequence[float], tol: float) -> Spectrum:
 
 def spectrum(g: Graph) -> Spectrum:
     """Adjacency spectrum of g, grouped with GROUP_TOL scaled by the norm."""
-    vals = eig_symmetric(g.adj.astype(np.float64))
+    vals = eig_symmetric(g)
     norm = max(g.degrees()) if g.n else 0
     return group_eigenvalues(vals, GROUP_TOL * max(1.0, float(norm)))
-
-
-def second_largest(g: Graph) -> float:
-    """Second largest adjacency eigenvalue, counting multiplicity."""
-    if g.n < 2:
-        raise ValueError("second largest eigenvalue needs order >= 2")
-    vals = eig_symmetric(g.adj.astype(np.float64))
-    return vals[1]
-
-
-def lambda_min(g: Graph) -> float:
-    return eig_symmetric(g.adj.astype(np.float64))[-1]
-
-
-def lambda_max(g: Graph) -> float:
-    return eig_symmetric(g.adj.astype(np.float64))[0]
 
 
 # -- the boundary rule -------------------------------------------------------------
 
 
 def eigenvalue_at_most_exact(matrix, i: int, x: Fraction) -> bool:
-    """Whether the i-th largest eigenvalue of a rational square matrix with
-    real spectrum is at most x, exactly: at most i - 1 characteristic roots,
-    counted with multiplicity (Yun's square-free decomposition), exceed x.
-    For i = 1 the count of distinct roots already settles it."""
-    p = exactpoly.charpoly(np.asarray(matrix).tolist())
+    """Whether the i-th largest eigenvalue of a graph, or of a rational square
+    matrix with real spectrum, is at most x, exactly: at most i - 1
+    characteristic roots, counted with multiplicity (Yun's square-free
+    decomposition), exceed x.  For i = 1 the count of distinct roots already
+    settles it."""
+    p = exactpoly.charpoly(_matrix(matrix).tolist())
     if i == 1:
         return exactpoly.count_roots_greater(p, x) == 0
     factors = exactpoly.squarefree_decomposition(p)
@@ -167,8 +165,8 @@ def eigenvalue_at_most_exact(matrix, i: int, x: Fraction) -> bool:
 
 def eigenvalue_at_most(matrix, i: int, x, vals=None) -> tuple[bool, bool]:
     """(verdict, exact): whether the i-th largest eigenvalue (1-indexed,
-    counting multiplicity) of an integer symmetric matrix is at most the
-    rational x, and whether the exact leg decided it.
+    counting multiplicity) of a graph or an integer symmetric matrix is at
+    most the rational x, and whether the exact leg decided it.
 
     `vals` are the caller's floats for the matrix's eigenvalues, descending
     (only the first i are read); without them `eig_symmetric` computes them.
@@ -184,11 +182,11 @@ def eigenvalue_at_most(matrix, i: int, x, vals=None) -> tuple[bool, bool]:
 
 
 def lambda_min_at_least(matrix, lam) -> tuple[bool, float]:
-    """(verdict, lambda_min): whether the least eigenvalue of an integer
-    symmetric matrix is at least -lam, asked of `eigenvalue_at_most` as
-    "the largest eigenvalue of the negated matrix is at most lam", and the
+    """(verdict, lambda_min): whether the least eigenvalue of a graph or an
+    integer symmetric matrix is at least -lam, asked of `eigenvalue_at_most`
+    as "the largest eigenvalue of the negated matrix is at most lam", and the
     least eigenvalue's float."""
-    m = np.asarray(matrix)
+    m = _matrix(matrix)
     lmin = eig_symmetric(m)[-1]
     return eigenvalue_at_most(-m, 1, lam, [-lmin])[0], lmin
 
@@ -196,25 +194,21 @@ def lambda_min_at_least(matrix, lam) -> tuple[bool, float]:
 # -- coclique extension spectrum (closed form) ---------------------------------
 
 
-def coclique_extension_spectrum(s: Spectrum, base_order: int, q: int) -> Spectrum:
+def coclique_extension_spectrum(s: Spectrum, q: int) -> Spectrum:
     """Spectrum of the q-coclique extension from the base spectrum alone.
 
     Eigenvalues scale by q and a zero eigenvalue of multiplicity
-    (q - 1) * base_order appears (merged into an existing zero group when one
-    is present).
+    (q - 1) * s.n appears (merged into an existing zero group when one is
+    present).
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if s.n != base_order:
-        raise ValueError(
-            f"multiplicities sum to {s.n}, expected base order {base_order}"
-        )
     if q == 1:
         return s
     expanded: list[float] = []
     for v, m in s.pairs:
         expanded.extend([q * v] * m)
-    expanded.extend([0.0] * ((q - 1) * base_order))
+    expanded.extend([0.0] * ((q - 1) * s.n))
     return group_eigenvalues(expanded, s.tolerance * q)
 
 
@@ -234,14 +228,7 @@ class QuotientResult:
     parts: tuple[tuple[int, ...], ...]
     equitable: bool
 
-    @property
-    def dimension(self) -> int:
-        return len(self.parts)
-
-    def as_floats(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self.matrix]
-
-    def _spectrum(self) -> Spectrum:
+    def spectrum(self) -> Spectrum:
         """Eigenvalues grouped as `spectrum` groups a graph's, descending.
 
         With D = diag(part sizes), D M counts the edges between parts, so it
@@ -262,14 +249,6 @@ class QuotientResult:
         return group_eigenvalues(
             kernel.sym_eigenvalues(sym), GROUP_TOL * max(1.0, float(norm))
         )
-
-    def eigenvalues(self) -> list[tuple[float, int]]:
-        """Eigenvalues (value, multiplicity), ascending."""
-        return list(reversed(self._spectrum().pairs))
-
-    def eigenvalue_list(self) -> list[float]:
-        """Eigenvalues expanded with multiplicity, descending."""
-        return self._spectrum().values()
 
 
 def quotient_matrix(g: Graph, partition: Sequence[Sequence[int]]) -> QuotientResult:
@@ -295,26 +274,3 @@ def quotient_matrix(g: Graph, partition: Sequence[Sequence[int]]) -> QuotientRes
         equitable = equitable and len(set(counts)) == 1
         matrix.append(tuple(Fraction(sum(col), len(p)) for col in zip(*counts)))
     return QuotientResult(matrix=tuple(matrix), parts=tuple(parts), equitable=equitable)
-
-
-# -- interlacing -----------------------------------------------------------------
-
-
-def interlacing_check(g: Graph, subset: Sequence[int]) -> bool:
-    """Cauchy interlacing between g and the subgraph induced on `subset`.
-
-    With full spectrum l_1 >= ... >= l_n and induced spectrum m_1 >= ... >= m_s:
-    l_i >= m_i >= l_{i + n - s} must hold for every i; returns True when all
-    inequalities hold within INTERLACING_TOL (they always should - this
-    doubles as an eigensolver self-test).
-    """
-    subset = list(subset)
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    full = eig_symmetric(g.adj.astype(np.float64))
-    sub = eig_symmetric(g.induced(subset).adj.astype(np.float64))
-    n, s = len(full), len(sub)
-    for i in range(s):
-        if not (full[i] + INTERLACING_TOL >= sub[i] >= full[i + n - s] - INTERLACING_TOL):
-            return False
-    return True

@@ -1,8 +1,8 @@
 """Brute-force oracles for the tests: exhaustive over subsets and
 permutations, so only for tiny inputs; a breadth-first search by vertex
-queue, independent of the package's bitmask frontiers; and integer
-eigenvalue multiplicities by exact rank, independent of the characteristic
-polynomial."""
+queue, independent of the package's bitmask frontiers; integer eigenvalue
+multiplicities by exact rank, independent of the characteristic polynomial;
+and Cauchy interlacing, an eigensolver self-test."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import numpy as np
 from regspectra.errors import UnsupportedSizeError
 from regspectra.formats import to_graph6
 from regspectra.graphs import DistanceLayers, Graph
+from regspectra.spectra import INTERLACING_TOL, eig_symmetric
 
 
 def brute_force_certificate(g: Graph) -> str:
@@ -169,3 +170,23 @@ def integer_spectrum(g: Graph) -> list[int]:
     if len(out) != n:
         raise ValueError("spectrum is not integral")
     return out
+
+
+def interlacing_check(g: Graph, subset: Sequence[int]) -> bool:
+    """Cauchy interlacing between g and the subgraph induced on `subset`.
+
+    With full spectrum l_1 >= ... >= l_n and induced spectrum m_1 >= ... >= m_s:
+    l_i >= m_i >= l_{i + n - s} must hold for every i; returns True when all
+    inequalities hold within INTERLACING_TOL (they always should - this is an
+    eigensolver self-test).
+    """
+    subset = list(subset)
+    if not subset:
+        raise ValueError("subset must be nonempty")
+    full = eig_symmetric(g)
+    sub = eig_symmetric(g.induced(subset))
+    n, s = len(full), len(sub)
+    return all(
+        full[i] + INTERLACING_TOL >= sub[i] >= full[i + n - s] - INTERLACING_TOL
+        for i in range(s)
+    )

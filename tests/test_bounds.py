@@ -23,7 +23,7 @@ from oracles import bfs_pair_data
 
 
 def _lambda_min_at_least(g: Graph, lam) -> bool:
-    return lambda_min_at_least(g.adj.astype(int), lam)[0]
+    return lambda_min_at_least(g, lam)[0]
 
 
 def test_thresholds_examples():
@@ -292,7 +292,7 @@ def test_triangle_cap_sound_and_attained():
                 cap = bounds.triangle_cap(k, n, lam)
                 assert cap is not None and cap == bounds.triangle_cap(k, n, str(lam))
                 most = max(
-                    (t for g, t in zip(classes, triangles) if eigenvalue_at_most(g.adj, 2, lam)[0]),
+                    (t for g, t in zip(classes, triangles) if eigenvalue_at_most(g, 2, lam)[0]),
                     default=None,
                 )
                 if most is None:

@@ -32,6 +32,14 @@ def test_thresholds_json(capsys):
     assert code == 0 and blob["t_prime"] == 3
 
 
+def test_thresholds_text(capsys):
+    code, out, _ = run(capsys, "bounds", "thresholds", "--lambda", "3/2")
+    assert code == 0
+    assert out.splitlines() == [
+        "lambda: 3/2", "t_prime: 2", "m_prime: 2", "gamma2_cap: 2", "isolated_cap: 3",
+    ]
+
+
 @pytest.mark.parametrize("lam, m_prime", [("1999999999/1000000000", 4), ("10", 176)])
 def test_thresholds_answers_near_boundary_and_large(capsys, lam, m_prime):
     code, out, err = run(capsys, "bounds", "thresholds", "--lambda", lam, "--json")
@@ -226,3 +234,22 @@ def test_threads_give_the_same_report(capsys):
     code2, out2, _ = run(capsys, *argv, "--threads", "2")
     assert code1 == code2 == 0 and out1 == out2
     assert json.loads(out1)["exact_v"] == 10
+
+
+@pytest.mark.parametrize("threads", ["0", "-2", "two"])
+def test_threads_below_one_is_usage_error(capsys, threads):
+    argv = ("search", "--k", "3", "--lambda", "1", "--n-max", "6", "--threads", threads)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "--threads" in err
+
+
+def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
+    from regspectra import construct
+
+    def too_big(m):
+        raise MemoryError(f"Unable to allocate 37.3 GiB for the order-{2 * m + 1} matrix")
+
+    monkeypatch.setattr(construct, "k_tilde", too_big)
+    code, out, err = run(capsys, "construct", "k-tilde", "--m", "100000")
+    assert code == 3 and out == ""
+    assert err == "error: Unable to allocate 37.3 GiB for the order-200001 matrix\n"

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from regspectra import exactpoly, spectra
@@ -22,12 +23,13 @@ from regspectra.spectra import (
     coclique_extension_spectrum,
     eig_symmetric,
     eigenvalue_at_most,
+    eigenvalue_at_most_exact,
     group_eigenvalues,
-    interlacing_check,
+    lambda_min_at_least,
     quotient_matrix,
     spectrum,
 )
-from oracles import integer_spectrum
+from oracles import integer_spectrum, interlacing_check
 
 
 def test_eig_symmetric_validation():
@@ -40,13 +42,35 @@ def test_eig_symmetric_validation():
     assert eig_symmetric([[0.0] * 4 for _ in range(4)]) == [0.0] * 4
 
 
+@pytest.mark.parametrize(
+    "form",
+    [lambda g: g, lambda g: g.adj, lambda g: g.adj.astype(np.int64)],
+    ids=["graph", "bool-adj", "int-matrix"],
+)
+def test_front_door_takes_a_graph_or_its_matrix(form):
+    # every entry point reads a Graph, its bool adjacency matrix and its
+    # integer matrix alike; the spectra are integral, so the oracle decides
+    for g in (petersen(), line_graph(petersen()), cycle(6), complete_bipartite(3, 3)):
+        exact = integer_spectrum(g)
+        x = form(g)
+        assert eig_symmetric(x) == pytest.approx(exact, abs=1e-9)
+        for i in (1, 2, g.n):
+            for t in (Fraction(exact[i - 1]), exact[i - 1] - Fraction(1, 2)):
+                want = exact[i - 1] <= t
+                assert eigenvalue_at_most_exact(x, i, t) == want
+                assert eigenvalue_at_most(x, i, t) == (want, t == exact[i - 1])
+        lam = -exact[-1]
+        assert lambda_min_at_least(x, lam) == (True, pytest.approx(exact[-1], abs=1e-9))
+        assert not lambda_min_at_least(x, lam - Fraction(1, 3))[0]
+
+
 def test_star_and_biclique_extremes():
     # lambda_max(K_{1,n-1}) = sqrt(n-1); lambda_min(K_{2,t}) = -sqrt(2t)
     for n in (2, 5, 10):
-        vals = eig_symmetric(complete_bipartite(1, n - 1).adj.astype(float))
+        vals = eig_symmetric(complete_bipartite(1, n - 1))
         assert abs(vals[0] - math.sqrt(n - 1)) < 1e-12
     for t in (1, 4, 7):
-        vals = eig_symmetric(complete_bipartite(2, t).adj.astype(float))
+        vals = eig_symmetric(complete_bipartite(2, t))
         assert abs(vals[-1] + math.sqrt(2 * t)) < 1e-12
 
 
@@ -72,7 +96,7 @@ def test_trace_invariants():
     rng = random.Random(31)
     for _ in range(20):
         g = random_graph(rng.randint(1, 12), rng.random(), rng)
-        vals = eig_symmetric(g.adj.astype(float))
+        vals = eig_symmetric(g)
         assert abs(sum(vals)) <= 1e-8
         m = g.num_edges()
         if m:
@@ -96,8 +120,8 @@ def test_complement_spectrum_relation_for_regular():
     gs = enum_connected_regular(3, 8) + enum_connected_regular(4, 7)
     for g in gs:
         k = g.degree(0)
-        vals = eig_symmetric(g.adj.astype(float))
-        co_vals = eig_symmetric(complement(g).adj.astype(float))
+        vals = eig_symmetric(g)
+        co_vals = eig_symmetric(complement(g))
         expected = sorted([g.n - 1 - k] + [-1 - x for x in vals[1:]], reverse=True)
         assert max(abs(x - y) for x, y in zip(co_vals, expected)) < 1e-8
 
@@ -108,8 +132,8 @@ def test_coclique_extension_spectrum_formula():
         g = random_graph(rng.randint(1, 8), rng.random(), rng)
         s = spectrum(g)
         for q in (1, 2, 3):
-            formula = coclique_extension_spectrum(s, g.n, q)
-            direct = eig_symmetric(coclique_extension(g, q).adj.astype(float))
+            formula = coclique_extension_spectrum(s, q)
+            direct = eig_symmetric(coclique_extension(g, q))
             assert formula.n == len(direct)
             assert max(
                 abs(x - y) for x, y in zip(formula.values(), direct)
@@ -119,17 +143,15 @@ def test_coclique_extension_spectrum_formula():
 def test_coclique_extension_spectrum_validation():
     s = spectrum(complete(3))
     with pytest.raises(ValueError):
-        coclique_extension_spectrum(s, 4, 2)
-    with pytest.raises(ValueError):
-        coclique_extension_spectrum(s, 3, 0)
-    assert coclique_extension_spectrum(s, 3, 1) is s
+        coclique_extension_spectrum(s, 0)
+    assert coclique_extension_spectrum(s, 1) is s
 
 
 def test_quotient_trivial_partition():
     g = petersen()
     q = quotient_matrix(g, [list(range(10))])
     assert q.equitable and q.matrix == ((Fraction(3),),)
-    assert q.eigenvalue_list() == [3.0]
+    assert q.spectrum().values() == [3.0]
 
 
 def test_quotient_biclique():
@@ -137,9 +159,9 @@ def test_quotient_biclique():
     q = quotient_matrix(g, [list(range(3)), list(range(3, 8))])
     assert q.equitable
     assert q.matrix == ((Fraction(0), Fraction(5)), (Fraction(3), Fraction(0)))
-    vals = q.eigenvalue_list()
+    vals = q.spectrum().values()
     assert abs(vals[0] - math.sqrt(15)) < 1e-9 and abs(vals[-1] + math.sqrt(15)) < 1e-9
-    full = eig_symmetric(g.adj.astype(float))
+    full = eig_symmetric(g)
     assert abs(vals[0] - full[0]) < 1e-9
 
 
@@ -178,8 +200,8 @@ def test_equitable_quotient_eigs_inside_spectrum():
         layers = distance_layers(g, 0).layers
         q = quotient_matrix(g, [list(l) for l in layers])
         assert q.equitable
-        full = eig_symmetric(g.adj.astype(float))
-        for val in q.eigenvalue_list():
+        full = eig_symmetric(g)
+        for val in q.spectrum().values():
             assert min(abs(val - x) for x in full) < 1e-7
 
 
@@ -200,7 +222,8 @@ def test_quotient_eigenvalues_against_exact_roots():
         if q.equitable:
             continue
         checked += 1
-        vals = q.eigenvalue_list()
+        spec = q.spectrum()
+        vals = spec.values()
         assert len(vals) == t and vals == sorted(vals, reverse=True)
         poly = exactpoly.charpoly(q.matrix)
         factors = exactpoly.squarefree_decomposition(poly)
@@ -210,7 +233,7 @@ def test_quotient_eigenvalues_against_exact_roots():
                 clusters[-1].append(x)
             else:
                 clusters.append([x])
-        assert q.eigenvalues() == [(c[0], len(c)) for c in reversed(clusters)]
+        assert spec.pairs == tuple((c[0], len(c)) for c in clusters)
         for cluster in clusters:
             lo, hi = Fraction(cluster[0]) - tol, Fraction(cluster[0]) + tol
             assert exactpoly.count_roots_in(poly, lo, hi) == 1, (q.matrix, cluster)
@@ -226,23 +249,21 @@ def test_quotient_not_symmetrizable_rejected():
         parts=((0,), (1, 2)),
         equitable=True,
     )
-    assert star.eigenvalue_list() == pytest.approx([math.sqrt(2), -math.sqrt(2)])
+    assert star.spectrum().values() == pytest.approx([math.sqrt(2), -math.sqrt(2)])
     bad = spectra.QuotientResult(
         matrix=((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
         parts=((0,), (1, 2)),
         equitable=True,
     )
     with pytest.raises(ValueError):
-        bad.eigenvalues()
-    with pytest.raises(ValueError):
-        bad.eigenvalue_list()
+        bad.spectrum()
     empty_part = spectra.QuotientResult(
         matrix=((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),
         parts=((0,), ()),
         equitable=True,
     )
     with pytest.raises(ValueError):
-        empty_part.eigenvalues()
+        empty_part.spectrum()
 
 
 def test_interlacing():
@@ -262,15 +283,15 @@ def test_interlacing():
 def test_second_largest_of_noncomplete_connected():
     # a connected non-complete graph contains an induced 2-path: lambda_2 >= 0
     for g in (cycle(5), petersen(), complete_bipartite(2, 3)):
-        assert spectra.second_largest(g) >= -1e-9
+        assert eig_symmetric(g)[1] >= -1e-9
 
 
 def test_quotient_singleton_partition_is_adjacency():
     g = cycle(6)
     q = quotient_matrix(g, [[v] for v in range(6)])
     assert q.equitable
-    got = sorted(q.eigenvalue_list())
-    want = sorted(eig_symmetric(g.adj.astype(float)))
+    got = sorted(q.spectrum().values())
+    want = sorted(eig_symmetric(g))
     assert max(abs(x - y) for x, y in zip(got, want)) < 1e-8
 
 
