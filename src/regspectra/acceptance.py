@@ -220,7 +220,7 @@ def criterion_05_corrected():
 def criterion_06():
     """Isolated-vertex bound, exhaustive at lambda = 2 over order-7 hosts."""
     free = search.enumerate_all_graphs(6)
-    worst = 0.0
+    worst = -math.inf
     for g in free:
         h = disjoint_union(g, edgeless(1))
         cert = bounds.isolated_vertex_bound_check(2, h)

@@ -168,6 +168,24 @@ def members(mask: int) -> tuple[int, ...]:
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
+def twin_classes(bits: Sequence[int]) -> list[int]:
+    """For each vertex, the bitmask of its twin class over the neighbourhood
+    bitmasks `bits`: the vertices with its open or with its closed
+    neighbourhood.  Swapping two twins is an automorphism.
+
+    No vertex v has both an open twin u and a closed twin w: w ~ v puts w in
+    N(u), so u lies in N[w] = N[v], yet open twins are not adjacent.  So the
+    class is the union of v's open class and v's closed class, one of which
+    is v alone, and the classes partition the vertices.  Within a colouring,
+    a colour's class is the class mask ANDed with that colour's vertex mask."""
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for v, b in enumerate(bits):
+        by_open[b] = by_open.get(b, 0) | 1 << v
+        by_closed[b | 1 << v] = by_closed.get(b | 1 << v, 0) | 1 << v
+    return [by_open[b] | by_closed[b | 1 << v] for v, b in enumerate(bits)]
+
+
 # -- distance structure ----------------------------------------------------
 
 
@@ -223,44 +241,44 @@ def contains_induced(
     bitmask domains; a host vertex enters a pattern vertex's domain only when
     it has at least as many neighbours of each colour and at least as many
     non-neighbours.  Patterns above `cap` vertices are refused.
+
+    Two twin rules (see `twin_classes`) skip interchangeable vertices:
+    - host: once host vertex w has failed at a node, its same-colour twins
+      are dropped from that node's candidates;
+    - pattern: a pattern vertex with a same-colour twin earlier in the
+      matching order maps only above that twin's image.
+    Each prunes only embeddings that a colour-preserving twin swap turns
+    into a lexicographically smaller one (images read in matching order):
+    swapping w with a later twin at the node, or the images of two pattern
+    twins.  So the lexicographically first embedding, the one the plain
+    depth-first walk returns, is never pruned and is still met first, and
+    `found` and `witness` are those of the walk without the rules.
     """
     if h.n > cap:
         raise UnsupportedSizeError(f"pattern order {h.n} exceeds cap {cap}")
-    if h.n > g.n:
-        return False, None
-
-    gbits = g.bits()
-    gdeg = g.degrees()
-    hdeg = h.degrees()
     n, k = g.n, h.n
-    full = (1 << n) - 1
     gcol, hcol = colours if colours is not None else ((0,) * n, (0,) * k)
     if len(gcol) != n or len(hcol) != k:
         raise ValueError("need one colour per host and per pattern vertex")
+    if k > n:
+        return False, None
+
+    gbits = g.bits()
+    hbits = h.bits()
+    gdeg = g.degrees()
+    hdeg = h.degrees()
 
     # Order pattern vertices so each one (after the first) touches the already
     # ordered prefix where possible; ties broken toward high degree.
     order: list[int] = []
-    placed = [False] * k
+    prefix = 0
     for _ in range(k):
-        best, best_key = -1, None
-        for v in range(k):
-            if placed[v]:
-                continue
-            anchored = sum(1 for u in order if h.adj[u, v])
-            key = (anchored, hdeg[v])
-            if best_key is None or key > best_key:
-                best, best_key = v, key
+        best = max(
+            (v for v in range(k) if not prefix >> v & 1),
+            key=lambda v: ((hbits[v] & prefix).bit_count(), hdeg[v], -v),
+        )
         order.append(best)
-        placed[best] = True
-
-    hadj_prefix = []  # for order[i]: mask of earlier-ordered neighbors (other earlier bits: non-neighbors)
-    for i, v in enumerate(order):
-        nb = 0
-        for j in range(i):
-            if h.adj[order[j], v]:
-                nb |= 1 << j
-        hadj_prefix.append(nb)
+        prefix |= 1 << best
 
     # Domain screen: host vertex must have the same colour, enough neighbors
     # of each colour and enough non-neighbors.  It drops only host vertices
@@ -268,7 +286,6 @@ def contains_induced(
     palette = list(dict.fromkeys(hcol))
     gmask = {c: sum(1 << w for w in range(n) if gcol[w] == c) for c in palette}
     hmask = {c: sum(1 << v for v in range(k) if hcol[v] == c) for c in palette}
-    hbits = h.bits()
     gcount = [[(b & gmask[c]).bit_count() for c in palette] for b in gbits]
     base_domain = [0] * k
     for i, v in enumerate(order):
@@ -284,35 +301,43 @@ def contains_induced(
                 dom |= 1 << w
         base_domain[i] = dom
 
+    # For order[i], the positions of its neighbours and of its same-colour
+    # twins; backtracking reads only the positions after i.
+    htwin = twin_classes(hbits)
+    adjacent = [sum(1 << order.index(u) for u in members(hbits[v])) for v in order]
+    twins = [sum(1 << order.index(u) for u in members(htwin[v] & hmask[hcol[v]])) for v in order]
+
+    # A domain holds one colour only, so dropping w's twin class drops
+    # exactly its same-colour twins.
+    gtwin = twin_classes(gbits)
     assign = [0] * k
 
-    def backtrack(i: int, used: int, domains: list[int]) -> bool:
+    def backtrack(i: int, domains: list[int]) -> bool:
         if i == k:
             return True
-        dom = domains[i] & ~used
+        dom = domains[i]
         while dom:
             wbit = dom & -dom
-            dom ^= wbit
             w = wbit.bit_length() - 1
             assign[i] = w
-            ok = True
+            nb = gbits[w]
+            non = ~(nb | wbit)
+            above = -(wbit << 1)
             new_domains = domains[:]
             for j in range(i + 1, k):
-                dj = new_domains[j]
-                if (hadj_prefix[j] >> i) & 1:
-                    dj &= gbits[w]
-                else:
-                    dj &= ~gbits[w] & full
-                dj &= ~wbit
-                if dj == 0:
-                    ok = False
+                dj = new_domains[j] & (nb if adjacent[i] >> j & 1 else non)
+                if twins[i] >> j & 1:
+                    dj &= above
+                if not dj:
                     break
                 new_domains[j] = dj
-            if ok and backtrack(i + 1, used | wbit, new_domains):
-                return True
+            else:
+                if backtrack(i + 1, new_domains):
+                    return True
+            dom &= ~gtwin[w]  # a twin of w would repeat w's subtree
         return False
 
-    if backtrack(0, 0, base_domain):
+    if backtrack(0, base_domain):
         witness = [0] * k
         for i, v in enumerate(order):
             witness[v] = assign[i]

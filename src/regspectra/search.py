@@ -57,7 +57,7 @@ from . import kernel
 from .bounds import Real, triangle_cap
 from .errors import UnsupportedSizeError
 from .formats import pack_graph6, to_graph6
-from .graphs import Graph, reach
+from .graphs import Graph, reach, twin_classes
 from .spectra import INTERLACING_TOL, eigenvalue_at_most, eigenvalue_at_most_exact, spectrum
 
 CANONICAL_CAP = 64
@@ -82,21 +82,6 @@ class CanonicalForm:
 
     labeling: tuple[int, ...]
     certificate: str
-
-
-def _twin_classes(bits: Sequence[int], n: int) -> list[int]:
-    """twin[v] = representative of v's twin class (equal open or closed
-    neighborhoods); swapping twins is an automorphism.  No vertex v has both
-    an open twin u and a closed twin w: w ~ v puts w in N(u), so u lies in
-    N[w] = N[v], yet open twins are not adjacent.  So the representative is
-    the first vertex seen with v's open or with v's closed neighborhood,
-    whichever is smaller."""
-    by_open: dict[int, int] = {}
-    by_closed: dict[int, int] = {}
-    return [
-        min(by_open.setdefault(bits[v], v), by_closed.setdefault(bits[v] | (1 << v), v))
-        for v in range(n)
-    ]
 
 
 def _refine(
@@ -189,7 +174,7 @@ def _leaf_orders(bits: Sequence[int], n: int, autos: list):
         cell = cells[target]
         head, tail = cells[:target], cells[target + 1 :]
         explored: list[int] = []
-        seen_twins: set = set()
+        seen_twins = 0  # union of the explored siblings' twin classes
         orbit: dict[int, int] = {}  # union-find over the cell
         used = 0  # automorphisms of `autos` already considered here
 
@@ -201,12 +186,12 @@ def _leaf_orders(bits: Sequence[int], n: int, autos: list):
         for v in cell:
             if explored:
                 if twin is None:
-                    twin = _twin_classes(bits, n)
+                    twin = twin_classes(bits)
                 if not seen_twins:
-                    seen_twins.add(twin[cell[0]])
-                if twin[v] in seen_twins:
+                    seen_twins = twin[cell[0]]
+                if seen_twins >> v & 1:
                     continue  # a twin of an earlier sibling: identical subtree
-                seen_twins.add(twin[v])
+                seen_twins |= twin[v]
                 if not orbit:
                     orbit = {u: u for u in cell}
                 for fixed, sigma in autos[used:]:

@@ -91,9 +91,6 @@ class Spectrum:
                 return v
         raise AssertionError("unreachable")
 
-    def lambda_max(self) -> float:
-        return self.pairs[0][0]
-
     def second_largest(self) -> float:
         return self.value(2)
 

@@ -10,7 +10,8 @@ docstrings of regspectra.hoffman and regspectra.acceptance.
 
 import pytest
 
-from regspectra import acceptance
+from regspectra import acceptance, bounds, search
+from regspectra.construct import disjoint_union, edgeless
 
 _XFAIL = pytest.mark.xfail(strict=True, reason="documented defect of the claim as stated")
 
@@ -25,3 +26,13 @@ def test_claim(cid):
     print(result.line())
     assert result.seconds < acceptance.RUNTIME_CAPS[cid], "runtime budget exceeded"
     assert result.passed
+
+
+def test_a6_reports_the_largest_lambda_min_q():
+    # the detail is the maximum over the order-7 hosts, each below -2
+    worst = acceptance.CRITERIA["A6"]().details["max_lambda_min_q"]
+    hosts = [disjoint_union(g, edgeless(1)) for g in search.enumerate_all_graphs(6)]
+    assert worst < -2
+    assert worst == max(
+        bounds.isolated_vertex_bound_check(2, h).evidence["lambda_min_q"] for h in hosts
+    )

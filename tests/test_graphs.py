@@ -29,7 +29,9 @@ from regspectra.graphs import (
     distance_layers,
     reach,
     regularity_params,
+    twin_classes,
 )
+from regspectra.hoffman import catalog, fatten
 from oracles import (
     bfs_distance_layers,
     bfs_pair_data,
@@ -195,17 +197,59 @@ def test_contains_induced_basics():
         contains_induced(complete(14), complete(13))
     with pytest.raises(ValueError):
         contains_induced(g, path(3), colours=([0] * 5, [0] * 2))
+    with pytest.raises(ValueError):  # checked before the pattern is found too large
+        contains_induced(path(3), complete(5), colours=([0] * 2, [0]))
+
+
+def _twin_rich_cases(rng):
+    """(host, pattern) pairs whose hosts, and often patterns, have large twin
+    classes: fattened Hoffman graphs, coclique extensions, complete
+    multipartite graphs, and K~ patterns."""
+    hosts = [g for g in (fatten(h, p) for _, h in catalog() for p in (1, 2)) if g.n <= 8]
+    hosts += [coclique_extension(random_graph(rng.randint(1, 4), rng.random(), rng), 2) for _ in range(6)]
+    hosts += [complete_multipartite(parts) for parts in ([2, 2], [1, 2, 3], [3, 4], [2, 2, 2, 1])]
+    hosts += [complete(n) for n in (3, 6)]
+    patterns = [k_tilde(1), k_tilde(2), complete(3), complete_multipartite([1, 2]), path(3)]
+    patterns += [random_graph(rng.randint(1, 4), rng.random(), rng) for _ in range(3)]
+    return [(g, h) for g in hosts for h in patterns]
+
+
+def _colourings(rng, g, h):
+    """No colours, then two random 2-colourings, which often split twin classes
+    on either side; a twin rule blind to colour fails on those."""
+    yield None
+    for _ in range(2):
+        yield [rng.randint(0, 1) for _ in range(g.n)], [rng.randint(0, 1) for _ in range(h.n)]
+
+
+# Twins of different colours, each contained, where a colour-blind twin rule
+# errs: in the first and third the pattern's twins must map in decreasing
+# host order, and in the second host vertex 1 is the only one of its colour
+# although vertex 0 is its twin.
+_SPLIT_TWINS = [
+    (complete(2), complete(2), ([1, 0], [0, 1])),
+    (complete(2), complete(1), ([0, 1], [1])),
+    (complete(3), complete(2), ([1, 0, 1], [0, 1])),
+    (complete_bipartite(2, 2), edgeless(2), ([1, 0, 0, 1], [0, 1])),
+]
 
 
 def test_contains_induced_witness_is_induced():
     rng = random.Random(17)
+    cases = []
     for _ in range(30):
         g = random_graph(rng.randint(3, 9), rng.random(), rng)
         h = random_graph(rng.randint(1, 4), rng.random(), rng)
-        found, wit = contains_induced(g, h)
+        cases.append((g, h, None))
+    cases += [(g, h, c) for g, h in _twin_rich_cases(rng) for c in _colourings(rng, g, h)]
+    cases += _SPLIT_TWINS
+    for g, h, colours in cases:
+        found, wit = contains_induced(g, h, colours=colours)
         if found:
             assert len(set(wit)) == h.n
             for a in range(h.n):
+                if colours is not None:
+                    assert colours[0][wit[a]] == colours[1][a]
                 for b in range(a + 1, h.n):
                     assert g.has_edge(wit[a], wit[b]) == h.has_edge(a, b)
 
@@ -216,6 +260,31 @@ def test_contains_induced_oracle_equivalence():
         g = random_graph(rng.randint(1, 8), rng.random(), rng)
         h = random_graph(rng.randint(1, 4), rng.random(), rng)
         assert contains_induced(g, h)[0] == contains_induced_bruteforce(g, h)
+    for g, h in _twin_rich_cases(rng):
+        for colours in _colourings(rng, g, h):
+            assert contains_induced(g, h, colours=colours)[0] == contains_induced_bruteforce(
+                g, h, colours
+            ), (g, h, colours)
+    for g, h, colours in _SPLIT_TWINS:
+        assert contains_induced(g, h, colours=colours)[0] is True
+
+
+def test_twin_classes_are_neighborhood_classes():
+    # v is in u's class iff N(u) = N(v) or N[u] = N[v]
+    rng = random.Random(61)
+    graphs = [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(80)]
+    graphs += [complete(n) for n in (1, 2, 5, 9)]
+    graphs += [complete_bipartite(s, t) for s, t in ((1, 1), (1, 5), (3, 3), (2, 6))]
+    graphs += [edgeless(n) for n in (1, 2, 7)]
+    for g in graphs:
+        bits = g.bits()
+        twin = twin_classes(bits)
+        for u in range(g.n):
+            for v in range(g.n):
+                closed = bits[u] | 1 << u == bits[v] | 1 << v
+                assert (twin[u] >> v & 1) == (bits[u] == bits[v] or closed), (g, u, v)
+    # K~_4: the clique vertices joined to the apex, the others, the apex alone
+    assert twin_classes(k_tilde(2).bits()) == [0b00011, 0b00011, 0b01100, 0b01100, 0b10000]
 
 
 def test_regularity_params():

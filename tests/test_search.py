@@ -15,7 +15,6 @@ from regspectra.construct import (
     complete_bipartite,
     complete_multipartite,
     cycle,
-    edgeless,
     line_graph,
     path,
     petersen,
@@ -68,24 +67,6 @@ def test_canonical_highly_symmetric():
         assert search.canonical_form(g.relabel(perm)).certificate == cert
     with pytest.raises(UnsupportedSizeError):
         search.canonical_form(complete(65))
-
-
-def test_twin_classes_are_neighborhood_classes():
-    # twin[u] == twin[v] iff N(u) = N(v) or N[u] = N[v]; the representative
-    # is the least vertex of its class
-    rng = random.Random(61)
-    graphs = [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(80)]
-    graphs += [complete(n) for n in (1, 2, 5, 9)]
-    graphs += [complete_bipartite(s, t) for s, t in ((1, 1), (1, 5), (3, 3), (2, 6))]
-    graphs += [edgeless(n) for n in (1, 2, 7)]
-    for g in graphs:
-        bits = g.bits()
-        twin = search._twin_classes(bits, g.n)
-        for u in range(g.n):
-            assert twin[u] <= u and twin[twin[u]] == twin[u]
-            for v in range(g.n):
-                closed = bits[u] | 1 << u == bits[v] | 1 << v
-                assert (twin[u] == twin[v]) == (bits[u] == bits[v] or closed), (g, u, v)
 
 
 def test_canonical_matches_bruteforce_classifier_n4():

@@ -77,7 +77,7 @@ def test_star_and_biclique_extremes():
 def test_spectrum_grouping():
     s = spectrum(complete(6))
     assert [m for _, m in s.pairs] == [1, 5]
-    assert s.lambda_max() == pytest.approx(5, abs=1e-10)
+    assert s.values()[0] == pytest.approx(5, abs=1e-10)
     assert s.lambda_min() == pytest.approx(-1, abs=1e-10)
     assert s.second_largest() == pytest.approx(-1, abs=1e-10)
     c6 = spectrum(cycle(6))
