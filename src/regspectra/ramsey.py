@@ -118,23 +118,38 @@ def is_ramsey_witness(g: Graph, s: int, t: int) -> bool:
 
 
 def every_graph_arrows(n: int, s: int, t: int) -> bool:
-    """Exhaustively check that all 2^C(n,2) graphs on n vertices contain a
-    K_s or a size-t coclique.  Only feasible for n <= 6."""
-    pairs = list(combinations(range(n), 2))
-    if len(pairs) > 21:
-        raise ValueError("exhaustive check limited to n <= 7 edges budget")
-    s_combos = [list(combinations(c, 2)) for c in combinations(range(n), s)]
-    t_combos = [list(combinations(c, 2)) for c in combinations(range(n), t)]
+    """Exhaustively check that every graph on n vertices contains a K_s or a
+    size-t coclique, for n <= 7 (at most 21 vertex pairs).
+
+    Backtracking assigns the pairs one at a time, edge or non-edge, in order
+    of their larger vertex.  After pair i only the s- and t-combos whose
+    highest pair is i can newly be complete, so only they are checked; a
+    branch that holds one stops there, since every graph extending it does
+    too.  A branch that assigns every pair is a graph with neither.  A combo
+    of at most one vertex has no pairs, so every graph contains it."""
+    if n > 7:
+        raise ValueError("exhaustive check limited to n <= 7 (21 vertex pairs)")
+    pairs = [(u, v) for v in range(n) for u in range(v)]
     index = {pq: i for i, pq in enumerate(pairs)}
-    s_masks = [sum(1 << index[pq] for pq in combo) for combo in s_combos]
-    t_masks = [sum(1 << index[pq] for pq in combo) for combo in t_combos]
-    for mask in range(1 << len(pairs)):
-        if any(mask & sm == sm for sm in s_masks):
-            continue
-        if any(mask & tm == 0 for tm in t_masks):
-            continue
-        return False
-    return True
+    # closing[i] = (s masks, t masks) of the combos whose highest pair is i
+    closing: list[tuple[list[int], list[int]]] = [([], []) for _ in pairs]
+    for side, r in ((0, s), (1, t)):
+        for combo in combinations(range(n), r):
+            ids = [index[pq] for pq in combinations(combo, 2)]
+            if not ids:
+                return True
+            closing[max(ids)][side].append(sum(1 << i for i in ids))
+
+    def extend(i: int, mask: int) -> bool:
+        if i == len(pairs):
+            return False
+        s_masks, t_masks = closing[i]
+        edge = mask | 1 << i
+        if not any(edge & m == m for m in s_masks) and not extend(i + 1, edge):
+            return False
+        return any(mask & m == 0 for m in t_masks) or extend(i + 1, mask)
+
+    return extend(0, 0)
 
 
 def verify_small_table() -> dict[str, bool]:

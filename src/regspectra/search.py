@@ -89,13 +89,25 @@ def _refine(
 ) -> list[list[int]]:
     """Iterated neighborhood refinement with a splitter worklist.
 
-    Each round splits cells by their members' neighbor counts into the cells
-    created in the previous round; counts into untouched cells are already
-    uniform, so the stable partition equals full all-against-all refinement.
-    `splitters` seeds the worklist (all cells by default; after an
-    individualization only the two cells it created, since the inherited
-    partition is already stable).  Cell order is decided only by parent
+    Each round splits every cell by its members' neighbor counts into the
+    splitters, the fragments of the cells split in the previous round.
+    `splitters` seeds the worklist (all cells by default).  Precondition:
+    the seeds are fragments of parent cells, each split into fragments of
+    which all but the last (by position) are seeds, and every cell has
+    uniform counts into each parent and into every cell outside them.
+    After individualizing v from cell C of a stable partition, the parent
+    is C and the one seed is {v}.  Cell order is decided only by parent
     position and count vectors, hence deterministic and label-invariant.
+
+    The last fragment of a split cell, in sorted-signature order, is not a
+    splitter (Hopcroft's rule; McKay & Piperno 2014).  At the start of every
+    round each cell has a uniform count into the parent P of every splitter,
+    so a member's count into P's last fragment is that constant minus its
+    counts into P's other fragments.  Two members of a cell therefore never
+    first differ at that entry of their signatures: dropping it keeps both
+    the groups and their lexicographic order, so every round's cells, and
+    the stable partition, are those of refining by every fragment.  Any
+    other fragment may decide an order, so only the last one is dropped.
     A round with one splitter uses the bare count as its signature, which
     sorts as the 1-tuple would."""
     if splitters is None:
@@ -128,6 +140,7 @@ def _refine(
                 for sig in sorted(groups):
                     new_splitters.append(len(new_cells))
                     new_cells.append(groups[sig])
+                new_splitters.pop()  # the last fragment
         cells = new_cells
         splitters = new_splitters
     return cells
@@ -148,7 +161,10 @@ def _leaf_key(bits: Sequence[int], order: Sequence[int]) -> int:
 
 def _leaf_orders(bits: Sequence[int], n: int, autos: list):
     """The leaves of the individualization-refinement tree, depth first; each
-    is an order (position -> vertex).
+    is an order (position -> vertex).  A node individualizes each vertex v
+    of the first non-singleton cell C of its stable partition in turn: C
+    becomes [v] followed by the rest of C, and `_refine` is seeded with the
+    singleton alone, the rest being C's last fragment.
 
     Two rules skip a sibling of an explored vertex, each because its subtree
     is the image of an explored subtree under an automorphism that fixes the
@@ -206,7 +222,7 @@ def _leaf_orders(bits: Sequence[int], n: int, autos: list):
                     continue  # the image of an explored subtree
             explored.append(v)
             split = head + [[v], [w for w in cell if w != v]] + tail
-            yield from descend(split, [target, target + 1], path | 1 << v)
+            yield from descend(split, [target], path | 1 << v)
 
     return descend([list(range(n))], None, 0)
 

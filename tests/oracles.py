@@ -2,7 +2,8 @@
 permutations, so only for tiny inputs; a breadth-first search by vertex
 queue, independent of the package's bitmask frontiers; integer eigenvalue
 multiplicities by exact rank, independent of the characteristic polynomial;
-and Cauchy interlacing, an eigensolver self-test."""
+Cauchy interlacing, an eigensolver self-test; and the Ramsey arrow check over
+every graph as a pair mask."""
 
 from __future__ import annotations
 
@@ -190,3 +191,21 @@ def interlacing_check(g: Graph, subset: Sequence[int]) -> bool:
         full[i] + INTERLACING_TOL >= sub[i] >= full[i + n - s] - INTERLACING_TOL
         for i in range(s)
     )
+
+
+def every_graph_arrows_bruteforce(n: int, s: int, t: int) -> bool:
+    """Oracle: walk all 2^C(n,2) graphs on n vertices as pair masks and check
+    each for a K_s or a size-t coclique (n <= 6 in reasonable time)."""
+    pairs = list(combinations(range(n), 2))
+    s_combos = [list(combinations(c, 2)) for c in combinations(range(n), s)]
+    t_combos = [list(combinations(c, 2)) for c in combinations(range(n), t)]
+    index = {pq: i for i, pq in enumerate(pairs)}
+    s_masks = [sum(1 << index[pq] for pq in combo) for combo in s_combos]
+    t_masks = [sum(1 << index[pq] for pq in combo) for combo in t_combos]
+    for mask in range(1 << len(pairs)):
+        if any(mask & sm == sm for sm in s_masks):
+            continue
+        if any(mask & tm == 0 for tm in t_masks):
+            continue
+        return False
+    return True

@@ -5,6 +5,8 @@ import pytest
 from regspectra import ramsey
 from regspectra.construct import circulant, complete, cycle, edgeless
 
+from oracles import every_graph_arrows_bruteforce
+
 
 def test_base_cases():
     assert ramsey.ramsey_lookup(1, 7).exact == 1
@@ -61,6 +63,17 @@ def test_every_graph_arrows_small():
     assert not ramsey.every_graph_arrows(5, 3, 3)  # C5 is the witness
     assert ramsey.every_graph_arrows(3, 2, 3)
     assert not ramsey.every_graph_arrows(2, 2, 3)
+    with pytest.raises(ValueError, match="n <= 7"):
+        ramsey.every_graph_arrows(8, 3, 3)
+
+
+def test_every_graph_arrows_matches_bruteforce():
+    # the backtracking verdict equals the walk over every pair mask
+    for n in range(7):
+        for s in range(5):
+            for t in range(5):
+                want = every_graph_arrows_bruteforce(n, s, t)
+                assert ramsey.every_graph_arrows(n, s, t) == want, (n, s, t)
 
 
 def test_verify_small_table():

@@ -209,9 +209,13 @@ def _refine_reference(bits, cells, splitters=None):
 
 
 def test_refine_matches_reference():
-    # random graphs x random ordered partitions, with every cell a splitter
-    # and with two adjacent cells as the splitters of an individualization
+    # random graphs x random ordered partitions, with every cell a splitter;
+    # then, as `_leaf_orders` seeds it, the stable partition with one cell
+    # split, by individualizing a vertex or into 2-4 fragments: the oracle
+    # takes every fragment as a splitter, `_refine` (its precondition) all
+    # but the last
     rng = random.Random(47)
+    seeded = 0
     for _ in range(400):
         g = random_graph(rng.randint(1, 14), rng.random(), rng)
         bits = g.bits()
@@ -219,14 +223,27 @@ def test_refine_matches_reference():
         rng.shuffle(vertices)
         cuts = sorted(rng.sample(range(1, g.n), rng.randint(0, g.n - 1))) if g.n > 1 else []
         cells = [vertices[a:b] for a, b in zip([0, *cuts], [*cuts, g.n])]
-        seeds = [None]
-        if len(cells) > 1:
-            t = rng.randrange(len(cells) - 1)
-            seeds.append([t, t + 1])
-        for splitters in seeds:
-            got = search._refine(bits, [list(c) for c in cells], splitters and list(splitters))
-            want = _refine_reference(bits, [list(c) for c in cells], splitters and list(splitters))
-            assert got == want, (g, cells, splitters)
+        got = search._refine(bits, [list(c) for c in cells])
+        stable = _refine_reference(bits, [list(c) for c in cells])
+        assert got == stable, (g, cells)
+        wide = [t for t, c in enumerate(stable) if len(c) > 1]
+        for _ in range(2 if wide else 0):
+            t = rng.choice(wide)
+            cell = stable[t]
+            if rng.random() < 0.5:
+                v = rng.choice(cell)
+                fragments = [[v], [w for w in cell if w != v]]
+            else:
+                shuffled = rng.sample(cell, len(cell))
+                cuts = sorted(rng.sample(range(1, len(cell)), rng.randint(1, min(3, len(cell) - 1))))
+                fragments = [shuffled[a:b] for a, b in zip([0, *cuts], [*cuts, len(cell)])]
+            split = stable[:t] + fragments + stable[t + 1 :]
+            seeds = list(range(t, t + len(fragments)))
+            got = search._refine(bits, [list(c) for c in split], seeds[:-1])
+            want = _refine_reference(bits, [list(c) for c in split], seeds)
+            assert got == want, (g, split, seeds)
+            seeded += 1
+    assert seeded > 300
 
 
 def _hypercube3() -> Graph:
@@ -555,6 +572,26 @@ def test_candidate_stream_pinned(monkeypatch):
     assert (len(states), _stream_digest(rows for rows, _ in states)) == (
         4,
         "95bd03f48a77e0916390f1afc0e5b6c42d93b6d1cc1024a5594ef2416a615bf4",
+    )
+
+
+def test_canonical_forms_pinned():
+    # labeling, certificate, leaf-key set and first leaf order over a fixed
+    # corpus, recorded before the refinement stopped using the last fragment
+    # of a split cell as a splitter; any reordering of cells moves them
+    rng = random.Random(61)
+    graphs = search.enum_connected_regular(3, 10) + search.enum_connected_regular(4, 9)
+    graphs += search.enumerate_all_graphs(6) + [petersen(), _shrikhande()]
+    graphs += [_relabelled(g, rng) for g in graphs]
+    forms = []
+    for g in graphs:
+        keys: set = set()
+        cf = search.canonical_form(g, keys=keys)
+        first = next(search._leaf_orders(g.bits(), g.n, []))
+        forms.append((cf.labeling, cf.certificate, sorted(keys), first))
+    assert (len(forms), _stream_digest(forms)) == (
+        386,
+        "8b1770bf421d7f6b77924de90d27a7d54f6e24d901d5c75a5ae4220be0b5b5fb",
     )
 
 
