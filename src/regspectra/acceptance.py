@@ -42,10 +42,10 @@ from .spectra import (
     INTERLACING_TOL,
     coclique_extension_spectrum,
     eig_symmetric,
-    group_eigenvalues,
     lambda_min_at_least,
     quotient_matrix,
     spectrum,
+    spectrum_is,
 )
 
 
@@ -113,16 +113,15 @@ def _claim(cid: str, title: str, *, suite: str, cap: int, expected_failure: bool
 
 @_claim("A1", "biclique line-graph complement spectrum {a,1^a,-1^a,-a}", suite="spectra", cap=1)
 def criterion_01():
-    """Spectrum of the complement of the line graph of K_{2,a+1}."""
-    failures = []
-    for a in range(2, 11):
-        g = complement(line_graph(complete_bipartite(2, a + 1)))
-        got = spectrum(g)
-        want = group_eigenvalues(
-            [float(a)] + [1.0] * a + [-1.0] * a + [-float(a)], GROUP_TOL
+    """Spectrum of the complement of the line graph of K_{2,a+1}, checked
+    exactly by `spectrum_is`."""
+    failures = [
+        a
+        for a in range(2, 11)
+        if not spectrum_is(
+            complement(line_graph(complete_bipartite(2, a + 1))), {a: 1, 1: a, -1: a, -a: 1}
         )
-        if not got.approx_eq(want):
-            failures.append((a, str(got)))
+    ]
     return not failures, {"a_range": [2, 10], "failures": failures}, ""
 
 

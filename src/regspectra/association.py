@@ -226,5 +226,4 @@ def associate(
         raise ValueError(f"n must be at least (m+1)^2 = {(m + 1) ** 2}")
     fam = maximal_cliques(g, n)
     part = partition_classes(fam, m, certified=certified)
-    name = f"assoc({g.name})" if g.name else "assoc"
-    return HoffmanGraph.with_fats(g, part.quasi_cliques, name=name), part
+    return HoffmanGraph.with_fats(g, part.quasi_cliques), part

@@ -17,7 +17,7 @@ clique threshold); no invented numeric values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -30,13 +30,7 @@ from .construct import (
 from .graphs import Graph, components, distance_layers, members, regularity_params
 from .hoffman import attach_universal_fat
 from .ramsey import RamseyValue, ramsey_lookup
-from .spectra import (
-    GROUP_TOL,
-    eigenvalue_at_most_exact,
-    group_eigenvalues,
-    lambda_min_at_least,
-    spectrum,
-)
+from .spectra import eigenvalue_at_most_exact, lambda_min_at_least, spectrum_is
 
 # anything `Fraction` takes: 'p/q' and decimal strings, and a float at its
 # exact binary value
@@ -45,24 +39,16 @@ Real = Union[int, float, str, Fraction]
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """Outcome of one verifiable claim: parameters, verdict, numeric evidence.
-    `tolerance` is the float margin the verdict used, 0 when it was settled
-    exactly."""
+    """Outcome of one verifiable claim: parameters, verdict, evidence.  Every
+    verdict is settled exactly; none carries a float tolerance."""
 
     claim: str
     params: dict
     verified: bool
     evidence: dict = field(default_factory=dict)
-    tolerance: float = 0.0
 
     def to_json_obj(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "verified": self.verified,
-            "evidence": self.evidence,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 # -- thresholds t'(lambda), m'(lambda) -------------------------------------------
@@ -378,8 +364,9 @@ def known_v(k: int, lam: Real) -> KnownValue:
 
 def lower_bound_graph(lam: int, a: int) -> tuple[Graph, BoundCertificate]:
     """lambda-coclique extension of the complement of the line graph of
-    K_{2,a+1}: a (lam*a)-regular graph on 2*lam*a + 2*lam vertices with second
-    largest eigenvalue exactly lambda (certified numerically)."""
+    K_{2,a+1}: a (lam*a)-regular graph on 2*lam*a + 2*lam vertices with
+    spectrum {k, lam^a, 0^((lam-1)(2a+2)), -lam^a, -k}, certified exactly by
+    `spectrum_is`, so its second largest eigenvalue is lambda."""
     if not isinstance(lam, int) or lam < 1:
         raise ValueError("lambda must be a positive integer")
     if a < 2:
@@ -389,32 +376,27 @@ def lower_bound_graph(lam: int, a: int) -> tuple[Graph, BoundCertificate]:
     k = lam * a
     order_expected = 2 * k + 2 * lam
 
-    degs = set(g.degrees())
-    regular_ok = degs == {k}
+    regular_ok = set(g.degrees()) == {k}
     order_ok = g.n == order_expected
+    claimed = {k: 1, lam: a, 0: (lam - 1) * (2 * a + 2), -lam: a, -k: 1}
+    claimed = {theta: m for theta, m in claimed.items() if m}
+    spectrum_ok = spectrum_is(g, claimed)
 
-    expected_vals = [float(k)] + [float(lam)] * a + [-float(lam)] * a + [-float(k)]
-    expected_vals += [0.0] * ((lam - 1) * (2 * a + 2))
-    expected = group_eigenvalues(expected_vals, GROUP_TOL)
-    actual = spectrum(g)
-    spectrum_ok = actual.approx_eq(expected)
-    lam2 = actual.second_largest()
-    lam2_ok = abs(lam2 - lam) <= GROUP_TOL
-
-    verified = regular_ok and order_ok and spectrum_ok and lam2_ok
     cert = BoundCertificate(
         claim="coclique-extension-lower-bound",
         params={"lambda": lam, "a": a, "k": k},
-        verified=verified,
+        verified=regular_ok and order_ok and spectrum_ok,
         evidence={
             "order": g.n,
             "order_expected": order_expected,
             "regular": regular_ok,
-            "second_largest": lam2,
-            "spectrum": actual.to_json_obj(),
+            "spectrum_holds": spectrum_ok,
+            "second_largest": list(claimed)[1],  # k is simple
+            "spectrum": {
+                "eigenvalues": [{"value": v, "multiplicity": m} for v, m in claimed.items()]
+            },
             "consequence": f"max order for (k={k}, lambda={lam}) >= {order_expected}",
         },
-        tolerance=GROUP_TOL,
     )
     return g, cert
 

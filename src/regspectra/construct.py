@@ -18,7 +18,7 @@ from .graphs import Graph
 def edgeless(n: int) -> Graph:
     if n < 1:
         raise ValueError("order must be >= 1")
-    return Graph(np.zeros((n, n), dtype=bool), name=f"empty({n})")
+    return Graph(np.zeros((n, n), dtype=bool))
 
 
 def complete(n: int) -> Graph:
@@ -43,8 +43,7 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
     for p in parts:
         a[start : start + p, start : start + p] = False
         start += p
-    label = ",".join(str(p) for p in parts)
-    return Graph(a, name=f"K_{{{label}}}")
+    return Graph(a)
 
 
 def complete_bipartite(s: int, t: int) -> Graph:
@@ -54,13 +53,13 @@ def complete_bipartite(s: int, t: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs >= 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)], name=f"C{n}")
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs >= 1 vertex")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)], name=f"P{n}")
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def petersen() -> Graph:
@@ -68,14 +67,14 @@ def petersen() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
-    return Graph.from_edges(10, edges, name="Petersen")
+    return Graph.from_edges(10, edges)
 
 
 def complement(g: Graph) -> Graph:
     a = ~g.adj
     a = a.copy()
     np.fill_diagonal(a, False)
-    return Graph(a, name=f"co({g.name})" if g.name else "")
+    return Graph(a)
 
 
 def line_graph(g: Graph) -> Graph:
@@ -95,7 +94,7 @@ def line_graph(g: Graph) -> Graph:
             u2, v2 = edges[j]
             if u1 in (u2, v2) or v1 in (u2, v2):
                 a[i, j] = a[j, i] = True
-    return Graph(a, name=f"L({g.name})" if g.name else "")
+    return Graph(a)
 
 
 def k_tilde(m: int) -> Graph:
@@ -113,7 +112,7 @@ def k_tilde(m: int) -> Graph:
     a[:, 2 * m] = False
     for i in range(m):
         a[2 * m, i] = a[i, 2 * m] = True
-    return Graph(a, name=f"Ktilde{2 * m}")
+    return Graph(a)
 
 
 def coclique_extension(g: Graph, q: int) -> Graph:
@@ -125,7 +124,7 @@ def coclique_extension(g: Graph, q: int) -> Graph:
     if q < 1:
         raise ValueError("q must be >= 1")
     a = np.kron(g.adj, np.ones((q, q), dtype=bool))
-    return Graph(a, name=f"{g.name}~{q}" if g.name else "")
+    return Graph(a)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -133,7 +132,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     a = np.zeros((n, n), dtype=bool)
     a[: g.n, : g.n] = g.adj
     a[g.n :, g.n :] = h.adj
-    return Graph(a, name=f"{g.name}+{h.name}" if g.name and h.name else "")
+    return Graph(a)
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -154,5 +153,4 @@ def circulant(n: int, jumps: Sequence[int]) -> Graph:
             a[i, (i + d) % n] = True
             a[(i + d) % n, i] = True
     np.fill_diagonal(a, False)
-    js = ",".join(str(j) for j in jumps)
-    return Graph(a, name=f"C{n}({js})")
+    return Graph(a)

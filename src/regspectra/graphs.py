@@ -30,9 +30,9 @@ class Graph:
     frozen at construction; all operations on graphs are pure functions.
     """
 
-    __slots__ = ("n", "adj", "name", "_bits")
+    __slots__ = ("n", "adj", "_bits")
 
-    def __init__(self, adj, name: str = ""):
+    def __init__(self, adj):
         a = np.array(adj, dtype=bool)  # always a private copy
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be a square matrix")
@@ -46,17 +46,16 @@ class Graph:
         a.setflags(write=False)
         self.n = n
         self.adj = a
-        self.name = name
         self._bits: Optional[tuple[int, ...]] = None
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], name: str = "") -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         a = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"invalid edge ({u}, {v}) for order {n}")
             a[u, v] = a[v, u] = True
-        return cls(a, name)
+        return cls(a)
 
     # -- basic queries ----------------------------------------------------
 
@@ -86,23 +85,23 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.adj.sum()) // 2
 
-    def induced(self, vertices: Sequence[int], name: str = "") -> "Graph":
+    def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; vertex i of the result is vertices[i]."""
         idx = list(vertices)
         if len(idx) == 0:
             raise ValueError("induced subgraph needs at least one vertex")
         if len(set(idx)) != len(idx):
             raise ValueError("vertex list contains repeats")
-        return Graph(self.adj[np.ix_(idx, idx)], name)
+        return Graph(self.adj[np.ix_(idx, idx)])
 
-    def relabel(self, perm: Sequence[int], name: str = "") -> "Graph":
+    def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image under the permutation mapping old vertex i to perm[i]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation")
         inv = [0] * self.n
         for old, new in enumerate(perm):
             inv[new] = old
-        return Graph(self.adj[np.ix_(inv, inv)], name)
+        return Graph(self.adj[np.ix_(inv, inv)])
 
     def is_connected(self) -> bool:
         return reach(self.bits(), 0) == (1 << self.n) - 1
@@ -119,8 +118,7 @@ class Graph:
         return hash((self.n, self.adj.tobytes()))
 
     def __repr__(self) -> str:
-        tag = f" {self.name!r}" if self.name else ""
-        return f"<Graph{tag} n={self.n} m={self.num_edges()}>"
+        return f"<Graph n={self.n} m={self.num_edges()}>"
 
 
 def layers(bits: Sequence[int], start: int) -> Iterator[int]:

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import formats
-from .construct import complete, edgeless
+from .construct import complete, cycle, edgeless, path
 from .errors import ConsistencyError
 from .graphs import Graph, contains_induced
 from .spectra import INTERLACING_TOL, eig_symmetric
@@ -107,9 +107,7 @@ class HoffmanGraph:
         return cls(g, fat)
 
     @classmethod
-    def with_fats(
-        cls, slim: Graph, fats: Sequence[Iterable[int]], name: str = ""
-    ) -> "HoffmanGraph":
+    def with_fats(cls, slim: Graph, fats: Sequence[Iterable[int]]) -> "HoffmanGraph":
         """`slim` on vertices 0..s-1 plus fat vertex s+j joined to exactly fats[j]."""
         s = slim.n
         n = s + len(fats)
@@ -118,7 +116,7 @@ class HoffmanGraph:
         for j, nbrs in enumerate(fats):
             for w in nbrs:
                 a[s + j, w] = a[w, s + j] = True
-        return cls(Graph(a, name=name), fat=range(s, n))
+        return cls(Graph(a), fat=range(s, n))
 
     def __repr__(self) -> str:
         return f"<HoffmanGraph n={self.n} slim={self.n - len(self.fat)} fat={len(self.fat)}>"
@@ -129,14 +127,14 @@ class HoffmanGraph:
 
 def attach_universal_fat(h: Graph) -> HoffmanGraph:
     """q(H): H as slim part plus one fat vertex adjacent to every slim vertex."""
-    return HoffmanGraph.with_fats(h, [range(h.n)], name=f"q({h.name})" if h.name else "q")
+    return HoffmanGraph.with_fats(h, [range(h.n)])
 
 
 def slim_with_fats(s: int) -> HoffmanGraph:
     """One slim vertex adjacent to s fat vertices; lambda_min is exactly -s."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    return HoffmanGraph.with_fats(edgeless(1), [[0]] * s, name=f"h^({s})")
+    return HoffmanGraph.with_fats(edgeless(1), [[0]] * s)
 
 
 def fatten(h: HoffmanGraph, p: int) -> Graph:
@@ -162,7 +160,7 @@ def fatten(h: HoffmanGraph, p: int) -> Graph:
     joins = np.repeat(h.incidence(), p, axis=1)
     a[:s, s:] = joins
     a[s:, :s] = joins.T
-    return Graph(a, name=f"fatten(p={p})")
+    return Graph(a)
 
 
 def fattening_lambda_min_sequence(h: HoffmanGraph, p_max: int) -> list[float]:
@@ -209,8 +207,7 @@ def catalog() -> list[tuple[str, HoffmanGraph]]:
     suite), and every entry is recovered by the quasi-clique association
     round-trip at small parameters.
     """
-    p2 = Graph.from_edges(2, [(0, 1)], name="K2")
-    p3 = Graph.from_edges(3, [(0, 1), (1, 2)], name="P3")
+    p2, p3 = complete(2), path(3)
     entries = [
         ("q(K1)", attach_universal_fat(complete(1))),
         ("q(K2)", attach_universal_fat(complete(2))),
@@ -219,10 +216,10 @@ def catalog() -> list[tuple[str, HoffmanGraph]]:
         ("q(2K1)", attach_universal_fat(edgeless(2))),
         ("q(P3)", attach_universal_fat(p3)),
         ("h^(2)", slim_with_fats(2)),
-        ("K2+fats(a),(b)", HoffmanGraph.with_fats(p2, [[0], [1]], "K2+fats(a),(b)")),
-        ("K2+fats(ab),(a)", HoffmanGraph.with_fats(p2, [[0, 1], [0]], "K2+fats(ab),(a)")),
-        ("K2+fats(ab),(a),(b)", HoffmanGraph.with_fats(p2, [[0, 1], [0], [1]], "K2+fats(ab),(a),(b)")),
-        ("P3+fats(a),(c)", HoffmanGraph.with_fats(p3, [[0], [2]], "P3+fats(a),(c)")),
-        ("q(C4)", attach_universal_fat(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], name="C4"))),
+        ("K2+fats(a),(b)", HoffmanGraph.with_fats(p2, [[0], [1]])),
+        ("K2+fats(ab),(a)", HoffmanGraph.with_fats(p2, [[0, 1], [0]])),
+        ("K2+fats(ab),(a),(b)", HoffmanGraph.with_fats(p2, [[0, 1], [0], [1]])),
+        ("P3+fats(a),(c)", HoffmanGraph.with_fats(p3, [[0], [2]])),
+        ("q(C4)", attach_universal_fat(cycle(4))),
     ]
     return entries

@@ -17,8 +17,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
-from .construct import circulant, complement, cycle, edgeless
-from .graphs import Graph
+from .construct import circulant, complement, complete, cycle, edgeless
+from .graphs import Graph, contains_induced
 
 # Established values; stored with s <= t.
 _TABLE: dict[tuple[int, int], int] = {
@@ -99,13 +99,9 @@ def ramsey_lookup(s: int, t: int) -> RamseyValue:
 
 
 def has_clique(g: Graph, r: int) -> bool:
-    if r <= 1:
-        return r == 1 and g.n >= 1
-    bits = g.bits()
-    for combo in combinations(range(g.n), r):
-        if all(bits[u] >> v & 1 for u, v in combinations(combo, 2)):
-            return True
-    return False
+    """Whether g has r pairwise adjacent vertices (r >= 1), by the one
+    induced-subgraph matcher."""
+    return r >= 1 and contains_induced(g, complete(r), cap=r)[0]
 
 
 def has_coclique(g: Graph, r: int) -> bool:

@@ -4,9 +4,10 @@ All eigenvalue work funnels through `kernel.sym_eigenvalues` (LAPACK
 through numpy).  Partition quotients are not symmetric in general, but they
 are diagonally similar to a symmetric matrix, which is what the kernel solves.
 
-`eig_symmetric`, `eigenvalue_at_most`, `eigenvalue_at_most_exact` and
-`lambda_min_at_least` take a `Graph` (its adjacency matrix) or a matrix;
-`_matrix` is the one place a graph becomes an eigensolver input.
+`eig_symmetric`, `spectrum_is`, `eigenvalue_at_most`,
+`eigenvalue_at_most_exact` and `lambda_min_at_least` take a `Graph` (its
+adjacency matrix) or a matrix; `_matrix` is the one place a graph becomes an
+eigensolver input.  A claimed spectrum is checked exactly by `spectrum_is`.
 
 Every verdict of an eigenvalue against a rational bound lambda goes through
 `eigenvalue_at_most`: floats decide away from the bound, and within
@@ -18,13 +19,15 @@ constants below and are set nowhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import exactpoly, kernel
+from .errors import UnsupportedSizeError
 from .graphs import Graph
 
 SYMMETRY_TOL = 1e-12  # largest |a_ij - a_ji| an eigensolve input may have
@@ -97,14 +100,6 @@ class Spectrum:
     def lambda_min(self) -> float:
         return self.pairs[-1][0]
 
-    def approx_eq(self, other: "Spectrum") -> bool:
-        if self.n != other.n or len(self.pairs) != len(other.pairs):
-            return False
-        return all(
-            m1 == m2 and abs(v1 - v2) <= GROUP_TOL
-            for (v1, m1), (v2, m2) in zip(self.pairs, other.pairs)
-        )
-
     def to_json_obj(self) -> dict:
         return {
             "eigenvalues": [{"value": v, "multiplicity": m} for v, m in self.pairs],
@@ -144,6 +139,44 @@ def spectrum(g: Graph) -> Spectrum:
     return group_eigenvalues(vals, GROUP_TOL * max(1.0, float(norm)))
 
 
+# -- claimed spectra (exact) ------------------------------------------------------
+
+
+def spectrum_is(matrix, claimed: Mapping) -> bool:
+    """Whether a graph or an integer square matrix A has exactly the spectrum
+    `claimed` (eigenvalue -> multiplicity), in int64 arithmetic: the
+    multiplicities are >= 1 and sum to n, every value is an integer (as a
+    rational eigenvalue of an integer matrix is), prod (A - theta I) = 0, so
+    A is diagonalizable with every eigenvalue among the theta, and
+    tr(A^j) = sum m_theta theta^j for 0 < j < t, a Vandermonde system whose
+    one solution then is the claimed multiplicities.  No entry or sum exceeds
+    n * prod (r + |theta|), r the largest absolute row sum;
+    UnsupportedSizeError when that reaches 2^63."""
+    a = _matrix(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.dtype.kind not in "iu":
+        raise ValueError("need a square integer matrix")
+    n, mults = a.shape[0], list(claimed.values())
+    if min(mults, default=0) < 1 or sum(mults) != n:
+        return False
+    if any(Fraction(t).denominator != 1 for t in claimed):
+        return False
+    thetas = [int(t) for t in claimed]
+    r = max(sum(abs(x) for x in row) for row in a.tolist())
+    if n * math.prod(r + abs(t) for t in thetas) >= 2**63:
+        raise UnsupportedSizeError("spectrum check would overflow int64")
+    a, eye = a.astype(np.int64), np.eye(n, dtype=np.int64)
+    product = power = eye
+    for t in thetas:
+        product = product @ (a - t * eye)
+    if product.any():
+        return False
+    for j in range(1, len(thetas)):
+        power = power @ a
+        if int(power.trace()) != sum(m * t**j for t, m in zip(thetas, mults)):
+            return False
+    return True
+
+
 # -- the boundary rule -------------------------------------------------------------
 
 
@@ -151,11 +184,8 @@ def eigenvalue_at_most_exact(matrix, i: int, x: Fraction) -> bool:
     """Whether the i-th largest eigenvalue of a graph, or of a rational square
     matrix with real spectrum, is at most x, exactly: at most i - 1
     characteristic roots, counted with multiplicity (Yun's square-free
-    decomposition), exceed x.  For i = 1 the count of distinct roots already
-    settles it."""
+    decomposition), exceed x."""
     p = exactpoly.charpoly(_matrix(matrix).tolist())
-    if i == 1:
-        return exactpoly.count_roots_greater(p, x) == 0
     factors = exactpoly.squarefree_decomposition(p)
     return sum(m * exactpoly.count_roots_greater(q, x) for q, m in factors) < i
 

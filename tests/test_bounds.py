@@ -18,7 +18,7 @@ from regspectra.construct import (
     random_graph,
 )
 from regspectra.graphs import Graph, regularity_params
-from regspectra.spectra import GROUP_TOL, eigenvalue_at_most, lambda_min_at_least
+from regspectra.spectra import eigenvalue_at_most, lambda_min_at_least
 from oracles import bfs_pair_data
 
 
@@ -110,7 +110,7 @@ def test_lambda_min_premise_settled_exactly_at_the_boundary(lam, holds):
     for g in graphs:
         for cert in (bounds.prop13_verifier(g, lam, 1), bounds.co_edge_bound_check(g, lam)):
             assert cert.evidence["premise_lambda_min"] is holds, (g.n, cert.claim)
-            assert cert.tolerance == 0
+            assert "tolerance" not in cert.to_json_obj()
     # lambda_min(q(2K1)) = -1 - lambda_max(K2) = -2 exactly
     cert = bounds.isolated_vertex_bound_check(lam, edgeless(2))
     assert cert.evidence["strictly_below_minus_lambda"] is not holds
@@ -242,9 +242,9 @@ def test_certificate_json():
     _, cert = bounds.lower_bound_graph(1, 2)
     obj = cert.to_json_obj()
     assert obj["verified"] and obj["claim"] == "coclique-extension-lower-bound"
-    # the numeric spectrum match uses GROUP_TOL; the exact checks use none
-    assert obj["tolerance"] == GROUP_TOL
-    assert bounds.prop13_verifier(petersen(), 2, 1).to_json_obj()["tolerance"] == 0
+    # every verdict is exact: no certificate carries a tolerance
+    assert "tolerance" not in obj
+    assert "tolerance" not in bounds.prop13_verifier(petersen(), 2, 1).to_json_obj()
 
 
 def test_isolated_vertex_bound_exhaustive_small():

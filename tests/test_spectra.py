@@ -2,12 +2,13 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from regspectra import exactpoly, spectra
+from regspectra import bounds, exactpoly, spectra
 from regspectra.construct import (
     complement,
     complete,
@@ -24,11 +25,12 @@ from regspectra.spectra import (
     eig_symmetric,
     eigenvalue_at_most,
     eigenvalue_at_most_exact,
-    group_eigenvalues,
     lambda_min_at_least,
     quotient_matrix,
     spectrum,
+    spectrum_is,
 )
+from regspectra.errors import UnsupportedSizeError
 from oracles import integer_spectrum, interlacing_check
 
 
@@ -108,9 +110,50 @@ def test_trace_invariants():
 def test_line_graph_complement_family():
     for a in (2, 3, 5):
         g = complement(line_graph(complete_bipartite(2, a + 1)))
-        s = spectrum(g)
-        want = group_eigenvalues([a] + [1.0] * a + [-1.0] * a + [-a], 1e-8)
-        assert s.approx_eq(want)
+        assert spectrum_is(g, {a: 1, 1: a, -1: a, -a: 1})
+
+
+def _integral_spectrum_graphs():
+    # A1's family, K_{s,t} with st square, Petersen, two A3 witnesses
+    graphs = [complement(line_graph(complete_bipartite(2, a + 1))) for a in (2, 3, 5)]
+    graphs += [complete_bipartite(s, t) for s, t in ((1, 4), (3, 3), (2, 8))]
+    graphs.append(petersen())
+    graphs += [bounds.lower_bound_graph(lam, a)[0] for lam, a in ((2, 2), (3, 2))]
+    return graphs
+
+
+def test_spectrum_is_agrees_with_the_rank_oracle():
+    for g in _integral_spectrum_graphs():
+        claimed = dict(Counter(integer_spectrum(g)))
+        assert spectrum_is(g, claimed)
+        assert spectrum_is(g.adj.astype(np.int64), claimed)
+        wrong = []
+        for theta in claimed:
+            # one multiplicity moved by one to another value: the sum holds
+            for other in claimed:
+                if other != theta and claimed[theta] > 1:
+                    wrong.append({**claimed, theta: claimed[theta] - 1, other: claimed[other] + 1})
+            # one eigenvalue moved by 1 or by 1/1000
+            for step in (1, -1, Fraction(1, 1000)):
+                if theta + step not in claimed:
+                    moved = {t: m for t, m in claimed.items() if t != theta}
+                    wrong.append({**moved, theta + step: claimed[theta]})
+            wrong.append({**claimed, theta: claimed[theta] + 1})  # wrong sum
+        wrong.append({**claimed, max(claimed) + 1: 0})  # a zero multiplicity
+        wrong.append({})
+        # one value: the sum holds and no trace is checked, so only the
+        # annihilator A - 0 I = 0 rejects it
+        wrong.append({0: g.n})
+        for w in wrong:
+            assert not spectrum_is(g, w), w
+
+
+def test_spectrum_is_refuses_what_int64_cannot_hold():
+    with pytest.raises(UnsupportedSizeError):
+        spectrum_is([[0, 2**40], [2**40, 0]], {2**40: 1, -(2**40): 1})
+    assert spectrum_is([[0, 2**20], [2**20, 0]], {2**20: 1, -(2**20): 1})
+    with pytest.raises(ValueError):
+        spectrum_is([[0.0, 1.0], [1.0, 0.0]], {1: 1, -1: 1})
 
 
 def test_complement_spectrum_relation_for_regular():
