@@ -39,9 +39,9 @@ class Graph:
         n = a.shape[0]
         if n < 1:
             raise ValueError("graph must have at least one vertex")
-        if (a != a.T).any():
+        if np.count_nonzero(a != a.T):
             raise ValueError("adjacency must be symmetric")
-        if a.diagonal().any():
+        if np.count_nonzero(a.diagonal()):
             raise ValueError("adjacency must have a zero diagonal (no loops)")
         a.setflags(write=False)
         self.n = n

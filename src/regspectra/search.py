@@ -33,7 +33,7 @@ completion carries the partial graph's triangle count, which only grows, and
 cuts a choice that exceeds the cap before applying it.  Then the
 interlacing cut: the subgraph induced on the saturated vertices must itself
 have second eigenvalue at most lambda (one eigensolve per distinct labelled
-subgraph and order).
+subgraph and search).
 
 The prune's float cut gives the partial graph `spectra.INTERLACING_TOL`
 (1e-9) of benefit, so it errs toward keeping.  Every accept or reject of a
@@ -383,16 +383,21 @@ def _complete_from(
 
     When `stop_depth` is set, the completion stops once v >= stop_depth and
     appends `(rows, sat)` to `states` instead (used to partition work across
-    processes).  `verdicts` is the prune-verdict memo of the completion pass
-    (see `_feasible`): the root call creates it and the recursion shares it.
+    processes).  `verdicts` is the prune-verdict memo (see `_feasible`): the
+    root call creates it unless given one, and the recursion shares it;
+    `v_search` gives one memo to the passes of every order.
 
     `key` names the saturated subgraph H for the memo: a leading 1, then per
-    step of the pass n bits for the completed vertex's row and for the row of
-    each vertex it saturated above it, masked to the step's saturated set.
-    The fields decode to the steps, hence to H; and H fixes the steps, since
-    a saturated vertex has all its lower neighbours in H and was completed by
+    step of the pass DEFAULT_MAX_N bits (a fixed width, whatever n is; n is
+    at most that) for the completed vertex's row and for the row of each
+    vertex it saturated above it, masked to the step's saturated set.  The
+    fields decode to the steps, hence to H; and H fixes the steps, since a
+    saturated vertex has all its lower neighbours in H and was completed by
     a step iff fewer than k of them exist, else saturated by the step of its
-    largest neighbour.  So keys are equal iff the labelled subgraphs are."""
+    largest neighbour.  Neither direction uses n, so keys are equal iff the
+    labelled subgraphs are, across the orders of one search too.  A pass
+    started from a stop-depth state begins again at key 1, so its keys name
+    H only within that pass, which keeps its own memo."""
     free = ((1 << n) - 1) & ~sat
     v = (free & -free).bit_length() - 1 if free else n
     if stop_depth is not None and v >= stop_depth:
@@ -450,7 +455,7 @@ def _complete_from(
                 continue
         child = sat | bv | mask & last
         rows[v] = base | mask
-        ckey = key << n | rows[v] & child
+        ckey = key << DEFAULT_MAX_N | rows[v] & child
         rest = mask
         while rest:
             b = rest & -rest
@@ -458,7 +463,7 @@ def _complete_from(
             u = b.bit_length() - 1
             rows[u] |= bv
             if b & last:  # saturated now, with every neighbour in `child`
-                ckey = ckey << n | rows[u]
+                ckey = ckey << DEFAULT_MAX_N | rows[u]
         if _feasible(k, n, rows, v, child, prune_lam, verdicts, ckey):
             yield from _complete_from(
                 k, n, rows, child, prune_lam, stop_depth, states, verdicts, ckey, tri_cap, t
@@ -493,8 +498,9 @@ def _feasible(
 
     Saturated rows are frozen, so every completion contains that subgraph
     induced, and the spectral verdict depends only on it.  `verdicts`
-    memoizes it for the completion pass under `key`, which names that
-    subgraph (see `_complete_from`)."""
+    memoizes it under `key`, which names that subgraph (see
+    `_complete_from`), so each distinct labelled subgraph is solved once per
+    search."""
     full = (1 << n) - 1
     free = full & ~sat
     left = free.bit_count()
@@ -540,10 +546,18 @@ def _worker_complete(args):
     return list(_complete_from(k, n, list(rows), sat, prune_lam, tri_cap=tri_cap, tri=tri))
 
 
-def _candidate_rows(k: int, n: int, prune_lam: Optional[Real], workers: int):
+def _candidate_rows(
+    k: int,
+    n: int,
+    prune_lam: Optional[Real],
+    workers: int,
+    verdicts: Optional[dict[int, bool]] = None,
+):
     """Yields the completed labeled candidates (row tuples).  Serially they
     come in batches of _STREAM_BATCH straight from the completion; with
-    workers, each job's list comes back whole.
+    workers, each job's list comes back whole.  `verdicts` is the prune memo
+    of the serial pass or of the stop-depth pass (see `_complete_from`);
+    every job keeps its own.
 
     With `prune_lam` set, the eigenvalue prune compares against its float and
     the triangle cut uses `bounds.triangle_cap` of its exact value."""
@@ -553,14 +567,14 @@ def _candidate_rows(k: int, n: int, prune_lam: Optional[Real], workers: int):
         exact = Fraction(prune_lam)
         lam, tri_cap = float(exact), triangle_cap(k, n, exact)
     if workers <= 1 or n <= 3:
-        completion = _complete_from(k, n, [0] * n, sat, lam, tri_cap=tri_cap)
+        completion = _complete_from(k, n, [0] * n, sat, lam, verdicts=verdicts, tri_cap=tri_cap)
         while batch := list(islice(completion, _STREAM_BATCH)):
             yield from batch
         return
     # partition the tree at the completion of vertex 1 across processes; a
     # job's triangle count is recounted from its rows
     states: list = []
-    list(_complete_from(k, n, [0] * n, sat, lam, 2, states, tri_cap=tri_cap))
+    list(_complete_from(k, n, [0] * n, sat, lam, 2, states, verdicts, tri_cap=tri_cap))
     jobs = [(k, n, rows, sat, lam, tri_cap, _triangles(rows)) for rows, sat in states]
     if not jobs:
         return
@@ -579,6 +593,7 @@ def enum_connected_regular(
     prune_lam: Optional[Real] = None,
     workers: int = 1,
     _info: Optional[dict] = None,
+    _verdicts: Optional[dict[int, bool]] = None,
 ) -> list[Graph]:
     """Exactly one representative per isomorphism class of connected k-regular
     graphs on n vertices.
@@ -594,7 +609,9 @@ def enum_connected_regular(
     (sound for the search driver, but the result is then only exhaustive for
     graphs passing that filter).
     `_info`, when given, receives the candidate and class counts and the
-    certificates of the returned graphs, in the same order.
+    certificates of the returned graphs, in the same order.  `_verdicts`,
+    when given, is the prune memo to use and fill (a fresh one otherwise);
+    it must only ever see one k and one `prune_lam` (see `_complete_from`).
     """
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
@@ -606,7 +623,7 @@ def enum_connected_regular(
         )
     if not parity_ok(k, n):
         return []
-    candidates, classes = _dedup(_candidate_rows(k, n, prune_lam, workers))
+    candidates, classes = _dedup(_candidate_rows(k, n, prune_lam, workers, _verdicts))
     certs = sorted(classes)
     if _info is not None:
         _info["candidates"] = candidates
@@ -756,6 +773,7 @@ def v_search(
 
     counts: dict[int, OrderCount] = {}
     passed_by_order: dict[int, list[ExtremalGraph]] = {}
+    verdicts: dict[int, bool] = {}  # one prune memo for every order
 
     for n in range(k + 1, n_cap + 1):
         if not parity_ok(k, n):
@@ -763,7 +781,12 @@ def v_search(
             continue
         cinfo: dict = {}
         graphs = enum_connected_regular(
-            k, n, prune_lam=lam_fr if prune else None, workers=workers, _info=cinfo
+            k,
+            n,
+            prune_lam=lam_fr if prune else None,
+            workers=workers,
+            _info=cinfo,
+            _verdicts=verdicts,
         )
         passed: list[ExtremalGraph] = []
         for g, cert in zip(graphs, cinfo["certificates"]):

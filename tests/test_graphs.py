@@ -48,6 +48,15 @@ def test_graph_validation():
         Graph(np.eye(2, dtype=bool))  # loops
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 0)])
+    # one bad entry in an otherwise valid 8x8 matrix is enough
+    asymmetric = cycle(8).adj.copy()
+    asymmetric[1, 6] = True
+    with pytest.raises(ValueError, match="symmetric"):
+        Graph(asymmetric)
+    looped = cycle(8).adj.copy()
+    looped[7, 7] = True
+    with pytest.raises(ValueError, match="zero diagonal"):
+        Graph(looped)
 
 
 def test_adjacency_is_frozen():

@@ -471,7 +471,7 @@ def test_boundary_graph_above_order_12_settled_exactly():
     assert search._judge(g, cert, Fraction(2) - Fraction(1, 10**10)) is None
 
 
-def test_prune_verdicts_memoized_per_order(monkeypatch):
+def test_prune_verdicts_memoized_per_search(monkeypatch):
     calls = [0]
     real = search.spectral_prune
 
@@ -480,11 +480,12 @@ def test_prune_verdicts_memoized_per_order(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(search, "spectral_prune", counted)
-    # one verdict per distinct labelled saturated subgraph in each order; an
+    # one verdict per distinct labelled saturated subgraph in each search; an
     # unshared prune ran 6,743 and 6,639 times on these searches, one shared
-    # only among siblings 4,415 and 3,917 times, and the memo without the
-    # triangle cut 2,655 and 1,653 times
-    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 2344), ((4, 1, 10), 1360)):
+    # only among siblings 4,415 and 3,917 times, the memo without the
+    # triangle cut 2,655 and 1,653 times, and one memo per order 2,344 and
+    # 1,360 times
+    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 2077), ((4, 1, 10), 1107)):
         calls[0] = 0
         pruned = search.v_search(k, lam, n_max)
         assert calls[0] == want, (k, lam, n_max)
@@ -497,31 +498,64 @@ def test_prune_verdicts_memoized_per_order(monkeypatch):
 def test_prune_key_identifies_saturated_subgraph(monkeypatch):
     # equal memo keys iff equal saturated masks and equal induced adjacency,
     # over every feasibility check of whole completion passes and of one
-    # worker job (a pass started from a stop-depth state)
+    # worker job (a pass started from a stop-depth state).  The passes of one
+    # k at several orders share one table, as the orders of a search share
+    # one memo, and some subgraph the memo decides recurs across orders.
     seen: list = []
     real = search._feasible
 
     def recording(k, n, rows, v, sat, prune_lam, verdicts, key):
         members = [u for u in range(n) if sat >> u & 1]
-        seen.append((key, sat, search._saturated_subgraph(rows, members).adj.tobytes()))
+        seen.append((key, sat, search._saturated_subgraph(rows, members).adj.tobytes(), n))
         return real(k, n, rows, v, sat, prune_lam, verdicts, key)
 
     monkeypatch.setattr(search, "_feasible", recording)
     states: list = []
     list(search._complete_from(4, 11, [0] * 11, 0, None, 2, states))
-    passes = [(k, n, [0] * n, 0) for k, n in ((3, 10), (4, 9), (4, 10), (5, 8))]
-    passes.append((4, 11, list(states[-1][0]), states[-1][1]))
-    for k, n, rows, sat in passes:
+    groups = ((3, (6, 8, 10)), (4, (7, 8, 9, 10)), (5, (8,)))
+    tables = [[(k, n, [0] * n, 0) for n in orders] for k, orders in groups]
+    tables.append([(4, 11, list(states[-1][0]), states[-1][1])])
+    for passes in tables:
         seen.clear()
-        list(search._complete_from(k, n, rows, sat, 100.0))  # nothing is cut spectrally
+        for k, n, rows, sat in passes:
+            list(search._complete_from(k, n, rows, sat, 100.0))  # nothing is cut spectrally
         keys: dict = {}
         graphs: dict = {}
-        for key, *graph in seen:
-            keys.setdefault(key, set()).add(tuple(graph))
-            graphs.setdefault(tuple(graph), set()).add(key)
-        assert all(len(g) == 1 for g in keys.values()), (k, n)
-        assert all(len(g) == 1 for g in graphs.values()), (k, n)
-        assert len(keys) < len(seen), (k, n)  # the memo has hits to give
+        orders: dict = {}
+        for key, sat, adj, n in seen:
+            keys.setdefault(key, set()).add((sat, adj))
+            graphs.setdefault((sat, adj), set()).add(key)
+            if sat.bit_count() >= 2:  # the memo is consulted
+                orders.setdefault(key, set()).add(n)
+        assert all(len(g) == 1 for g in keys.values()), passes[0][:2]
+        assert all(len(g) == 1 for g in graphs.values()), passes[0][:2]
+        assert len(keys) < len(seen), passes[0][:2]  # the memo has hits to give
+        if len(passes) > 1:
+            assert any(len(ns) > 1 for ns in orders.values()), passes[0][:2]
+
+
+def test_v_search_orders_match_standalone_enumeration(monkeypatch):
+    # the memo v_search shares across its orders changes no order's outcome:
+    # candidates, classes and certificates are those of a standalone call
+    standalone = search.enum_connected_regular
+    recorded: dict = {}
+
+    def recording(k, n, *args, _info=None, **kwargs):
+        graphs = standalone(k, n, *args, _info=_info, **kwargs)
+        recorded[n] = (dict(_info), graphs)
+        return graphs
+
+    monkeypatch.setattr(search, "enum_connected_regular", recording)
+    for k, lam, n_max in ((3, Fraction(3, 2), 12), (4, 1, 10)):
+        recorded.clear()
+        report = search.v_search(k, lam, n_max)
+        assert sorted(recorded) == [n for n in range(k + 1, n_max + 1) if k * n % 2 == 0]
+        for n, (info, graphs) in recorded.items():
+            alone: dict = {}
+            assert standalone(k, n, prune_lam=lam, _info=alone) == graphs, (k, n)
+            assert alone == info, (k, n)
+            counts = report.counts[n]
+            assert (counts.candidates, counts.classes) == (info["candidates"], info["classes"])
 
 
 def test_pruned_candidates_per_order_pinned():
