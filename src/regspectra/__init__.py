@@ -31,7 +31,6 @@ from .bounds import (
     ramsey_lookup,
     srg_mu_check,
     thresholds,
-    triangle_cap,
 )
 from .errors import CapExceededError, ConsistencyError, UnsupportedSizeError
 from .graphs import (
@@ -112,7 +111,6 @@ __all__ = [
     "spectrum",
     "srg_mu_check",
     "thresholds",
-    "triangle_cap",
     "v_search",
     "__version__",
 ]

@@ -114,75 +114,6 @@ def thresholds(lam: Real) -> Thresholds:
     )
 
 
-# -- moment cap on triangles ------------------------------------------------------
-
-
-def _floor_sixth_plus_root(c: Fraction, q: Fraction) -> int:
-    """floor((c + sqrt(q)) / 6) for rational c and q >= 0, exactly: the float
-    guess is moved until 6m - c <= sqrt(q) < 6(m + 1) - c, each side compared
-    by squaring."""
-    def fits(m: int) -> bool:
-        x = 6 * m - c
-        return x <= 0 or x * x <= q
-
-    m = math.floor((c + math.sqrt(q)) / 6)
-    while not fits(m):
-        m -= 1
-    while fits(m + 1):
-        m += 1
-    return m
-
-
-def triangle_cap(k: int, n: int, lam: Real) -> Optional[int]:
-    """An exact upper bound on the triangles of a connected k-regular graph on
-    n vertices with second largest eigenvalue at most lam, from its spectral
-    moments.  None when lam >= k (no constraint); negative when the moments
-    admit no such graph.
-
-    The eigenvalues theta other than k lie in [-k, lam], and
-    sum theta = -k, sum theta^2 = S2 = nk - k^2,
-    sum theta^4 >= M4 = nk(2k - 1) - k^4 (tr A^4 = nk(2k - 1) + 8 C4), and
-    6t = k^3 + sum theta^3.  Two dual families bound sum theta^3; each holds
-    for every real r, so their infima over r do too:
-
-    - A: (x - lam)(x - r)^2 <= 0 for x <= lam gives
-      sum theta^3 <= D r^2 + 2 E r + lam S2 with D = k + (n - 1) lam and
-      E = S2 + k lam, least at r = -E / D when D > 0;
-    - B: (x + k)(x - lam)(x - r)^2 = x^4 + c3 x^3 + ... <= 0 on [-k, lam]
-      with c3 = k - lam - 2r > 0 gives, with the fourth moment,
-      sum theta^3 <= -(M4 + c2 S2 - c1 k + c0 (n - 1)) / c3.  In s = c3 this
-      is -(alpha s + beta + gamma / s), whose infimum over s > 0 is
-      sqrt(4 alpha gamma) - beta when alpha, gamma <= 0.
-
-    Either family unbounded below (D < 0, i.e. (n - 1) lam < -k; alpha > 0
-    or gamma > 0) leaves no graph.  The cap is
-    floor((k^3 + min(A, B)) / 6), settled without rounding."""
-    if k < 0 or n <= k:
-        raise ValueError("need 0 <= k < n")
-    lam = Fraction(lam)
-    if lam >= k:
-        return None
-    s2 = n * k - k * k
-    m4 = n * k * (2 * k - 1) - k**4
-    # family A
-    d_a = k + (n - 1) * lam
-    e = s2 + k * lam
-    if d_a < 0 or (d_a == 0 and e != 0):
-        return -1
-    cap_a = math.floor((k**3 + lam * s2 - (e * e / d_a if d_a else 0)) / 6)
-    # family B: the numerator a0 + a1 r + a2 r^2, then r = (d - s) / 2, so
-    # alpha = a2 / 4 and sqrt(4 alpha gamma) = sqrt(a2 gamma)
-    d = k - lam
-    a2 = s2 - k * d - k * lam * (n - 1)
-    a1 = -2 * d * s2 - 2 * k * k * lam
-    a0 = m4 - k * lam * s2
-    gamma = a0 + a1 * d / 2 + a2 * d * d / 4
-    beta = -(a1 + a2 * d) / 2
-    if a2 > 0 or gamma > 0:
-        return -1
-    return min(cap_a, _floor_sixth_plus_root(k**3 - beta, a2 * gamma))
-
-
 # -- isolated-vertex bound (universal fat vertex) ---------------------------------
 
 

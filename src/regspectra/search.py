@@ -24,23 +24,28 @@ belongs to a known class and is skipped after one root-to-leaf path; any
 other starts a new class, since isomorphic graphs have the same leaf-key
 set, and only it is labelled, by a whole walk that adds every key it meets.
 
-The pruned completion has two spectral cuts, cheapest first.  A moment cut:
-`bounds.triangle_cap` bounds, exactly, the triangles of a connected k-regular
-graph on n vertices with second eigenvalue at most lambda, through two dual
-polynomials non-positive on [-k, lambda], (x - lambda)(x - r)^2 and
-(x + k)(x - lambda)(x - r)^2 (the second with the fourth moment); the
-completion carries the partial graph's triangle count, which only grows, and
-cuts a choice that exceeds the cap before applying it.  Then the
-interlacing cut: the subgraph induced on the saturated vertices must itself
-have second eigenvalue at most lambda (one eigensolve per distinct labelled
-subgraph and search).
+The pruned completion has one spectral cut, by interlacing (Haemers 1995).
+Let G be a connected k-regular graph on n vertices with lambda_2(G) <=
+lambda, and c = (k - lambda)/n.  Then A - cJ has eigenvalue k - cn = lambda
+on the all-ones vector and A's other eigenvalues on its complement, so
+A - cJ <= lambda*I, and so does every principal submatrix: every induced
+subgraph H has lambda_1(A_H - cJ) <= lambda.  This holds for any real lambda
+and either sign of c; for c >= 0 it implies lambda_2(H) <= lambda, and on G
+itself it says lambda_2(G) <= lambda.  Saturated rows are frozen, so the
+subgraph on the saturated vertices plus any one unsaturated vertex u is
+induced in every completion, whatever the later steps add.  After each step
+the cut tests that subgraph for every unsaturated neighbour u of the vertex
+just completed, and the saturated subgraph alone (which each of those
+contains) only when there is none; one eigensolve per distinct labelled
+subgraph and pass.
 
 The prune's float cut gives the partial graph `spectra.INTERLACING_TOL`
-(1e-9) of benefit, so it errs toward keeping.  Every accept or reject of a
-class goes through `spectra.eigenvalue_at_most`: within 1e-6 of the
-threshold it is settled in exact rational arithmetic through the
-characteristic polynomial, at every supported order, so boundary graphs are
-never accepted or rejected by rounding.
+(1e-9) of benefit, so it errs toward keeping: a true graph meets the
+inequality exactly.  Every accept or reject of a class goes through
+`spectra.eigenvalue_at_most`: within 1e-6 of the threshold it is settled in
+exact rational arithmetic through the characteristic polynomial, at every
+supported order, so boundary graphs are never accepted or rejected by
+rounding.
 """
 
 from __future__ import annotations
@@ -54,10 +59,10 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import kernel
-from .bounds import Real, triangle_cap
+from .bounds import Real
 from .errors import UnsupportedSizeError
 from .formats import pack_graph6, to_graph6
-from .graphs import Graph, reach, twin_classes
+from .graphs import Graph, members, reach, twin_classes
 from .spectra import INTERLACING_TOL, eigenvalue_at_most, eigenvalue_at_most_exact, spectrum
 
 CANONICAL_CAP = 64
@@ -334,17 +339,22 @@ def parity_ok(k: int, n: int) -> bool:
     return (k * n) % 2 == 0
 
 
-def spectral_prune(saturated: Graph, lam: float) -> bool:
-    """Keep/cut decision for a partial graph: cut only when the subgraph induced
-    on already-saturated vertices has second largest eigenvalue beyond lam.
-    Sound by interlacing, since every completion contains it induced.
+def spectral_prune(saturated: Graph, lam: float, shift: float) -> bool:
+    """Keep/cut decision for a subgraph H that every completion contains
+    induced: keep iff lambda_1(A_H - shift*J) <= lam (+ INTERLACING_TOL).
+
+    With shift = (k - lam)/n this is sound for connected k-regular graphs on
+    n vertices with second eigenvalue at most lam: for such a G, A - shift*J
+    has eigenvalue k - shift*n = lam on the all-ones vector and A's other
+    eigenvalues on its complement, so A - shift*J <= lam*I, and every
+    principal submatrix inherits this.  It holds for any real lam and either
+    sign of shift.  A float cut errs toward keeping, since a true subgraph
+    meets the inequality exactly.
 
     The `Graph` has already validated its matrix (square, symmetric, boolean,
     zero diagonal), so the prune goes straight to the kernel."""
-    if saturated.n < 2:
-        return True
-    vals = kernel.sym_eigenvalues(saturated.adj)
-    return bool(vals[-2] <= lam + INTERLACING_TOL)
+    vals = kernel.sym_eigenvalues(saturated.adj - shift)
+    return bool(vals[-1] <= lam + INTERLACING_TOL)
 
 
 def _saturated_subgraph(rows: Sequence[int], sat: Sequence[int]) -> Graph:
@@ -362,10 +372,8 @@ def _complete_from(
     prune_lam: Optional[float],
     stop_depth: Optional[int] = None,
     states: Optional[list] = None,
-    verdicts: Optional[dict[int, bool]] = None,
+    verdicts: Optional[dict] = None,
     key: int = 1,
-    tri_cap: Optional[int] = None,
-    tri: int = 0,
 ):
     """Completion of the bit rows `rows` (degree = popcount) with saturated
     bitmask `sat`; yields completed row tuples.  The next vertex v is the
@@ -375,17 +383,10 @@ def _complete_from(
     neighbour bitmasks, then each is applied, checked by `_feasible` with the
     updated saturated mask and memo key, recursed into and undone.
 
-    `tri` is the number of triangles of the partial graph.  When `tri_cap` is
-    set (`bounds.triangle_cap`), a choice whose child has more is cut before
-    it is applied: edges are only added, so every completion has more too.
-    The choice's new triangles are the edges from each new neighbour u to
-    v's old neighbours and to the new ones below u.
-
     When `stop_depth` is set, the completion stops once v >= stop_depth and
     appends `(rows, sat)` to `states` instead (used to partition work across
-    processes).  `verdicts` is the prune-verdict memo (see `_feasible`): the
-    root call creates it unless given one, and the recursion shares it;
-    `v_search` gives one memo to the passes of every order.
+    processes).  `verdicts` is the prune-verdict memo of the pass (see
+    `_feasible`): the root call creates it, and the recursion shares it.
 
     `key` names the saturated subgraph H for the memo: a leading 1, then per
     step of the pass DEFAULT_MAX_N bits (a fixed width, whatever n is; n is
@@ -394,10 +395,9 @@ def _complete_from(
     fields decode to the steps, hence to H; and H fixes the steps, since a
     saturated vertex has all its lower neighbours in H and was completed by
     a step iff fewer than k of them exist, else saturated by the step of its
-    largest neighbour.  Neither direction uses n, so keys are equal iff the
-    labelled subgraphs are, across the orders of one search too.  A pass
-    started from a stop-depth state begins again at key 1, so its keys name
-    H only within that pass, which keeps its own memo."""
+    largest neighbour.  So keys are equal iff the labelled subgraphs are.  A
+    pass started from a stop-depth state begins again at key 1, so its keys
+    name H only within that pass, which keeps its own memo."""
     free = ((1 << n) - 1) & ~sat
     v = (free & -free).bit_length() - 1 if free else n
     if stop_depth is not None and v >= stop_depth:
@@ -442,17 +442,6 @@ def _complete_from(
                 c -= 1
         choices = grown
     for _, mask in choices:
-        t = tri
-        if tri_cap is not None:
-            seen = base
-            rest = mask
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                t += (rows[b.bit_length() - 1] & seen).bit_count()
-                seen |= b
-            if t > tri_cap:
-                continue
         child = sat | bv | mask & last
         rows[v] = base | mask
         ckey = key << DEFAULT_MAX_N | rows[v] & child
@@ -465,9 +454,7 @@ def _complete_from(
             if b & last:  # saturated now, with every neighbour in `child`
                 ckey = ckey << DEFAULT_MAX_N | rows[u]
         if _feasible(k, n, rows, v, child, prune_lam, verdicts, ckey):
-            yield from _complete_from(
-                k, n, rows, child, prune_lam, stop_depth, states, verdicts, ckey, tri_cap, t
-            )
+            yield from _complete_from(k, n, rows, child, prune_lam, stop_depth, states, verdicts, ckey)
         rest = mask
         while rest:
             b = rest & -rest
@@ -483,7 +470,7 @@ def _feasible(
     v: int,
     sat: int,
     prune_lam: Optional[float],
-    verdicts: dict[int, bool],
+    verdicts: dict,
     key: int,
 ) -> bool:
     """Whether the partial graph, just completed through vertex v with
@@ -491,16 +478,18 @@ def _feasible(
     first: an unsaturated vertex needs more partners than there are other
     unsaturated vertices (possible only once at most k are left); a
     connected component is fully saturated but is not the whole graph; and,
-    when `prune_lam` is set, the subgraph induced on the saturated vertices
-    has second eigenvalue beyond it (`spectral_prune`).  There is no parity
+    when `prune_lam` is set, the interlacing cut (`spectral_prune` with
+    shift (k - prune_lam)/n).  There is no parity
     cut: odd k*n never reaches the completion, and with vertices 0..v
     saturated the deficits sum to k*n - 2|E|, which is even.
 
-    Saturated rows are frozen, so every completion contains that subgraph
-    induced, and the spectral verdict depends only on it.  `verdicts`
-    memoizes it under `key`, which names that subgraph (see
-    `_complete_from`), so each distinct labelled subgraph is solved once per
-    search."""
+    Saturated rows are frozen, so for every unsaturated u the subgraph on
+    sat + {u} is induced in every completion.  The cut tests it for each
+    unsaturated neighbour u of v, and tests the saturated subgraph H alone
+    only when v has none: each sat + {u} contains H, so passing it implies
+    passing H.  `verdicts` memoizes the pass's verdicts: H under `key`,
+    which names it (see `_complete_from`), and sat + {u} under
+    `(key, rows[u] & sat)`, which names it up to u's label."""
     full = (1 << n) - 1
     free = full & ~sat
     left = free.bit_count()
@@ -510,72 +499,54 @@ def _feasible(
         rest ^= b
         if rows[b.bit_length() - 1].bit_count() <= k - left:
             return False
+    near = rows[v] & free
     # closed-component cut, needed only when v has no unsaturated neighbour:
     # the search from v stops at the first unsaturated vertex it reaches
-    if not rows[v] & free:
+    if not near:
         comp = reach(rows, v, free)
         if comp & free == 0 and comp != full:
             return False
-    if prune_lam is None or n - left < 2:
+    if prune_lam is None:
         return True
-    keep = verdicts.get(key)
-    if keep is None:
-        members = [u for u in range(n) if sat >> u & 1]
-        keep = verdicts[key] = spectral_prune(_saturated_subgraph(rows, members), prune_lam)
-    return keep
+    shift = (k - prune_lam) / n
+    tests = [(sat | 1 << u, (key, rows[u] & sat)) for u in members(near)] or [(sat, key)]
+    for mask, memo in tests:
+        keep = verdicts.get(memo)
+        if keep is None:
+            sub = _saturated_subgraph(rows, members(mask))
+            keep = verdicts[memo] = spectral_prune(sub, prune_lam, shift)
+        if not keep:
+            return False
+    return True
 
 
 def _rows_connected(rows: Sequence[int], n: int) -> bool:
     return reach(rows, 0) == (1 << n) - 1
 
 
-def _triangles(rows: Sequence[int]) -> int:
-    """Triangles of the graph on the bit rows: each is counted once per
-    edge, as a common neighbour of its ends."""
-    n = len(rows)
-    return sum(
-        (rows[u] & rows[w]).bit_count()
-        for u in range(n)
-        for w in range(u + 1, n)
-        if rows[u] >> w & 1
-    ) // 3
-
-
 def _worker_complete(args):
-    k, n, rows, sat, prune_lam, tri_cap, tri = args
-    return list(_complete_from(k, n, list(rows), sat, prune_lam, tri_cap=tri_cap, tri=tri))
+    k, n, rows, sat, prune_lam = args
+    return list(_complete_from(k, n, list(rows), sat, prune_lam))
 
 
-def _candidate_rows(
-    k: int,
-    n: int,
-    prune_lam: Optional[Real],
-    workers: int,
-    verdicts: Optional[dict[int, bool]] = None,
-):
+def _candidate_rows(k: int, n: int, prune_lam: Optional[Real], workers: int):
     """Yields the completed labeled candidates (row tuples).  Serially they
     come in batches of _STREAM_BATCH straight from the completion; with
-    workers, each job's list comes back whole.  `verdicts` is the prune memo
-    of the serial pass or of the stop-depth pass (see `_complete_from`);
-    every job keeps its own.
-
-    With `prune_lam` set, the eigenvalue prune compares against its float and
-    the triangle cut uses `bounds.triangle_cap` of its exact value."""
+    workers, each job's list comes back whole.  The serial pass, the
+    stop-depth pass and every job each keep their own prune memo (see
+    `_complete_from`).  With `prune_lam` set, the prune compares against its
+    float."""
     sat = 0 if k else (1 << n) - 1  # the empty graph; with k = 0 it is complete
-    lam = tri_cap = None
-    if prune_lam is not None:
-        exact = Fraction(prune_lam)
-        lam, tri_cap = float(exact), triangle_cap(k, n, exact)
+    lam = None if prune_lam is None else float(Fraction(prune_lam))
     if workers <= 1 or n <= 3:
-        completion = _complete_from(k, n, [0] * n, sat, lam, verdicts=verdicts, tri_cap=tri_cap)
+        completion = _complete_from(k, n, [0] * n, sat, lam)
         while batch := list(islice(completion, _STREAM_BATCH)):
             yield from batch
         return
-    # partition the tree at the completion of vertex 1 across processes; a
-    # job's triangle count is recounted from its rows
+    # partition the tree at the completion of vertex 1 across processes
     states: list = []
-    list(_complete_from(k, n, [0] * n, sat, lam, 2, states, verdicts, tri_cap=tri_cap))
-    jobs = [(k, n, rows, sat, lam, tri_cap, _triangles(rows)) for rows, sat in states]
+    list(_complete_from(k, n, [0] * n, sat, lam, 2, states))
+    jobs = [(k, n, rows, sat, lam) for rows, sat in states]
     if not jobs:
         return
     # fork where the platform has it, else its default (the first listed);
@@ -593,7 +564,6 @@ def enum_connected_regular(
     prune_lam: Optional[Real] = None,
     workers: int = 1,
     _info: Optional[dict] = None,
-    _verdicts: Optional[dict[int, bool]] = None,
 ) -> list[Graph]:
     """Exactly one representative per isomorphism class of connected k-regular
     graphs on n vertices.
@@ -603,15 +573,12 @@ def enum_connected_regular(
     by isomorph rejection in one dedup pass (`_dedup`): only the first
     candidate of each class is labelled; every later one is skipped after its
     first leaf.  Odd k*n yields the empty list.  When `prune_lam` is set (any
-    rational `Fraction` takes), subtrees whose saturated induced
-    subgraph already has second eigenvalue beyond it, or whose partial graph
-    already has more triangles than `bounds.triangle_cap` allows, are cut
-    (sound for the search driver, but the result is then only exhaustive for
-    graphs passing that filter).
+    rational `Fraction` takes), a subtree is cut once a subgraph that every
+    completion contains induced fails the interlacing cut (`_feasible`), so
+    the result is exhaustive for the graphs with second eigenvalue at most
+    `prune_lam` (sound for the search driver), not for all graphs.
     `_info`, when given, receives the candidate and class counts and the
-    certificates of the returned graphs, in the same order.  `_verdicts`,
-    when given, is the prune memo to use and fill (a fresh one otherwise);
-    it must only ever see one k and one `prune_lam` (see `_complete_from`).
+    certificates of the returned graphs, in the same order.
     """
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
@@ -623,7 +590,7 @@ def enum_connected_regular(
         )
     if not parity_ok(k, n):
         return []
-    candidates, classes = _dedup(_candidate_rows(k, n, prune_lam, workers, _verdicts))
+    candidates, classes = _dedup(_candidate_rows(k, n, prune_lam, workers))
     certs = sorted(classes)
     if _info is not None:
         _info["candidates"] = candidates
@@ -773,7 +740,6 @@ def v_search(
 
     counts: dict[int, OrderCount] = {}
     passed_by_order: dict[int, list[ExtremalGraph]] = {}
-    verdicts: dict[int, bool] = {}  # one prune memo for every order
 
     for n in range(k + 1, n_cap + 1):
         if not parity_ok(k, n):
@@ -786,7 +752,6 @@ def v_search(
             prune_lam=lam_fr if prune else None,
             workers=workers,
             _info=cinfo,
-            _verdicts=verdicts,
         )
         passed: list[ExtremalGraph] = []
         for g, cert in zip(graphs, cinfo["certificates"]):

@@ -18,7 +18,7 @@ from regspectra.construct import (
     random_graph,
 )
 from regspectra.graphs import Graph, regularity_params
-from regspectra.spectra import eigenvalue_at_most, lambda_min_at_least
+from regspectra.spectra import lambda_min_at_least
 from oracles import bfs_pair_data
 
 
@@ -262,65 +262,3 @@ def test_isolated_vertex_bound_exhaustive_small():
             a[: g.n, : g.n] = g.adj
             cert = bounds.isolated_vertex_bound_check(2, Graph(a))
             assert cert.verified, cert.to_json_obj()
-
-
-CAP_GRID = tuple(
-    Fraction(x) for x in ("-1", "0", "1/2", "1", "5/4", "3/2", "5/3", "2", "9/4", "5/2")
-)
-
-
-def test_triangle_cap_sound_and_attained():
-    # every connected class at (3, n <= 12) and (4, n <= 10) with lambda_2 <=
-    # lam has at most triangle_cap triangles, counted as tr(A^3) / 6; the cap
-    # is attained at the named cases and at n = k + 1 (K_{k+1}), so a cap
-    # lowered by one fails here
-    import numpy as np
-
-    from regspectra.search import _triangles, enum_connected_regular
-
-    attained = {(3, 6, 0), (3, 10, 1), (4, 6, 0), (4, 9, 1)}
-    seen = set()
-    for k, n_max in ((3, 12), (4, 10)):
-        for n in range(k + 1, n_max + 1):
-            classes = enum_connected_regular(k, n)
-            triangles = []
-            for g in classes:
-                a = g.adj.astype(np.int64)
-                triangles.append(int(np.trace(a @ a @ a)) // 6)
-                assert _triangles(g.bits()) == triangles[-1]
-            for lam in CAP_GRID:
-                cap = bounds.triangle_cap(k, n, lam)
-                assert cap is not None and cap == bounds.triangle_cap(k, n, str(lam))
-                most = max(
-                    (t for g, t in zip(classes, triangles) if eigenvalue_at_most(g, 2, lam)[0]),
-                    default=None,
-                )
-                if most is None:
-                    continue
-                assert most <= cap, (k, n, lam, most, cap)
-                if (k, n, lam) in attained or n == k + 1:
-                    assert most == cap, (k, n, lam, most, cap)
-                    seen.add((k, n, lam))
-    assert attained <= seen
-    assert {(k, n) for k, n, _ in seen if n == k + 1} == {(3, 4), (4, 5)}
-
-
-def test_triangle_cap_degenerate_cases():
-    from math import comb
-
-    for k in range(1, 6):
-        # lambda = -1 at n = k + 1 is the complete graph alone
-        assert bounds.triangle_cap(k, k + 1, -1) == comb(k + 1, 3)
-        # (n - 1) lam < -k: the eigenvalues cannot sum to -k
-        assert bounds.triangle_cap(k, k + 1, Fraction(-11, 10)) < 0
-        assert bounds.triangle_cap(k, 2 * k + 2, -1) < 0
-        # lam >= k constrains nothing
-        assert bounds.triangle_cap(k, 2 * k + 2, k) is None
-        assert bounds.triangle_cap(k, 2 * k + 2, f"{2 * k + 1}/2") is None
-    # the fourth moment makes (3, 3/2, 14) triangle-free; the caps of the
-    # pruned benchmark searches, order by order
-    assert [bounds.triangle_cap(3, n, "3/2") for n in range(4, 15, 2)] == [4, 3, 3, 2, 1, 0]
-    assert [bounds.triangle_cap(4, n, 1) for n in range(5, 12)] == [10, 9, 8, 7, 6, 4, 3]
-    for k, n in ((3, 3), (-1, 4)):
-        with pytest.raises(ValueError):
-            bounds.triangle_cap(k, n, 1)

@@ -21,8 +21,8 @@ from regspectra.construct import (
     random_graph,
 )
 from regspectra.errors import UnsupportedSizeError
-from regspectra.graphs import Graph
-from regspectra.spectra import eig_symmetric
+from regspectra.graphs import Graph, members
+from regspectra.spectra import eig_symmetric, eigenvalue_at_most, spectrum_is
 
 from oracles import brute_force_certificate
 
@@ -392,9 +392,53 @@ def test_enum_pairwise_non_isomorphic():
 
 
 def test_spectral_prune():
-    assert not search.spectral_prune(path(3), -0.5)  # lambda_2(P3) = 0 > -0.5
-    assert search.spectral_prune(path(3), 0.0)
-    assert search.spectral_prune(Graph.from_edges(1, []), -5)  # nothing to cut yet
+    # Petersen (k = 3, n = 10, lambda_2 = 1): A - J/5 has largest eigenvalue
+    # max(3 - 10/5, 1) = 1, so it is kept at lambda = 1 and cut just below
+    assert search.spectral_prune(petersen(), 1.0, 1 / 5)
+    lam = 1 - 1e-6
+    assert not search.spectral_prune(petersen(), lam, (3 - lam) / 10)
+    # one edge at k = 3, lambda = 0: 1 - 2(3/n) <= 0 iff n <= 6 (K_{3,3})
+    assert search.spectral_prune(path(2), 0.0, 3 / 6)
+    assert not search.spectral_prune(path(2), 0.0, 3 / 7)
+    # one vertex at lambda = -1: -(k + 1)/n <= -1 iff n <= k + 1 (K_{k+1})
+    assert search.spectral_prune(Graph.from_edges(1, []), -1.0, 4 / 4)
+    assert not search.spectral_prune(Graph.from_edges(1, []), -1.0, 4 / 5)
+    # shift 0 compares lambda_1: sqrt(2) for P3
+    assert not search.spectral_prune(path(3), 1.4, 0.0)
+    assert search.spectral_prune(path(3), 1.5, 0.0)
+
+
+CUT_GRID = tuple(
+    Fraction(x)
+    for x in ("-1", "0", "1/2", "1", "5/4", "3/2", "5/3", "2", "9/4", "5/2", "3", "7/2")
+)
+
+
+def test_interlacing_cut_sound():
+    # every connected class G at (3, n <= 12) and (4, n <= 10), at every grid
+    # lam with lambda_2(G) <= lam, passes the cut with shift (k - lam)/n, and
+    # so do seeded random induced subgraphs of G.  The grid reaches lam >= k,
+    # where the shift is zero or negative.  On G itself the cut is tight:
+    # A - cJ has k - cn = lam on the ones vector, so a smaller shift fails.
+    rng = random.Random(21)
+    signs = set()
+    for k, n_max in ((3, 12), (4, 10)):
+        for n in range(k + 1, n_max + 1):
+            for g in search.enum_connected_regular(k, n):
+                for lam in CUT_GRID:
+                    if not eigenvalue_at_most(g, 2, lam)[0]:
+                        continue
+                    shift = float((k - lam) / n)
+                    subsets = [range(n)]
+                    subsets += [rng.sample(range(n), rng.randint(1, n - 1)) for _ in range(6)]
+                    for s in subsets:
+                        assert search.spectral_prune(g.induced(sorted(s)), float(lam), shift), (
+                            k, n, lam, sorted(s)
+                        )
+                    if lam < k:
+                        assert not search.spectral_prune(g, float(lam), 0.99 * shift)
+                    signs.add((shift > 0) - (shift < 0))
+    assert signs == {-1, 0, 1}
 
 
 def test_second_eigenvalue_at_most_exact():
@@ -445,6 +489,15 @@ def test_v_search_extremal_revalidation():
     assert search.canonical_form(petersen()).certificate == r.extremal[0].certificate
 
 
+def test_v_search_reaches_the_clebsch_graph():
+    # at (5, 1) the cut on saturated-plus-one subgraphs reaches order 16 =
+    # 3k + 1, the bound at lambda = 1, and finds one graph there: the Clebsch
+    # graph, the one graph with spectrum 5, 1^10, (-3)^5
+    r = search.v_search(5, 1, 16)
+    assert r.complete and r.exact_v == 16 and r.unique
+    assert spectrum_is(r.extremal[0].graph(), {5: 1, 1: 10, -3: 5})
+
+
 def test_v_search_lower_bound_witness():
     # integer lambda, k = lambda * a: order 2k + 2*lambda is reached
     r = search.v_search(2, 1, 6)
@@ -471,7 +524,7 @@ def test_boundary_graph_above_order_12_settled_exactly():
     assert search._judge(g, cert, Fraction(2) - Fraction(1, 10**10)) is None
 
 
-def test_prune_verdicts_memoized_per_search(monkeypatch):
+def test_prune_verdicts_memoized_per_order(monkeypatch):
     calls = [0]
     real = search.spectral_prune
 
@@ -480,12 +533,8 @@ def test_prune_verdicts_memoized_per_search(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(search, "spectral_prune", counted)
-    # one verdict per distinct labelled saturated subgraph in each search; an
-    # unshared prune ran 6,743 and 6,639 times on these searches, one shared
-    # only among siblings 4,415 and 3,917 times, the memo without the
-    # triangle cut 2,655 and 1,653 times, and one memo per order 2,344 and
-    # 1,360 times
-    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 2077), ((4, 1, 10), 1107)):
+    # one eigensolve per distinct subgraph tested in each order's pass
+    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 303), ((4, 1, 10), 290)):
         calls[0] = 0
         pruned = search.v_search(k, lam, n_max)
         assert calls[0] == want, (k, lam, n_max)
@@ -496,47 +545,56 @@ def test_prune_verdicts_memoized_per_search(monkeypatch):
 
 
 def test_prune_key_identifies_saturated_subgraph(monkeypatch):
-    # equal memo keys iff equal saturated masks and equal induced adjacency,
-    # over every feasibility check of whole completion passes and of one
-    # worker job (a pass started from a stop-depth state).  The passes of one
-    # k at several orders share one table, as the orders of a search share
-    # one memo, and some subgraph the memo decides recurs across orders.
+    # equal memo keys iff equal tested subgraphs, over every memo lookup of
+    # whole completion passes and of one worker job (a pass started from a
+    # stop-depth state).  The saturated subgraph H is its mask and induced
+    # adjacency; H + {u} is that plus u's neighbours in H, which fixes it up
+    # to u's label.  The cut keeps everything here, so every subgraph it
+    # would test is looked up: H + {u} for each unsaturated neighbour u of
+    # the completed vertex, else H alone.
     seen: list = []
+    lookups: list = []
     real = search._feasible
 
+    class Memo(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
     def recording(k, n, rows, v, sat, prune_lam, verdicts, key):
-        members = [u for u in range(n) if sat >> u & 1]
-        seen.append((key, sat, search._saturated_subgraph(rows, members).adj.tobytes(), n))
-        return real(k, n, rows, v, sat, prune_lam, verdicts, key)
+        start = len(lookups)
+        keep = real(k, n, rows, v, sat, prune_lam, verdicts, key)
+        if len(lookups) > start:  # not cut before the spectral test
+            h = (sat, search._saturated_subgraph(rows, members(sat)).adj.tobytes())
+            tested = [h + (rows[u] & sat,) for u in members(rows[v] & ~sat)] or [h + (None,)]
+            assert len(lookups) - start == len(tested)
+            seen.extend(zip(lookups[start:], tested))
+        return keep
 
     monkeypatch.setattr(search, "_feasible", recording)
+    monkeypatch.setattr(search, "spectral_prune", lambda *args: True)
     states: list = []
     list(search._complete_from(4, 11, [0] * 11, 0, None, 2, states))
-    groups = ((3, (6, 8, 10)), (4, (7, 8, 9, 10)), (5, (8,)))
-    tables = [[(k, n, [0] * n, 0) for n in orders] for k, orders in groups]
-    tables.append([(4, 11, list(states[-1][0]), states[-1][1])])
-    for passes in tables:
+    passes = [(3, n, [0] * n, 0) for n in (6, 8, 10)]
+    passes += [(4, n, [0] * n, 0) for n in (7, 8, 9, 10)] + [(5, 8, [0] * 8, 0)]
+    passes.append((4, 11, list(states[-1][0]), states[-1][1]))
+    for k, n, rows, sat in passes:
         seen.clear()
-        for k, n, rows, sat in passes:
-            list(search._complete_from(k, n, rows, sat, 100.0))  # nothing is cut spectrally
+        list(search._complete_from(k, n, rows, sat, 1.0, None, None, Memo()))
         keys: dict = {}
         graphs: dict = {}
-        orders: dict = {}
-        for key, sat, adj, n in seen:
-            keys.setdefault(key, set()).add((sat, adj))
-            graphs.setdefault((sat, adj), set()).add(key)
-            if sat.bit_count() >= 2:  # the memo is consulted
-                orders.setdefault(key, set()).add(n)
-        assert all(len(g) == 1 for g in keys.values()), passes[0][:2]
-        assert all(len(g) == 1 for g in graphs.values()), passes[0][:2]
-        assert len(keys) < len(seen), passes[0][:2]  # the memo has hits to give
-        if len(passes) > 1:
-            assert any(len(ns) > 1 for ns in orders.values()), passes[0][:2]
+        for key, graph in seen:
+            keys.setdefault(key, set()).add(graph)
+            graphs.setdefault(graph, set()).add(key)
+        assert all(len(g) == 1 for g in keys.values()), (k, n)
+        assert all(len(g) == 1 for g in graphs.values()), (k, n)
+        assert len(keys) < len(seen), (k, n)  # the memo has hits to give
+        assert {type(key) for key in keys} == {int, tuple}, (k, n)
 
 
 def test_v_search_orders_match_standalone_enumeration(monkeypatch):
-    # the memo v_search shares across its orders changes no order's outcome:
-    # candidates, classes and certificates are those of a standalone call
+    # every order's outcome in v_search is that of a standalone call:
+    # candidates, classes and certificates
     standalone = search.enum_connected_regular
     recorded: dict = {}
 
@@ -648,8 +706,8 @@ def test_saturated_subgraph_matches_induced():
 
 
 def test_v_search_workers_deterministic():
-    # the report, candidates per order included, whether or not the triangle
-    # cut reaches the jobs (at (3, 3/2, 14) the cap is 1 at order 12, 0 at 14)
+    # the report, candidates per order included, is the serial one when the
+    # tree is split across jobs that each keep their own prune memo
     for k, lam, n_max in ((3, 1, 10), (3, Fraction(3, 2), 14)):
         a = search.v_search(k, lam, n_max, workers=1)
         b = search.v_search(k, lam, n_max, workers=2)
@@ -657,9 +715,8 @@ def test_v_search_workers_deterministic():
 
 
 def test_prune_lam_takes_any_rational():
-    # the eigenvalue prune compares against float(lam) + INTERLACING_TOL and the
-    # triangle cap takes the exact value, so "5/3", Fraction(5, 3) and the
-    # v_search threshold give one result
+    # the prune compares against float(lam) + INTERLACING_TOL, and "5/3",
+    # Fraction(5, 3) and the v_search threshold give one result
     want = search.enum_connected_regular(3, 12, prune_lam=Fraction(5, 3))
     assert want and search.enum_connected_regular(3, 12, prune_lam="5/3") == want
     report = search.v_search(3, "5/3", 12)
