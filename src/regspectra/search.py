@@ -23,6 +23,17 @@ classes found so far.  A candidate whose first leaf's key is in the set
 belongs to a known class and is skipped after one root-to-leaf path; any
 other starts a new class, since isomorphic graphs have the same leaf-key
 set, and only it is labelled, by a whole walk that adds every key it meets.
+The walk is one explicit-stack depth-first search, so that path costs only
+what it needs: its descent individualizes the first vertex of each target
+cell and builds no sibling state (explored list, twin classes, orbit
+partition), which a node gets only when the walk backs up to it.  Refinement
+signatures are packed ints, and a leaf key is built from the set bits of the
+rows rather than from all n(n-1)/2 pairs.
+
+The completion yields only connected graphs and never tests it at a leaf:
+for k >= 1 the last feasibility check, made with no unsaturated vertex left,
+cuts a saturated component that is not the whole graph, so every completed
+graph has passed it; for k = 0 the one graph is edgeless, connected iff n = 1.
 
 The pruned completion has one spectral cut, by interlacing (Haemers 1995).
 Let G be a connected k-regular graph on n vertices with lambda_2(G) <=
@@ -113,8 +124,13 @@ def _refine(
     the groups and their lexicographic order, so every round's cells, and
     the stable partition, are those of refining by every fragment.  Any
     other fragment may decide an order, so only the last one is dropped.
-    A round with one splitter uses the bare count as its signature, which
-    sorts as the 1-tuple would."""
+
+    A signature is packed into one int, 7 bits per splitter in worklist
+    order (`sig << 7 | count`).  A count is at most n - 1 <= 63, since n is
+    at most CANONICAL_CAP = 64, so it fits its field; and every signature
+    of a round has one field per splitter, the same number, so the ints
+    compare as the tuples of counts would, lexicographically.  A round with
+    one splitter thus uses the bare count."""
     if splitters is None:
         splitters = list(range(len(cells)))
     while splitters:
@@ -131,14 +147,20 @@ def _refine(
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            groups: dict = {}
-            if single is not None:
-                for v in cell:
-                    groups.setdefault((bits[v] & single).bit_count(), []).append(v)
-            else:
-                for v in cell:
-                    sig = tuple([(bits[v] & m).bit_count() for m in masks])
-                    groups.setdefault(sig, []).append(v)
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                row = bits[v]
+                if single is not None:
+                    sig = (row & single).bit_count()
+                else:
+                    sig = 0
+                    for m in masks:
+                        sig = sig << 7 | (row & m).bit_count()
+                group = groups.get(sig)
+                if group is None:
+                    groups[sig] = [v]
+                else:
+                    group.append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
@@ -154,14 +176,58 @@ def _refine(
 def _leaf_key(bits: Sequence[int], order: Sequence[int]) -> int:
     """The upper triangle of the adjacency matrix under `order` (position ->
     vertex), read row by row as one integer; equal keys on one order mean
-    equal relabelled graphs."""
+    equal relabelled graphs.  Row i is a field of n - 1 - i bits, position j
+    at bit n - 1 - j, filled from the set bits of the row's neighbours at
+    later positions."""
     n = len(order)
+    place = [0] * n  # place[w] = the bit of w's position within a field
+    for i, u in enumerate(order):
+        place[u] = 1 << (n - 1 - i)
+    later = (1 << n) - 1
     key = 0
-    for i in range(n):
-        bi = bits[order[i]]
-        for j in range(i + 1, n):
-            key = (key << 1) | (bi >> order[j] & 1)
+    for i, u in enumerate(order):
+        later ^= 1 << u
+        row = bits[u] & later
+        field = 0
+        while row:
+            b = row & -row
+            row ^= b
+            field |= place[b.bit_length() - 1]
+        key = key << (n - 1 - i) | field
     return key
+
+
+def _siblings(cell: list[int], path: int, autos: list, twin: list[int]):
+    """The vertices of `cell` after its first, which has been explored, whose
+    subtrees may hold new leaf keys, in order; `path` is the node's mask of
+    individualized vertices.  Lazy, so each sibling is judged by the
+    automorphisms found before it is asked for."""
+    explored = [cell[0]]
+    seen_twins = twin[cell[0]]  # union of the explored siblings' twin classes
+    orbit = {u: u for u in cell}  # union-find over the cell
+    used = 0  # automorphisms of `autos` already considered
+
+    def find(u: int) -> int:
+        while orbit[u] != u:
+            orbit[u] = u = orbit[orbit[u]]
+        return u
+
+    for v in cell[1:]:
+        if seen_twins >> v & 1:
+            continue  # a twin of an earlier sibling: identical subtree
+        seen_twins |= twin[v]
+        for fixed, sigma in autos[used:]:
+            if path & ~fixed == 0:  # sigma fixes the path, so maps cell to cell
+                for u in cell:
+                    a, b = find(u), find(sigma[u])
+                    if a != b:
+                        orbit[max(a, b)] = min(a, b)
+        used = len(autos)
+        root = find(v)
+        if any(find(u) == root for u in explored):
+            continue  # the image of an explored subtree
+        explored.append(v)
+        yield v
 
 
 def _leaf_orders(bits: Sequence[int], n: int, autos: list):
@@ -170,6 +236,15 @@ def _leaf_orders(bits: Sequence[int], n: int, autos: list):
     of the first non-singleton cell C of its stable partition in turn: C
     becomes [v] followed by the rest of C, and `_refine` is seeded with the
     singleton alone, the rest being C's last fragment.
+
+    The walk keeps an explicit stack of the nodes on its path, each with its
+    partition, target cell and path mask.  A descent individualizes the
+    first vertex of each target cell and allocates no sibling state; a
+    node's sibling iterator (`_siblings`) is made only when the walk backs
+    up to it, so a walk that stops at its first leaf (isomorph rejection,
+    `_dedup`) pays for one root-to-leaf path and nothing more.  The cells
+    before a target are singletons and stay so, so the next target is
+    sought after it.
 
     Two rules skip a sibling of an explored vertex, each because its subtree
     is the image of an explored subtree under an automorphism that fixes the
@@ -181,55 +256,39 @@ def _leaf_orders(bits: Sequence[int], n: int, autos: list):
       each node unions the new ones it admits into its own orbit partition.
     The set of leaf keys is therefore that of the full tree, which is the
     same for every graph of the class.  The twin classes are computed when a
-    cell first offers a second sibling, so a walk that stops at its first
-    leaf never needs them."""
+    node first offers a second sibling."""
     twin: Optional[list[int]] = None
-
-    def descend(cells: list[list[int]], seed: Optional[list[int]], path: int):
-        nonlocal twin
-        cells = _refine(bits, cells, seed)
-        target = next((idx for idx, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
+    stack: list[list] = []  # [cells, target, path, sibling iterator or None] per node
+    cells = _refine(bits, [list(range(n))])
+    path = target = 0
+    while True:
+        for target in range(target, len(cells)):
+            if len(cells[target]) > 1:
+                node = [cells, target, path, None]
+                stack.append(node)
+                v = cells[target][0]
+                break
+        else:
             yield [cell[0] for cell in cells]
-            return
+            # back up to the deepest node with a sibling left
+            while stack:
+                node = stack[-1]
+                if node[3] is None:
+                    if twin is None:
+                        twin = twin_classes(bits)
+                    node[3] = _siblings(node[0][node[1]], node[2], autos, twin)
+                v = next(node[3], None)
+                if v is not None:
+                    break
+                stack.pop()
+            else:
+                return
+        cells, target, path = node[0], node[1], node[2]
         cell = cells[target]
-        head, tail = cells[:target], cells[target + 1 :]
-        explored: list[int] = []
-        seen_twins = 0  # union of the explored siblings' twin classes
-        orbit: dict[int, int] = {}  # union-find over the cell
-        used = 0  # automorphisms of `autos` already considered here
-
-        def find(u: int) -> int:
-            while orbit[u] != u:
-                orbit[u] = u = orbit[orbit[u]]
-            return u
-
-        for v in cell:
-            if explored:
-                if twin is None:
-                    twin = twin_classes(bits)
-                if not seen_twins:
-                    seen_twins = twin[cell[0]]
-                if seen_twins >> v & 1:
-                    continue  # a twin of an earlier sibling: identical subtree
-                seen_twins |= twin[v]
-                if not orbit:
-                    orbit = {u: u for u in cell}
-                for fixed, sigma in autos[used:]:
-                    if path & ~fixed == 0:  # sigma fixes the path, so maps cell to cell
-                        for u in cell:
-                            a, b = find(u), find(sigma[u])
-                            if a != b:
-                                orbit[max(a, b)] = min(a, b)
-                used = len(autos)
-                root = find(v)
-                if any(find(u) == root for u in explored):
-                    continue  # the image of an explored subtree
-            explored.append(v)
-            split = head + [[v], [w for w in cell if w != v]] + tail
-            yield from descend(split, [target], path | 1 << v)
-
-    return descend([list(range(n))], None, 0)
+        rest = cell[1:] if v == cell[0] else [w for w in cell if w != v]
+        cells = _refine(bits, cells[:target] + [[v], rest] + cells[target + 1 :], [target])
+        path |= 1 << v
+        target += 1
 
 
 def _first_orders(bits: Sequence[int], leaves, autos: list) -> dict[int, list[int]]:
@@ -404,7 +463,9 @@ def _complete_from(
         states.append((tuple(rows), sat))
         return
     if not free:  # every vertex has degree k
-        if _rows_connected(rows, n):
+        # connected (see the module docstring): for k >= 1 by the last
+        # `_feasible`'s closed-component cut; for k = 0 the graph is edgeless
+        if k or n == 1:
             yield tuple(rows)
         return
     if verdicts is None:
@@ -518,10 +579,6 @@ def _feasible(
         if not keep:
             return False
     return True
-
-
-def _rows_connected(rows: Sequence[int], n: int) -> bool:
-    return reach(rows, 0) == (1 << n) - 1
 
 
 def _worker_complete(args):

@@ -1,6 +1,7 @@
 """Brute-force oracles for the tests: exhaustive over subsets and
-permutations, so only for tiny inputs; a breadth-first search by vertex
-queue, independent of the package's bitmask frontiers; integer eigenvalue
+permutations, so only for tiny inputs; the leaf key as a loop over every
+pair; a breadth-first search by vertex queue, independent of the package's
+bitmask frontiers; integer eigenvalue
 multiplicities by exact rank, independent of the characteristic polynomial;
 Cauchy interlacing, an eigensolver self-test; and the Ramsey arrow check over
 every graph as a pair mask."""
@@ -42,6 +43,19 @@ def brute_force_certificate(g: Graph) -> str:
     for position, old in enumerate(best_perm):
         labeling[old] = position
     return to_graph6(g.relabel(labeling))
+
+
+def leaf_key_reference(bits: Sequence[int], order: Sequence[int]) -> int:
+    """Oracle of `search._leaf_key`: the upper triangle of the adjacency
+    matrix under `order` (position -> vertex), read pair by pair, row by row,
+    as one integer."""
+    n = len(order)
+    key = 0
+    for i in range(n):
+        bi = bits[order[i]]
+        for j in range(i + 1, n):
+            key = (key << 1) | (bi >> order[j] & 1)
+    return key
 
 
 def contains_induced_bruteforce(

@@ -21,10 +21,10 @@ from regspectra.construct import (
     random_graph,
 )
 from regspectra.errors import UnsupportedSizeError
-from regspectra.graphs import Graph, members
+from regspectra.graphs import Graph, members, reach
 from regspectra.spectra import eig_symmetric, eigenvalue_at_most, spectrum_is
 
-from oracles import brute_force_certificate
+from oracles import bfs_distance_layers, brute_force_certificate, leaf_key_reference
 
 
 def test_canonical_relabel_invariance():
@@ -112,6 +112,19 @@ def _relabelled(g: Graph, rng: random.Random) -> Graph:
 def _first_key(g: Graph) -> int:
     bits = g.bits()
     return search._leaf_key(bits, next(search._leaf_orders(bits, g.n, [])))
+
+
+def test_leaf_key_matches_reference():
+    # the sparse key (set bits through a position map) against the pairwise
+    # loop, on random graphs of every order 1-64 under random orders
+    rng = random.Random(89)
+    graphs = [random_graph(n, rng.random(), rng) for n in range(1, 65)]
+    graphs += [random_graph(n, 0.5, rng) for n in (63, 64)] + [complete(64), cycle(63)]
+    for g in graphs:
+        bits = g.bits()
+        for _ in range(3):
+            order = rng.sample(range(g.n), g.n)
+            assert search._leaf_key(bits, order) == leaf_key_reference(bits, order), (g, order)
 
 
 def test_index_hits_realize_the_class_certificate():
@@ -208,42 +221,67 @@ def _refine_reference(bits, cells, splitters=None):
     return cells
 
 
+def _check_refine(bits, cells, rng) -> int:
+    """`_refine` against the reference on the ordered partition `cells`, with
+    every cell a splitter; then, as `_leaf_orders` seeds it, twice on the
+    stable partition with one cell split, by individualizing a vertex or into
+    2-4 fragments: the oracle takes every fragment as a splitter, `_refine`
+    (its precondition) all but the last.  Returns the number of seeded
+    checks."""
+    got = search._refine(bits, [list(c) for c in cells])
+    stable = _refine_reference(bits, [list(c) for c in cells])
+    assert got == stable, (bits, cells)
+    wide = [t for t, c in enumerate(stable) if len(c) > 1]
+    for _ in range(2 if wide else 0):
+        t = rng.choice(wide)
+        cell = stable[t]
+        if rng.random() < 0.5:
+            v = rng.choice(cell)
+            fragments = [[v], [w for w in cell if w != v]]
+        else:
+            shuffled = rng.sample(cell, len(cell))
+            cuts = sorted(rng.sample(range(1, len(cell)), rng.randint(1, min(3, len(cell) - 1))))
+            fragments = [shuffled[a:b] for a, b in zip([0, *cuts], [*cuts, len(cell)])]
+        split = stable[:t] + fragments + stable[t + 1 :]
+        seeds = list(range(t, t + len(fragments)))
+        got = search._refine(bits, [list(c) for c in split], seeds[:-1])
+        want = _refine_reference(bits, [list(c) for c in split], seeds)
+        assert got == want, (bits, split, seeds)
+    return 2 if wide else 0
+
+
 def test_refine_matches_reference():
-    # random graphs x random ordered partitions, with every cell a splitter;
-    # then, as `_leaf_orders` seeds it, the stable partition with one cell
-    # split, by individualizing a vertex or into 2-4 fragments: the oracle
-    # takes every fragment as a splitter, `_refine` (its precondition) all
-    # but the last
+    # random graphs of order 1-14 x random ordered partitions (see
+    # `_check_refine`), then dense graphs at the full width
     rng = random.Random(47)
     seeded = 0
     for _ in range(400):
         g = random_graph(rng.randint(1, 14), rng.random(), rng)
-        bits = g.bits()
         vertices = list(range(g.n))
         rng.shuffle(vertices)
         cuts = sorted(rng.sample(range(1, g.n), rng.randint(0, g.n - 1))) if g.n > 1 else []
         cells = [vertices[a:b] for a, b in zip([0, *cuts], [*cuts, g.n])]
-        got = search._refine(bits, [list(c) for c in cells])
-        stable = _refine_reference(bits, [list(c) for c in cells])
-        assert got == stable, (g, cells)
-        wide = [t for t, c in enumerate(stable) if len(c) > 1]
-        for _ in range(2 if wide else 0):
-            t = rng.choice(wide)
-            cell = stable[t]
-            if rng.random() < 0.5:
-                v = rng.choice(cell)
-                fragments = [[v], [w for w in cell if w != v]]
-            else:
-                shuffled = rng.sample(cell, len(cell))
-                cuts = sorted(rng.sample(range(1, len(cell)), rng.randint(1, min(3, len(cell) - 1))))
-                fragments = [shuffled[a:b] for a, b in zip([0, *cuts], [*cuts, len(cell)])]
-            split = stable[:t] + fragments + stable[t + 1 :]
-            seeds = list(range(t, t + len(fragments)))
-            got = search._refine(bits, [list(c) for c in split], seeds[:-1])
-            want = _refine_reference(bits, [list(c) for c in split], seeds)
-            assert got == want, (g, split, seeds)
-            seeded += 1
+        seeded += _check_refine(g.bits(), cells, rng)
     assert seeded > 300
+    # dense graphs of order 60-64 (K_n minus a perfect matching, G(n, p) with
+    # p >= 0.9), so the packed signatures carry counts up to 62, the most a
+    # vertex of a non-singleton cell can have into one of two or more
+    # splitters at n = 64; each partition is one vertex, then the rest in
+    # 1-3 random cells
+    graphs = [complete_multipartite([2] * (n // 2)) for n in (60, 62, 64)]
+    graphs += [random_graph(n, rng.uniform(0.9, 1.0), rng) for n in range(60, 65)]
+    widest = 0
+    for g in graphs:
+        bits = g.bits()
+        for parts in (1, 1, 2, 3):
+            vertices = rng.sample(range(g.n), g.n)
+            cuts = sorted(rng.sample(range(2, g.n), parts - 1)) if parts > 1 else []
+            cells = [vertices[a:b] for a, b in zip([0, 1, *cuts], [1, *cuts, g.n])]
+            masks = [sum(1 << v for v in c) for c in cells]
+            counts = [(bits[v] & m).bit_count() for c in cells if len(c) > 1 for v in c for m in masks]
+            widest = max(widest, *counts)
+            _check_refine(bits, cells, rng)
+    assert widest == 62
 
 
 def _hypercube3() -> Graph:
@@ -308,6 +346,31 @@ def test_enumerate_all_graphs_counts():
         assert len(search.enumerate_all_graphs(n)) == want
 
 
+def _rows_connected(rows) -> bool:
+    """Connectivity of a graph given by bit rows, by the queue-BFS oracle."""
+    n = len(rows)
+    g = Graph.from_edges(n, [(u, w) for u in range(n) for w in range(u + 1, n) if rows[u] >> w & 1])
+    return not bfs_distance_layers(g, 0).unreached
+
+
+def test_completed_candidates_connected():
+    # the completion yields only connected graphs without a test at the leaf:
+    # for k >= 1 the last feasibility check, with no unsaturated vertex left,
+    # cuts a closed component that is not the whole graph
+    seen = 0
+    for k in range(6):
+        for n in range(k + 1, 11 if k < 4 else 10):
+            if k * n % 2:
+                continue
+            for rows in search._candidate_rows(k, n, None, 1):
+                assert _rows_connected(rows), (k, n, rows)
+                seen += 1
+    assert seen > 600
+    for rows in search._candidate_rows(3, 10, None, 2):  # the stop-depth jobs
+        assert _rows_connected(rows), rows
+    assert [len(list(search._candidate_rows(0, n, None, 1))) for n in (1, 2, 3)] == [1, 0, 0]
+
+
 def _labeled_regular_count(k: int, n: int, connected_only: bool) -> int:
     """Independent oracle: complete vertices in index order with NO symmetry
     reduction, counting every labeled graph exactly once."""
@@ -319,7 +382,7 @@ def _labeled_regular_count(k: int, n: int, connected_only: bool) -> int:
         nonlocal count
         if v == n:
             if all(d == k for d in deg):
-                if not connected_only or search._rows_connected(rows, n):
+                if not connected_only or reach(rows, 0) == (1 << n) - 1:
                     count += 1
             return
         if deg[v] == k:
