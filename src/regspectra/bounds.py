@@ -6,7 +6,8 @@ quantities like floor(lambda^2) never misround at integer boundaries.
 Every comparison of an eigenvalue with -lambda goes through
 `spectra.eigenvalue_at_most` on the negated matrix, so it is settled exactly
 at the boundary; the thresholds t'(lambda) and m'(lambda) need no eigensolve
-and are exact (a closed form, and a Sturm count on the tilde-graph quotient).
+and are exact (a closed form, and an exact root count on the tilde-graph
+quotient).
 
 The constants M(lambda), C1(lambda), C2(lambda), C3(lambda) are defined via
 Ramsey numbers and non-explicit integers, so they are exposed symbolically

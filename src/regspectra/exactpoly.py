@@ -1,84 +1,24 @@
 """Exact rational polynomial tools for small matrices.
 
-Characteristic polynomials are computed by Faddeev-LeVerrier over plain ints
-and real roots are counted with Sturm chains; Yun's square-free decomposition
-gives the multiplicities.  Together they are the exact leg of the boundary
-rule (`spectra.eigenvalue_at_most_exact`: how many eigenvalues, counted with
+Characteristic polynomials are computed by Faddeev-LeVerrier over plain ints,
+and the roots above a rational bound are counted, with multiplicity, by
+Descartes' rule of signs on the shifted polynomial, which is exact for a
+real-rooted polynomial.  Together they are the exact leg of the boundary rule
+(`spectra.eigenvalue_at_most_exact`: how many eigenvalues, counted with
 multiplicity, exceed a rational bound), which settles every eigenvalue
-verdict near lambda in the search, the bound certificates and the tilde-graph
-threshold m'(lambda); orders stay small, so exact arithmetic is cheap.  No
-eigenvalue is computed here: every numeric eigenvalue goes through
-`kernel.sym_eigenvalues`.
+verdict near lambda in the search, the bound certificates and the
+tilde-graph threshold m'(lambda).  No eigenvalue is computed here: every
+numeric eigenvalue goes through `kernel.sym_eigenvalues`.
 
-Polynomials are lists of Fractions indexed by power (low to high) with a
-nonzero leading coefficient, except for the zero polynomial [].
+Polynomials are lists of Fractions indexed by power (low to high).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
 
 Poly = list[Fraction]
-
-
-def _trim(p: Sequence[Fraction]) -> Poly:
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def degree(p: Poly) -> int:
-    return len(p) - 1
-
-
-def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def derivative(p: Poly) -> Poly:
-    return _trim([c * i for i, c in enumerate(p)][1:])
-
-
-def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        coef = num[i + len(den) - 1] / lead
-        if coef:
-            q[i] = coef
-            for j, d in enumerate(den):
-                num[i + j] -= coef * d
-    return _trim(q), _trim(num)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def monic(p: Poly) -> Poly:
-    p = _trim(p)
-    if not p:
-        return p
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-# -- characteristic polynomial -------------------------------------------------
 
 
 def charpoly(matrix) -> Poly:
@@ -121,98 +61,26 @@ def charpoly(matrix) -> Poly:
     return [Fraction(c, d ** (n - i)) for i, c in enumerate(coeffs)]
 
 
-# -- Sturm machinery ------------------------------------------------------------
-
-
-def sturm_chain(p: Poly) -> list[Poly]:
-    chain = [_trim(p)]
-    if degree(chain[0]) < 1:
-        return chain
-    chain.append(derivative(chain[0]))
-    while degree(chain[-1]) > 0:
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
-
-
-def _variations(signs: list[int]) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def variations_at(chain: list[Poly], x: Fraction) -> int:
-    return _variations([_sign(poly_eval(q, x)) for q in chain])
-
-
-def variations_at_inf(chain: list[Poly]) -> int:
-    """Sign variations of the chain at +infinity (the leading coefficients)."""
-    return _variations([_sign(q[-1]) if q else 0 for q in chain])
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def squarefree_part(p: Poly) -> Poly:
-    p = _trim(p)
-    if degree(p) < 1:
-        return monic(p)
-    return monic(poly_divmod(p, poly_gcd(p, derivative(p)))[0])
-
-
-def count_roots_in(p: Poly, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of p in the half-open interval (a, b].
-
-    The Sturm chain is that of p's squarefree part; with the zero-skipping
-    sign convention the variation count is right-continuous, which makes the
-    half-open semantics exact even at root endpoints.
-    """
-    chain = sturm_chain(squarefree_part(p))
-    return variations_at(chain, a) - variations_at(chain, b)
-
-
 def count_roots_greater(p: Poly, a: Fraction) -> int:
-    """Number of distinct real roots of p strictly greater than a."""
-    sf = squarefree_part(p)
-    # Strip a root exactly at the endpoint so Sturm endpoints are root-free.
-    while sf and degree(sf) >= 1 and poly_eval(sf, a) == 0:
-        sf = poly_divmod(sf, [-a, Fraction(1)])[0]
-    if degree(sf) < 1:
-        return 0
-    chain = sturm_chain(sf)
-    return variations_at(chain, a) - variations_at_inf(chain)
+    """Number of roots of the real-rooted polynomial p greater than a,
+    counted with multiplicity.
 
+    Precondition: every root of p is real, as for the characteristic
+    polynomial of a symmetric matrix, or of a matrix similar to one (a
+    partition quotient is diagonally similar to one).  A polynomial with
+    complex roots may be overcounted.
 
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: factors (q_i, i) with p ~ prod q_i^i, q_i square-free."""
-    p = monic(p)
-    if degree(p) < 1:
-        return []
-    dp = derivative(p)
-    g = poly_gcd(p, dp)
-    if degree(g) == 0:
-        return [(p, 1)]
-    out = []
-    c = poly_divmod(p, g)[0]
-    d = [x - y for x, y in _pad(poly_divmod(dp, g)[0], derivative(c))]
-    d = _trim(d)
-    i = 1
-    while degree(c) > 0:
-        a = poly_gcd(c, d)
-        if degree(a) > 0:
-            out.append((a, i))
-        c_next = poly_divmod(c, a)[0] if degree(a) > 0 else c
-        d_next = poly_divmod(d, a)[0] if degree(a) > 0 else d
-        d = _trim([x - y for x, y in _pad(d_next, derivative(c_next))])
-        c = c_next
-        i += 1
-    return out
-
-
-def _pad(a: Poly, b: Poly):
-    ln = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (ln - len(a))
-    b = list(b) + [Fraction(0)] * (ln - len(b))
-    return zip(a, b)
+    p is Taylor-shifted by a (repeated synthetic division) to q(y) = p(y + a),
+    and the count is V(q), the sign changes among q's nonzero coefficients.
+    It is exact: write q = y^z r with r(0) != 0.  The z zero low-order
+    coefficients are the roots at a, which are not counted, and skipping them
+    leaves V(r).  r has P positive and N negative roots, P + N = deg r, as it
+    is real-rooted.  Descartes' rule of signs gives V(r) >= P and
+    V(r(-y)) >= N, and V(r) + V(r(-y)) <= deg r; so V(r) = P.
+    """
+    q = list(p)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += a * q[j + 1]
+    signs = [c > 0 for c in q if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))

@@ -37,7 +37,7 @@ def from_edgelist_text(text: str) -> Graph:
     n, m = int(head[0]), int(head[1])
     if len(rows) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(rows) - 1}")
-    edges = []
+    edges = set()
     for line in rows[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -45,7 +45,9 @@ def from_edgelist_text(text: str) -> Graph:
         u, v = int(parts[0]), int(parts[1])
         if not (0 <= u < v < n):
             raise ValueError(f"edge ({u}, {v}) violates 0 <= u < v < n")
-        edges.append((u, v))
+        if (u, v) in edges:
+            raise ValueError(f"repeated edge ({u}, {v})")
+        edges.add((u, v))
     return Graph.from_edges(n, edges)
 
 

@@ -448,15 +448,15 @@ def _complete_from(
     `_feasible`): the root call creates it, and the recursion shares it.
 
     `key` names the saturated subgraph H for the memo: a leading 1, then per
-    step of the pass DEFAULT_MAX_N bits (a fixed width, whatever n is; n is
-    at most that) for the completed vertex's row and for the row of each
-    vertex it saturated above it, masked to the step's saturated set.  The
-    fields decode to the steps, hence to H; and H fixes the steps, since a
-    saturated vertex has all its lower neighbours in H and was completed by
-    a step iff fewer than k of them exist, else saturated by the step of its
-    largest neighbour.  So keys are equal iff the labelled subgraphs are.  A
-    pass started from a stop-depth state begins again at key 1, so its keys
-    name H only within that pass, which keeps its own memo."""
+    step of the pass n bits for the completed vertex's row and for the row
+    of each vertex it saturated above it, masked to the step's saturated
+    set.  The fields decode to the steps, hence to H; and H fixes the steps,
+    since a saturated vertex has all its lower neighbours in H and was
+    completed by a step iff fewer than k of them exist, else saturated by the
+    step of its largest neighbour.  So keys are equal iff the labelled
+    subgraphs are.  A pass started from a stop-depth state begins again at
+    key 1, so its keys name H only within that pass, which keeps its own
+    memo."""
     free = ((1 << n) - 1) & ~sat
     v = (free & -free).bit_length() - 1 if free else n
     if stop_depth is not None and v >= stop_depth:
@@ -505,7 +505,7 @@ def _complete_from(
     for _, mask in choices:
         child = sat | bv | mask & last
         rows[v] = base | mask
-        ckey = key << DEFAULT_MAX_N | rows[v] & child
+        ckey = key << n | rows[v] & child
         rest = mask
         while rest:
             b = rest & -rest
@@ -513,7 +513,7 @@ def _complete_from(
             u = b.bit_length() - 1
             rows[u] |= bv
             if b & last:  # saturated now, with every neighbour in `child`
-                ckey = ckey << DEFAULT_MAX_N | rows[u]
+                ckey = ckey << n | rows[u]
         if _feasible(k, n, rows, v, child, prune_lam, verdicts, ckey):
             yield from _complete_from(k, n, rows, child, prune_lam, stop_depth, states, verdicts, ckey)
         rest = mask

@@ -11,10 +11,11 @@ eigensolver input.  A claimed spectrum is checked exactly by `spectrum_is`.
 
 Every verdict of an eigenvalue against a rational bound lambda goes through
 `eigenvalue_at_most`: floats decide away from the bound, and within
-BOUNDARY_WINDOW of it the characteristic polynomial does, exactly.  A least
-eigenvalue against -lambda goes through `lambda_min_at_least`, which asks it
-of the negated matrix.  The package's float tolerances are the four
-constants below and are set nowhere else.
+BOUNDARY_WINDOW of it the characteristic polynomial does, exactly (its roots
+above the bound, counted by Descartes' rule of signs).  A least eigenvalue
+against -lambda goes through `lambda_min_at_least`, which asks it of the
+negated matrix.  The package's float tolerances are the four constants below
+and are set nowhere else.
 """
 
 from __future__ import annotations
@@ -183,11 +184,13 @@ def spectrum_is(matrix, claimed: Mapping) -> bool:
 def eigenvalue_at_most_exact(matrix, i: int, x: Fraction) -> bool:
     """Whether the i-th largest eigenvalue of a graph, or of a rational square
     matrix with real spectrum, is at most x, exactly: at most i - 1
-    characteristic roots, counted with multiplicity (Yun's square-free
-    decomposition), exceed x."""
-    p = exactpoly.charpoly(_matrix(matrix).tolist())
-    factors = exactpoly.squarefree_decomposition(p)
-    return sum(m * exactpoly.count_roots_greater(q, x) for q, m in factors) < i
+    characteristic roots, counted with multiplicity, exceed x.
+
+    The real spectrum is `exactpoly.count_roots_greater`'s precondition.  The
+    callers meet it: `eigenvalue_at_most` and the search's recheck pass a
+    graph or an integer symmetric matrix, and `bounds` the negated tilde-graph
+    quotient, which is diagonally similar to a symmetric matrix."""
+    return exactpoly.count_roots_greater(exactpoly.charpoly(_matrix(matrix).tolist()), x) < i
 
 
 def eigenvalue_at_most(matrix, i: int, x, vals=None) -> tuple[bool, bool]:

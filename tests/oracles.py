@@ -4,7 +4,9 @@ pair; a breadth-first search by vertex queue, independent of the package's
 bitmask frontiers; integer eigenvalue
 multiplicities by exact rank, independent of the characteristic polynomial;
 Cauchy interlacing, an eigensolver self-test; and the Ramsey arrow check over
-every graph as a pair mask."""
+every graph as a pair mask; and real roots counted by Sturm chains, with
+multiplicities from Yun's square-free decomposition, independent of the
+package's Descartes count."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import numpy as np
 from regspectra.errors import UnsupportedSizeError
 from regspectra.formats import to_graph6
 from regspectra.graphs import DistanceLayers, Graph
+from regspectra.exactpoly import Poly
 from regspectra.spectra import INTERLACING_TOL, eig_symmetric
 
 
@@ -223,3 +226,127 @@ def every_graph_arrows_bruteforce(n: int, s: int, t: int) -> bool:
             continue
         return False
     return True
+
+
+# -- Sturm chains and Yun's decomposition -------------------------------------
+# Polynomials are lists of Fractions, low to high, with a nonzero leading
+# coefficient; [] is the zero polynomial.
+
+
+def _trim(p: Sequence[Fraction]) -> Poly:
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _eval(p: Poly, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _derivative(p: Poly) -> Poly:
+    return _trim([c * i for i, c in enumerate(p)][1:])
+
+
+def _sub(a: Poly, b: Poly) -> Poly:
+    size = max(len(a), len(b))
+    a, b = list(a) + [0] * (size - len(a)), list(b) + [0] * (size - len(b))
+    return _trim([x - y for x, y in zip(a, b)])
+
+
+def _monic(p: Poly) -> Poly:
+    p = _trim(p)
+    return [c / p[-1] for c in p] if p else p
+
+
+def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """(quotient, remainder) of polynomial long division."""
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    num = list(num)
+    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        coef = num[i + len(den) - 1] / den[-1]
+        if coef:
+            q[i] = coef
+            for j, d in enumerate(den):
+                num[i + j] -= coef * d
+    return _trim(q), _trim(num)
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return _monic(a)
+
+
+def _sturm_chain(p: Poly) -> list[Poly]:
+    chain = [_trim(p)]
+    if len(chain[0]) < 2:
+        return chain
+    chain.append(_derivative(chain[0]))
+    while len(chain[-1]) > 1:
+        rem = poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+def _variations(chain: list[Poly], x: Optional[Fraction]) -> int:
+    """Sign changes along the chain at x (at +infinity for None), zeros
+    skipped; so the count is right-continuous in x."""
+    values = [q[-1] if x is None else _eval(q, x) for q in chain]
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _squarefree_part(p: Poly) -> Poly:
+    p = _trim(p)
+    if len(p) < 2:
+        return _monic(p)
+    return _monic(poly_divmod(p, poly_gcd(p, _derivative(p)))[0])
+
+
+def count_roots_in(p: Poly, a: Fraction, b: Optional[Fraction]) -> int:
+    """Number of distinct real roots of p in (a, b] (b None: +infinity), by
+    Sturm's theorem on p's square-free part."""
+    chain = _sturm_chain(_squarefree_part(p))
+    return _variations(chain, a) - _variations(chain, b)
+
+
+def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's algorithm: factors (q_i, i) with p ~ prod q_i^i, q_i square-free."""
+    p = _monic(p)
+    if len(p) < 2:
+        return []
+    dp = _derivative(p)
+    g = poly_gcd(p, dp)
+    if len(g) == 1:
+        return [(p, 1)]
+    out = []
+    c = poly_divmod(p, g)[0]
+    d = _sub(poly_divmod(dp, g)[0], _derivative(c))
+    i = 1
+    while len(c) > 1:
+        a = poly_gcd(c, d)
+        if len(a) > 1:
+            out.append((a, i))
+            c, d = poly_divmod(c, a)[0], poly_divmod(d, a)[0]
+        d = _sub(d, _derivative(c))
+        i += 1
+    return out
+
+
+def roots_greater_reference(p: Poly, points: Sequence[Fraction]) -> list[int]:
+    """For each a in `points`, the number of real roots of p greater than a,
+    counted with multiplicity: each Yun factor's Sturm count times its
+    multiplicity (the chains are built once for all the points)."""
+    chains = [(_sturm_chain(q), m) for q, m in squarefree_decomposition(p)]
+    return [sum(m * (_variations(chain, a) - _variations(chain, None)) for chain, m in chains)
+            for a in points]

@@ -163,6 +163,14 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_repeated_edge_line_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "twice.el"
+    path.write_text("3 2\n0 1\n0 1\n")
+    code, out, err = run(capsys, "spectrum", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: repeated edge (0, 1)"]
+
+
 @pytest.mark.parametrize(
     "command, text",
     [

@@ -78,3 +78,9 @@ def test_graph6_order_boundary():
     s63 = formats.to_graph6(edgeless(63))
     assert s63[0] == chr(126)
     assert formats.from_graph6(s63) == edgeless(63)
+
+
+def test_edgelist_repeated_edge_rejected():
+    # a repeated line would load as one edge and contradict the header's m
+    with pytest.raises(ValueError, match=r"repeated edge \(0, 1\)"):
+        formats.from_edgelist_text("3 2\n0 1\n0 1\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from regspectra import exactpoly, kernel
+from oracles import count_roots_in, squarefree_decomposition
 
 
 def _max_norm(m):
@@ -15,8 +16,8 @@ def _max_norm(m):
 
 def _exact_roots_in(poly, factors, lo, hi):
     """(distinct roots, roots with multiplicity) of poly in (lo, hi]."""
-    distinct = exactpoly.count_roots_in(poly, lo, hi)
-    total = sum(i * exactpoly.count_roots_in(q, lo, hi) for q, i in factors)
+    distinct = count_roots_in(poly, lo, hi)
+    total = sum(i * count_roots_in(q, lo, hi) for q, i in factors)
     return distinct, total
 
 
@@ -43,7 +44,7 @@ def test_random_integer_symmetric_against_exact_roots():
             else:
                 clusters.append([x])
         poly = exactpoly.charpoly(m.tolist())
-        factors = exactpoly.squarefree_decomposition(poly)
+        factors = squarefree_decomposition(poly)
         tol_fr = Fraction(tol)
         for cluster in clusters:
             lo, hi = Fraction(cluster[0]) - tol_fr, Fraction(cluster[-1]) + tol_fr
@@ -51,7 +52,8 @@ def test_random_integer_symmetric_against_exact_roots():
         outside = Fraction(vals[-1]) + tol_fr
         assert exactpoly.count_roots_greater(poly, outside) == 0
         below = Fraction(vals[0]) - tol_fr
-        assert exactpoly.count_roots_greater(poly, below) == len(clusters)
+        assert count_roots_in(poly, below, None) == len(clusters)
+        assert exactpoly.count_roots_greater(poly, below) == n
 
 
 def test_validation():

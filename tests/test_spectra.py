@@ -31,7 +31,12 @@ from regspectra.spectra import (
     spectrum_is,
 )
 from regspectra.errors import UnsupportedSizeError
-from oracles import integer_spectrum, interlacing_check
+from oracles import (
+    count_roots_in,
+    integer_spectrum,
+    interlacing_check,
+    squarefree_decomposition,
+)
 
 
 def test_eig_symmetric_validation():
@@ -269,7 +274,7 @@ def test_quotient_eigenvalues_against_exact_roots():
         vals = spec.values()
         assert len(vals) == t and vals == sorted(vals, reverse=True)
         poly = exactpoly.charpoly(q.matrix)
-        factors = exactpoly.squarefree_decomposition(poly)
+        factors = squarefree_decomposition(poly)
         clusters = [[vals[0]]]
         for x in vals[1:]:
             if x == clusters[-1][-1]:
@@ -279,8 +284,8 @@ def test_quotient_eigenvalues_against_exact_roots():
         assert spec.pairs == tuple((c[0], len(c)) for c in clusters)
         for cluster in clusters:
             lo, hi = Fraction(cluster[0]) - tol, Fraction(cluster[0]) + tol
-            assert exactpoly.count_roots_in(poly, lo, hi) == 1, (q.matrix, cluster)
-            total = sum(i * exactpoly.count_roots_in(f, lo, hi) for f, i in factors)
+            assert count_roots_in(poly, lo, hi) == 1, (q.matrix, cluster)
+            total = sum(i * count_roots_in(f, lo, hi) for f, i in factors)
             assert total == len(cluster), (q.matrix, cluster)
 
 
@@ -340,16 +345,18 @@ def test_quotient_singleton_partition_is_adjacency():
 
 def test_eigenvalue_at_most_counts_multiplicity(monkeypatch):
     # L(Petersen): spectrum 4, 2^5, -1^4, -2^5.  Just below 2 six eigenvalues
-    # exceed x but only two distinct roots do, so for i = 3..6 a distinct
-    # count would wrongly say lambda_i <= x; the floats (2.0 up to rounding)
-    # lie inside the window, so the exact leg decides
+    # exceed x but only two distinct roots do (the Sturm oracle's count), so
+    # for i = 3..6 a distinct count would wrongly say lambda_i <= x; the
+    # floats (2.0 up to rounding) lie inside the window, so the exact leg
+    # decides
     g = line_graph(petersen())
     exact = integer_spectrum(g)
     assert exact == [4] + [2] * 5 + [-1] * 4 + [-2] * 5
     vals = eig_symmetric(g.adj)
     x = Fraction(2) - Fraction(1, 10**10)
     poly = exactpoly.charpoly(g.adj.astype(int).tolist())
-    assert exactpoly.count_roots_greater(poly, x) == 2
+    assert count_roots_in(poly, x, None) == 2
+    assert exactpoly.count_roots_greater(poly, x) == 6
     for i in range(3, 7):
         assert eigenvalue_at_most(g.adj, i, x, vals) == (False, True)
     # every index against the oracle, at and around each eigenvalue, with the
