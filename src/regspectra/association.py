@@ -118,27 +118,20 @@ def maximal_cliques(g: Graph, n: int) -> CliqueFamily:
     return CliqueFamily(graph=g, threshold=n, cliques=tuple(cliques))
 
 
-def non_neighbors_in(g: Graph, v: int, clique: frozenset[int]) -> int:
-    """Number of vertices of `clique` not adjacent to v (v itself excluded)."""
+def quasi_clique(g: Graph, clique: frozenset[int], m: int) -> frozenset[int]:
+    """Vertices of g with at most m-1 non-neighbors in `clique` (a vertex of
+    the clique does not count against itself)."""
     bits = g.bits()
-    cmask = 0
-    for w in clique:
-        cmask |= 1 << w
-    return (cmask & ~(bits[v] | (1 << v))).bit_count()
+    cmask = sum(1 << w for w in clique)
+    return frozenset(
+        v for v in range(g.n) if (cmask & ~(bits[v] | 1 << v)).bit_count() <= m - 1
+    )
 
 
 def equiv_nm(g: Graph, c1: frozenset[int], c2: frozenset[int], m: int) -> bool:
-    """Mutual at-most-(m-1)-non-neighbors predicate between two cliques of g."""
-    return all(non_neighbors_in(g, x, c2) <= m - 1 for x in c1) and all(
-        non_neighbors_in(g, y, c1) <= m - 1 for y in c2
-    )
-
-
-def quasi_clique(g: Graph, clique: frozenset[int], m: int) -> frozenset[int]:
-    """Vertices of g with at most m-1 non-neighbors in `clique`."""
-    return frozenset(
-        v for v in range(g.n) if non_neighbors_in(g, v, clique) <= m - 1
-    )
+    """Mutual at-most-(m-1)-non-neighbors predicate between two cliques of g:
+    each lies in the other's quasi-clique."""
+    return c1 <= quasi_clique(g, c2, m) and c2 <= quasi_clique(g, c1, m)
 
 
 def hypothesis_report(g: Graph, m: int, n: int) -> list[str]:
@@ -155,25 +148,28 @@ def hypothesis_report(g: Graph, m: int, n: int) -> list[str]:
 def partition_classes(fam: CliqueFamily, m: int, certified: bool = False) -> CliquePartition:
     """Classes of the mutual-non-neighbor relation over a clique family.
 
-    The relation is held as bit rows over the clique indices, and its
-    classes (the transitive closure of the pairwise predicate) are their
-    connected components, in order of least index, members sorted.  When the
-    predicate fails to be transitive on a class (possible only when the
-    hypotheses are violated), a warning is recorded for each unrelated pair.
-    Quasi-cliques are computed from the lexicographically least
-    representative; in certified mode, agreement across all representatives
-    is verified and a mismatch raises ConsistencyError.
+    Each clique's quasi-clique is computed once, and two cliques are related
+    when each lies in the other's quasi-clique (`equiv_nm`).  The relation is
+    held as bit rows over the clique indices, and its classes (the
+    transitive closure of the pairwise predicate) are their connected
+    components, in order of least index, members sorted.  When the predicate
+    fails to be transitive on a class (possible only when the hypotheses are
+    violated), a warning is recorded for each unrelated pair.  A class's
+    quasi-clique is that of its lexicographically least representative; in
+    certified mode, agreement across all representatives is verified and a
+    mismatch raises ConsistencyError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     g = fam.graph
     warnings = hypothesis_report(g, m, fam.threshold)
 
+    quasis = [quasi_clique(g, c, m) for c in fam.cliques]
     t = len(fam.cliques)
     related = [0] * t  # bit rows of the relation, one per clique
     for i in range(t):
         for j in range(i + 1, t):
-            if equiv_nm(g, fam.cliques[i], fam.cliques[j], m):
+            if fam.cliques[i] <= quasis[j] and fam.cliques[j] <= quasis[i]:
                 related[i] |= 1 << j
                 related[j] |= 1 << i
     classes = tuple(members(comp) for comp in components(related))
@@ -187,14 +183,10 @@ def partition_classes(fam: CliqueFamily, m: int, certified: bool = False) -> Cli
                         f"(cliques {cls[a]} and {cls[b]} unrelated)"
                     )
 
-    quasis = []
-    for cls in classes:
-        rep = fam.cliques[cls[0]]  # classes sorted, cls[0] is lex-least
-        q = quasi_clique(g, rep, m)
-        if certified:
+    if certified:
+        for cls in classes:
             for other in cls[1:]:
-                q2 = quasi_clique(g, fam.cliques[other], m)
-                if q2 != q:
+                if quasis[other] != quasis[cls[0]]:
                     if not warnings:
                         raise ConsistencyError(
                             "quasi-clique depends on the representative although "
@@ -203,13 +195,12 @@ def partition_classes(fam: CliqueFamily, m: int, certified: bool = False) -> Cli
                     warnings.append(
                         f"quasi-clique differs across representatives in class {cls}"
                     )
-        quasis.append(q)
 
     return CliquePartition(
         family=fam,
         m=m,
         classes=classes,
-        quasi_cliques=tuple(quasis),
+        quasi_cliques=tuple(quasis[cls[0]] for cls in classes),  # cls[0] is lex-least
         warnings=tuple(warnings),
     )
 

@@ -1,12 +1,20 @@
 """Command-line interface.
 
+One parser per command: `construct`, `hoffman` and `bounds` take a second
+word naming the leaf command, and each leaf declares only the options its
+handler reads (required where the handler needs them) and names that handler
+through `set_defaults(run=...)`.  A missing or foreign option is therefore
+argparse's usage error.  `--json` is global and may stand at any level.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
 exceeded (a search whose range the caps cut still prints its report, marked
 incomplete, and exits 3; an input too large for memory prints one `error:`
 line and exits 3 too).  `--lambda` accepts exact rationals ("3/2") as well
-as decimals so floor-based thresholds never misround.  `search --threads N`
-splits the generation tree over N >= 1 worker processes (default 1); results
-are identical for every worker count, workers only change wall time.
+as decimals so floor-based thresholds never misround; `construct
+lower-bound-graph` and `bounds mu-bound` need an integer value ("2", "4/2"
+or "2.0").  `search --threads N` splits the generation tree over N >= 1
+worker processes (default 1); results are identical for every worker count,
+workers only change wall time.
 """
 
 from __future__ import annotations
@@ -16,14 +24,14 @@ import json
 import sys
 from fractions import Fraction
 
-from . import acceptance, association, bounds, formats, hoffman, search, spectra
+from . import acceptance, association, bounds, construct, formats, hoffman, search, spectra
 from .errors import CapExceededError, UnsupportedSizeError
 from .graphs import Graph
 
 
-def _read_graph(path: str, fmt: str | None) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return formats.load_graph(fh.read(), fmt)
+def _read_graph(args) -> Graph:
+    with open(args.graph, "r", encoding="ascii") as fh:
+        return formats.load_graph(fh.read(), args.fmt)
 
 
 def _emit_graph(g: Graph, args) -> None:
@@ -33,6 +41,11 @@ def _emit_graph(g: Graph, args) -> None:
             fh.write(out)
     else:
         sys.stdout.write(out)
+
+
+def _read_hoffman(args) -> hoffman.HoffmanGraph:
+    with open(args.file, "r", encoding="ascii") as fh:
+        return hoffman.HoffmanGraph.from_json_obj(json.load(fh))
 
 
 def _parse_lambda(text: str) -> Fraction:
@@ -45,6 +58,13 @@ def _parse_lambda(text: str) -> Fraction:
     except OverflowError:
         raise argparse.ArgumentTypeError(f"lambda {text!r} is out of float range") from None
     return lam
+
+
+def _parse_integer_lambda(text: str) -> int:
+    lam = _parse_lambda(text)
+    if lam.denominator != 1:
+        raise argparse.ArgumentTypeError(f"lambda must be an integer, got {text!r}")
+    return int(lam)
 
 
 def _parse_workers(text: str) -> int:
@@ -64,177 +84,60 @@ def _parse_parts(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad part list {text!r}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="regspectra",
-        description="Spectral bounds and exhaustive search for regular graphs "
-        "with bounded second eigenvalue",
-    )
-    ap.add_argument("--json", action="store_true", help="machine-readable output")
-    common = argparse.ArgumentParser(add_help=False)
-    # SUPPRESS keeps an unset subcommand flag from clobbering the top-level one
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    sub = ap.add_subparsers(dest="command", required=True)
+def _emitting(build):
+    """Handler that writes the graph `build(args)` returns."""
 
-    sp = sub.add_parser("spectrum", help="adjacency spectrum of a graph file", parents=[common])
-    sp.add_argument("graph")
-    sp.add_argument("--format", dest="fmt", choices=formats.FORMATS, default=None)
+    def run(args) -> int:
+        _emit_graph(build(args), args)
+        return 0
 
-    cp = sub.add_parser("construct", help="build a named graph", parents=[common])
-    cp.add_argument(
-        "name",
-        choices=[
-            "complete-multipartite",
-            "line-graph",
-            "complement",
-            "k-tilde",
-            "coclique-ext",
-            "lower-bound-graph",
-        ],
-    )
-    cp.add_argument("graph", nargs="?", help="input graph file (line-graph, complement, coclique-ext)")
-    cp.add_argument("--format", dest="fmt", choices=formats.FORMATS, default=None)
-    cp.add_argument("--parts", type=_parse_parts, help="comma-separated part sizes")
-    cp.add_argument("--m", type=int)
-    cp.add_argument("--q", type=int)
-    cp.add_argument("--lambda", dest="lam", type=_parse_lambda)
-    cp.add_argument("--a", type=int)
-    cp.add_argument("--out", help="write the graph here instead of stdout")
-    cp.add_argument("--out-format", choices=formats.FORMATS, default="edgelist")
-
-    hp = sub.add_parser("hoffman", help="Hoffman-graph operations", parents=[common])
-    hp.add_argument("action", choices=["special-matrix", "lambda-min", "fatten", "validate"])
-    hp.add_argument("file", help="Hoffman graph JSON: {order, edges, fat}")
-    hp.add_argument("--p", type=int, default=1, help="fattening parameter")
-    hp.add_argument("--out")
-    hp.add_argument("--out-format", choices=formats.FORMATS, default="edgelist")
-
-    ass = sub.add_parser("associate", help="quasi-clique associated Hoffman graph", parents=[common])
-    ass.add_argument("graph")
-    ass.add_argument("--format", dest="fmt", choices=formats.FORMATS, default=None)
-    ass.add_argument("--m", type=int, required=True)
-    ass.add_argument("--n", type=int, required=True)
-    ass.add_argument("--certified", action="store_true")
-
-    bp = sub.add_parser("bounds", help="thresholds, known values, mu bound, Ramsey", parents=[common])
-    bp.add_argument("action", choices=["thresholds", "known-v", "mu-bound", "ramsey"])
-    bp.add_argument("--lambda", dest="lam", type=_parse_lambda)
-    bp.add_argument("--k", type=int)
-    bp.add_argument("--s", type=int)
-    bp.add_argument("--t", type=int)
-
-    sr = sub.add_parser("search", help="exhaustive maximum-order search", parents=[common])
-    sr.add_argument("--k", type=int, required=True)
-    sr.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
-    sr.add_argument("--n-max", type=int, required=True)
-    sr.add_argument("--no-prune", action="store_true")
-    sr.add_argument(
-        "--threads",
-        type=_parse_workers,
-        default=1,
-        help="worker processes for the generation tree (default: 1)",
-    )
-
-    vp = sub.add_parser("verify", help="run the acceptance criteria", parents=[common])
-    vp.add_argument(
-        "--suite",
-        default="all",
-        choices=["all"] + sorted(acceptance.SUITES),
-    )
-
-    return ap
+    return run
 
 
-def _cmd_spectrum(args) -> int:
-    g = _read_graph(args.graph, args.fmt)
-    spec = spectra.spectrum(g)
-    if args.json:
-        print(json.dumps(spec.to_json_obj()))
-    else:
-        print(spec)
+def _spectrum(args) -> int:
+    spec = spectra.spectrum(_read_graph(args))
+    print(json.dumps(spec.to_json_obj()) if args.json else spec)
     return 0
 
 
-def _cmd_construct(args) -> int:
-    from .construct import (
-        complement,
-        complete_multipartite,
-        coclique_extension,
-        k_tilde,
-        line_graph,
-    )
-
-    name = args.name
-    if name == "complete-multipartite":
-        if not args.parts:
-            raise ValueError("complete-multipartite needs --parts")
-        g = complete_multipartite(args.parts)
-    elif name == "k-tilde":
-        if args.m is None:
-            raise ValueError("k-tilde needs --m")
-        g = k_tilde(args.m)
-    elif name == "lower-bound-graph":
-        if args.lam is None or args.a is None:
-            raise ValueError("lower-bound-graph needs --lambda and --a")
-        if args.lam.denominator != 1:
-            raise ValueError("lower-bound-graph needs an integer lambda")
-        g, cert = bounds.lower_bound_graph(int(args.lam), args.a)
-        blob = cert.to_json_obj()
-        print(json.dumps(blob) if args.json else f"certificate: {blob}", file=sys.stderr)
-        if not cert.verified:
-            _emit_graph(g, args)
-            return 1
-    else:
-        if not args.graph:
-            raise ValueError(f"{name} needs an input graph file")
-        src = _read_graph(args.graph, args.fmt)
-        if name == "line-graph":
-            g = line_graph(src)
-        elif name == "complement":
-            g = complement(src)
-        else:  # coclique-ext
-            if args.q is None:
-                raise ValueError("coclique-ext needs --q")
-            g = coclique_extension(src, args.q)
+def _lower_bound_graph(args) -> int:
+    g, cert = bounds.lower_bound_graph(args.lam, args.a)
+    blob = cert.to_json_obj()
+    print(json.dumps(blob) if args.json else f"certificate: {blob}", file=sys.stderr)
     _emit_graph(g, args)
-    return 0
+    return 0 if cert.verified else 1
 
 
-def _cmd_hoffman(args) -> int:
-    with open(args.file, "r", encoding="ascii") as fh:
-        hg = hoffman.HoffmanGraph.from_json_obj(json.load(fh))
-    if args.action == "validate":
-        problems = hg.validate()
-        if args.json:
-            print(json.dumps({"valid": not problems, "violations": problems}))
-        else:
-            print("valid" if not problems else "\n".join(problems))
-        return 0 if not problems else 1
-    if args.action == "special-matrix":
-        m = hg.special_matrix()
-        if args.json:
-            print(json.dumps({"slim": hg.slim_vertices(), "matrix": m.tolist()}))
-        else:
-            for row in m:
-                print(" ".join(f"{x:3d}" for x in row))
-        return 0
-    if args.action == "lambda-min":
-        val = hg.lambda_min()
-        print(json.dumps({"lambda_min": val}) if args.json else f"{val:.12g}")
-        return 0
-    _emit_graph(hoffman.fatten(hg, args.p), args)
-    return 0
-
-
-def _cmd_associate(args) -> int:
-    g = _read_graph(args.graph, args.fmt)
-    hg, part = association.associate(g, args.m, args.n, certified=args.certified)
-    payload = {
-        "hoffman": hg.to_json_obj(),
-        "partition": part.to_json_obj(),
-    }
+def _hoffman_validate(args) -> int:
+    problems = _read_hoffman(args).validate()
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps({"valid": not problems, "violations": problems}))
+    else:
+        print("valid" if not problems else "\n".join(problems))
+    return 0 if not problems else 1
+
+
+def _special_matrix(args) -> int:
+    hg = _read_hoffman(args)
+    m = hg.special_matrix()
+    if args.json:
+        print(json.dumps({"slim": hg.slim_vertices(), "matrix": m.tolist()}))
+    else:
+        for row in m:
+            print(" ".join(f"{x:3d}" for x in row))
+    return 0
+
+
+def _hoffman_lambda_min(args) -> int:
+    val = _read_hoffman(args).lambda_min()
+    print(json.dumps({"lambda_min": val}) if args.json else f"{val:.12g}")
+    return 0
+
+
+def _associate(args) -> int:
+    hg, part = association.associate(_read_graph(args), args.m, args.n, certified=args.certified)
+    if args.json:
+        print(json.dumps({"hoffman": hg.to_json_obj(), "partition": part.to_json_obj()}))
     else:
         print(f"fat vertices: {hg.fat_vertices()}")
         for i, (cls, q) in enumerate(zip(part.classes, part.quasi_cliques)):
@@ -244,38 +147,36 @@ def _cmd_associate(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    if args.action == "thresholds":
-        if args.lam is None:
-            raise ValueError("thresholds needs --lambda")
-        blob = bounds.thresholds(args.lam).to_json_obj()
-        if args.json:
-            print(json.dumps(blob))
-        else:
-            for name, value in blob.items():
-                print(f"{name}: {value}")
-        return 0
-    if args.action == "known-v":
-        if args.k is None or args.lam is None:
-            raise ValueError("known-v needs --k and --lambda")
-        kv = bounds.known_v(args.k, args.lam)
-        if args.json:
-            print(json.dumps(kv.to_json_obj()))
-        elif kv.kind == "exact":
-            print(kv.value)
-        elif kv.kind == "interval":
-            hi = "unknown" if kv.upper is None else kv.upper
-            print(f"[{kv.lower}, {hi}]  {kv.note}")
-        else:
-            print(f"{kv.kind}  {kv.note}")
-        return 0
-    if args.action == "mu-bound":
-        if args.lam is None or args.lam.denominator != 1:
-            raise ValueError("mu-bound needs an integer --lambda")
-        print(bounds.mu_bound(int(args.lam)))
-        return 0
-    if args.s is None or args.t is None:
-        raise ValueError("ramsey needs --s and --t")
+def _thresholds(args) -> int:
+    blob = bounds.thresholds(args.lam).to_json_obj()
+    if args.json:
+        print(json.dumps(blob))
+    else:
+        for name, value in blob.items():
+            print(f"{name}: {value}")
+    return 0
+
+
+def _known_v(args) -> int:
+    kv = bounds.known_v(args.k, args.lam)
+    if args.json:
+        print(json.dumps(kv.to_json_obj()))
+    elif kv.kind == "exact":
+        print(kv.value)
+    elif kv.kind == "interval":
+        hi = "unknown" if kv.upper is None else kv.upper
+        print(f"[{kv.lower}, {hi}]  {kv.note}")
+    else:
+        print(f"{kv.kind}  {kv.note}")
+    return 0
+
+
+def _mu_bound(args) -> int:
+    print(bounds.mu_bound(args.lam))
+    return 0
+
+
+def _ramsey(args) -> int:
     rv = bounds.ramsey_lookup(args.s, args.t)
     if args.json:
         print(json.dumps(rv.to_json_obj()))
@@ -286,14 +187,9 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_search(args) -> int:
-    report = search.v_search(
-        args.k,
-        args.lam,
-        args.n_max,
-        prune=not args.no_prune,
-        workers=args.threads,
-    )
+def _search(args) -> int:
+    report = search.v_search(args.k, args.lam, args.n_max, prune=not args.no_prune,
+                             workers=args.threads)
     if args.json:
         print(json.dumps(report.to_json_obj()))
     else:
@@ -307,7 +203,7 @@ def _cmd_search(args) -> int:
     return 0 if report.complete else 3
 
 
-def _cmd_verify(args) -> int:
+def _verify(args) -> int:
     results = acceptance.run_suite(args.suite)
     ok = True
     for res in results:
@@ -322,6 +218,100 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="regspectra",
+        description="Spectral bounds and exhaustive search for regular graphs "
+        "with bounded second eigenvalue",
+    )
+    ap.add_argument("--json", action="store_true", help="machine-readable output")
+    common = argparse.ArgumentParser(add_help=False)
+    # SUPPRESS keeps an unset lower-level flag from clobbering a higher one
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
+
+    def group(sub, name, help, dest):
+        parser = sub.add_parser(name, help=help, parents=[common])
+        return parser.add_subparsers(dest=dest, required=True)
+
+    def leaf(sub, name, run, help=None):
+        parser = sub.add_parser(name, help=help, parents=[common])
+        parser.set_defaults(run=run)
+        return parser
+
+    def graph_in(parser):
+        parser.add_argument("graph", help="graph file: edge list, JSON or graph6")
+        parser.add_argument("--format", dest="fmt", choices=formats.FORMATS, default=None)
+        return parser
+
+    def hoffman_in(parser):
+        parser.add_argument("file", help="Hoffman graph JSON: {order, edges, fat}")
+        return parser
+
+    def graph_out(parser):
+        parser.add_argument("--out", help="write the graph here instead of stdout")
+        parser.add_argument("--out-format", choices=formats.FORMATS, default="edgelist")
+        return parser
+
+    sub = ap.add_subparsers(dest="command", required=True)
+    graph_in(leaf(sub, "spectrum", _spectrum, "adjacency spectrum of a graph file"))
+
+    names = group(sub, "construct", "build a named graph", "name")
+    p = leaf(names, "complete-multipartite",
+             _emitting(lambda a: construct.complete_multipartite(a.parts)))
+    graph_out(p).add_argument("--parts", type=_parse_parts, required=True,
+                              help="comma-separated part sizes")
+    p = leaf(names, "line-graph", _emitting(lambda a: construct.line_graph(_read_graph(a))))
+    graph_out(graph_in(p))
+    p = leaf(names, "complement", _emitting(lambda a: construct.complement(_read_graph(a))))
+    graph_out(graph_in(p))
+    p = leaf(names, "k-tilde", _emitting(lambda a: construct.k_tilde(a.m)))
+    graph_out(p).add_argument("--m", type=int, required=True)
+    p = leaf(names, "coclique-ext",
+             _emitting(lambda a: construct.coclique_extension(_read_graph(a), a.q)))
+    graph_out(graph_in(p)).add_argument("--q", type=int, required=True)
+    p = graph_out(leaf(names, "lower-bound-graph", _lower_bound_graph))
+    p.add_argument("--lambda", dest="lam", type=_parse_integer_lambda, required=True)
+    p.add_argument("--a", type=int, required=True)
+
+    actions = group(sub, "hoffman", "Hoffman-graph operations", "action")
+    hoffman_in(leaf(actions, "special-matrix", _special_matrix))
+    hoffman_in(leaf(actions, "lambda-min", _hoffman_lambda_min))
+    p = graph_out(hoffman_in(leaf(actions, "fatten",
+                                  _emitting(lambda a: hoffman.fatten(_read_hoffman(a), a.p)))))
+    p.add_argument("--p", type=int, default=1, help="fattening parameter")
+    hoffman_in(leaf(actions, "validate", _hoffman_validate))
+
+    p = graph_in(leaf(sub, "associate", _associate, "quasi-clique associated Hoffman graph"))
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--certified", action="store_true")
+
+    actions = group(sub, "bounds", "thresholds, known values, mu bound, Ramsey", "action")
+    p = leaf(actions, "thresholds", _thresholds)
+    p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
+    p = leaf(actions, "known-v", _known_v)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
+    p = leaf(actions, "mu-bound", _mu_bound)
+    p.add_argument("--lambda", dest="lam", type=_parse_integer_lambda, required=True)
+    p = leaf(actions, "ramsey", _ramsey)
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--t", type=int, required=True)
+
+    sr = leaf(sub, "search", _search, "exhaustive maximum-order search")
+    sr.add_argument("--k", type=int, required=True)
+    sr.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
+    sr.add_argument("--n-max", type=int, required=True)
+    sr.add_argument("--no-prune", action="store_true")
+    sr.add_argument("--threads", type=_parse_workers, default=1,
+                    help="worker processes for the generation tree (default: 1)")
+
+    vp = leaf(sub, "verify", _verify, "run the acceptance criteria")
+    vp.add_argument("--suite", default="all", choices=["all"] + sorted(acceptance.SUITES))
+
+    return ap
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -329,19 +319,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "spectrum":
-            return _cmd_spectrum(args)
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "hoffman":
-            return _cmd_hoffman(args)
-        if args.command == "associate":
-            return _cmd_associate(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except (UnsupportedSizeError, CapExceededError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3

@@ -4,7 +4,8 @@ R(s, t) is the least n such that every graph on n vertices contains a clique
 of size s or an independent set of size t.  Exact values beyond small cases
 are unknown, so lookups outside the embedded table return an interval: the
 upper end from the parity-strengthened recurrence
-R(s,t) <= R(s-1,t) + R(s,t-1) (minus one when both terms are even), the lower
+R(s,t) <= R(s-1,t) + R(s,t-1) (minus one when both terms are even), tabulated
+bottom-up up to UPPER_TABLE_CAP cells, the lower
 end from table monotonicity and the complete-multipartite witness
 (s-1)(t-1) + 1.  Brute-force verifiers for the smallest table entries are
 provided for the test suite.
@@ -13,12 +14,15 @@ provided for the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
 from .construct import circulant, complement, complete, cycle, edgeless
+from .errors import UnsupportedSizeError
 from .graphs import Graph, contains_induced
+
+# Cells of the recurrence table behind an interval's upper end.
+UPPER_TABLE_CAP = 10**6
 
 # Established values; stored with s <= t.
 _TABLE: dict[tuple[int, int], int] = {
@@ -67,17 +71,29 @@ def _table_exact(s: int, t: int) -> Optional[int]:
     return _TABLE.get((s, t))
 
 
-@lru_cache(maxsize=None)
 def _upper(s: int, t: int) -> int:
+    """The parity-strengthened recurrence, tabulated bottom-up.
+
+    Row i of the table holds the bound for (i, j), j <= t; each row is
+    computed in place over the one before it, from (i-1, j) and (i, j-1).
+    Raises UnsupportedSizeError when the table would pass UPPER_TABLE_CAP
+    cells."""
     exact = _table_exact(s, t)
     if exact is not None:
         return exact
-    a = _upper(s - 1, t)
-    b = _upper(s, t - 1)
-    bound = a + b
-    if a % 2 == 0 and b % 2 == 0:
-        bound -= 1
-    return bound
+    if s * t > UPPER_TABLE_CAP:
+        raise UnsupportedSizeError(
+            f"Ramsey recurrence table {s} x {t} exceeds {UPPER_TABLE_CAP} cells"
+        )
+    row = [0] + [1] * t  # R(1, j) = 1
+    for i in range(2, s + 1):
+        for j in range(1, t + 1):
+            bound = _table_exact(i, j)
+            if bound is None:
+                a, b = row[j], row[j - 1]
+                bound = a + b - (a % 2 == 0 and b % 2 == 0)
+            row[j] = bound
+    return row[t]
 
 
 def ramsey_lookup(s: int, t: int) -> RamseyValue:

@@ -3,8 +3,8 @@ permutations, so only for tiny inputs; the leaf key as a loop over every
 pair; a breadth-first search by vertex queue, independent of the package's
 bitmask frontiers; integer eigenvalue
 multiplicities by exact rank, independent of the characteristic polynomial;
-Cauchy interlacing, an eigensolver self-test; and the Ramsey arrow check over
-every graph as a pair mask; and real roots counted by Sturm chains, with
+Cauchy interlacing, an eigensolver self-test; the Ramsey arrow check over
+every graph as a pair mask, and the Ramsey recurrence as a recursion; and real roots counted by Sturm chains, with
 multiplicities from Yun's square-free decomposition, independent of the
 package's Descartes count."""
 
@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 import numpy as np
 
+from regspectra import ramsey
 from regspectra.errors import UnsupportedSizeError
 from regspectra.formats import to_graph6
 from regspectra.graphs import DistanceLayers, Graph
@@ -226,6 +228,18 @@ def every_graph_arrows_bruteforce(n: int, s: int, t: int) -> bool:
             continue
         return False
     return True
+
+
+@lru_cache(maxsize=None)
+def ramsey_upper_recursive(s: int, t: int) -> int:
+    """Oracle: the parity-strengthened Ramsey recurrence as its definition,
+    recursing to depth s + t from the exact table."""
+    exact = ramsey._table_exact(s, t)
+    if exact is not None:
+        return exact
+    a = ramsey_upper_recursive(s - 1, t)
+    b = ramsey_upper_recursive(s, t - 1)
+    return a + b - 1 if a % 2 == 0 and b % 2 == 0 else a + b
 
 
 # -- Sturm chains and Yun's decomposition -------------------------------------

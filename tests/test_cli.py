@@ -261,3 +261,71 @@ def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
     code, out, err = run(capsys, "construct", "k-tilde", "--m", "100000")
     assert code == 3 and out == ""
     assert err == "error: Unable to allocate 37.3 GiB for the order-200001 matrix\n"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("construct", "k-tilde", "--m", "2", "--q", "3"), "--q"),
+        (("bounds", "thresholds", "--lambda", "2", "--k", "3"), "--k"),
+        (("bounds", "ramsey", "--s", "3", "--t", "4", "--lambda", "2"), "--lambda"),
+        (("hoffman", "validate", "HFILE", "--p", "2"), "--p"),
+        (("hoffman", "lambda-min", "HFILE", "--out", "x.el"), "--out"),
+    ],
+)
+def test_foreign_option_is_usage_error(tmp_path, capsys, argv, option):
+    # each command takes only the options its handler reads
+    hfile = tmp_path / "h.json"
+    hfile.write_text(json.dumps({"order": 3, "edges": [[0, 1], [0, 2], [1, 2]], "fat": [2]}))
+    argv = [str(hfile) if a == "HFILE" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "unrecognized arguments" in err and option in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "complete-multipartite"),
+        ("construct", "k-tilde"),
+        ("construct", "lower-bound-graph", "--a", "3"),
+        ("construct", "lower-bound-graph", "--lambda", "2"),
+        ("construct", "line-graph"),
+        ("construct", "complement"),
+        ("construct", "coclique-ext", "--q", "2"),
+        ("construct", "coclique-ext", "g.el"),
+        ("bounds", "thresholds"),
+        ("bounds", "known-v", "--lambda", "1"),
+        ("bounds", "known-v", "--k", "3"),
+        ("bounds", "mu-bound"),
+        ("bounds", "ramsey", "--t", "4"),
+        ("bounds", "ramsey", "--s", "3"),
+    ],
+)
+def test_missing_option_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "required" in err and "Traceback" not in err
+
+
+def test_integer_lambda_forms(capsys):
+    code, out, _ = run(capsys, "bounds", "mu-bound", "--lambda", "4/2")
+    assert code == 0 and out.strip() == "8"
+    code, out, err = run(capsys, "bounds", "mu-bound", "--lambda", "3/2")
+    assert code == 2 and out == "" and "must be an integer" in err
+    code, out, _ = run(capsys, "construct", "lower-bound-graph", "--lambda", "2.0", "--a", "2")
+    assert code == 0 and formats.from_edgelist_text(out).n == 12
+
+
+def test_leaf_help_lists_only_its_options(capsys):
+    code, out, _ = run(capsys, "bounds", "thresholds", "--help")
+    assert code == 0 and "--lambda" in out and "--k" not in out
+
+
+def test_ramsey_large_and_capped(capsys):
+    code, out, err = run(capsys, "bounds", "ramsey", "--s", "500", "--t", "500", "--json")
+    assert code == 0 and err == ""
+    blob = json.loads(out)
+    assert blob["exact"] is None and blob["upper"] > blob["lower"]
+    code, out, err = run(capsys, "bounds", "ramsey", "--s", "2000", "--t", "2000")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err

@@ -4,8 +4,9 @@ import pytest
 
 from regspectra import ramsey
 from regspectra.construct import circulant, complete, cycle, edgeless
+from regspectra.errors import UnsupportedSizeError
 
-from oracles import every_graph_arrows_bruteforce
+from oracles import every_graph_arrows_bruteforce, ramsey_upper_recursive
 
 
 def test_base_cases():
@@ -40,6 +41,22 @@ def test_interval_fallback():
     assert rv.upper is not None and rv.upper >= rv.lower
     # parity-strengthened recurrence from R(4,5)=25 and R(3,5)=14
     assert ramsey._upper(4, 6) <= ramsey._upper(3, 6) + ramsey._upper(4, 5)
+
+
+def test_upper_table_matches_recursion():
+    # the bottom-up table equals the recurrence's recursive definition
+    for s in range(1, 40):
+        for t in range(1, 40):
+            assert ramsey._upper(s, t) == ramsey_upper_recursive(s, t), (s, t)
+
+
+def test_upper_table_cap():
+    # one table row past the cap is refused; tabulated values need no table
+    rv = ramsey.ramsey_lookup(500, 500)
+    assert rv.upper > rv.lower
+    with pytest.raises(UnsupportedSizeError, match="exceeds"):
+        ramsey.ramsey_lookup(1001, 1000)
+    assert ramsey.ramsey_lookup(2, 10**9).exact == 10**9
 
 
 def test_witnesses():
