@@ -161,7 +161,7 @@ def criterion_03():
 
 
 @_claim("A4", "fattening lambda_min sequences converge onto the Hoffman value",
-        suite="hoffman", cap=3)
+        suite="hoffman", cap=1)
 def criterion_04():
     """Fattening sequences: monotone, bounded below, final gap < 0.1."""
     rows = {}

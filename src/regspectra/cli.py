@@ -4,7 +4,8 @@ One parser per command: `construct`, `hoffman` and `bounds` take a second
 word naming the leaf command, and each leaf declares only the options its
 handler reads (required where the handler needs them) and names that handler
 through `set_defaults(run=...)`.  A missing or foreign option is therefore
-argparse's usage error.  `--json` is global and may stand at any level.
+argparse's usage error, reported under the leaf's own usage line.  `--json`
+is global and may stand at any level.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
 exceeded (a search whose range the caps cut still prints its report, marked
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def leaf(sub, name, run, help=None):
         parser = sub.add_parser(name, help=help, parents=[common])
-        parser.set_defaults(run=run)
+        parser.set_defaults(run=run, leaf=parser)
         return parser
 
     def graph_in(parser):
@@ -315,7 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        # a leaf leaves the options it does not know to the root parser;
+        # report them through the leaf, under its own usage line
+        args, extras = ap.parse_known_args(argv)
+        if extras:
+            args.leaf.error("unrecognized arguments: " + " ".join(extras))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -5,6 +5,29 @@ fat vertices are pairwise non-adjacent and each fat vertex has a slim
 neighbor.  Its eigenvalues are those of the special matrix
 S = A_slim - C C^T, where C is the slim-fat incidence matrix.
 
+The fattening G(h, p) replaces each fat vertex by a clique of p vertices
+joined to that fat vertex's slim neighbours; Hoffman's limit theorem says
+lambda_min(G(h, p)) decreases onto lambda_min(h) as p grows.  The sequence
+comes from an exact equitable-partition identity, without building G(h, p).
+With s slim and f fat vertices, A_S the slim adjacency and C the slim-fat
+incidence matrix:
+
+- a vector that sums to zero on one clique block and is zero elsewhere is an
+  eigenvector of A(G(h, p)) for -1; these span f(p - 1) dimensions of the
+  -1 eigenspace;
+- the block-constant vectors span the complementary invariant subspace, on
+  which A(G(h, p)) acts as the quotient M = [[A_S, pC], [C^T, (p-1)I_f]];
+- with D = diag(1_s, p 1_f), M is similar to the symmetric
+  Q_p = D^(1/2) M D^(-1/2) = [[A_S, sqrt(p) C], [sqrt(p) C^T, (p-1)I_f]];
+
+so lambda_min(G(h, p)) = min(lambda_min(Q_p), -1), the -1 counting only
+when p >= 2 and f >= 1.  It never binds: when f >= 1, the Schur complement
+of the block pI_f in Q_p + I is A_S + I - C C^T = S + I, and S has a
+diagonal entry -(fat degree) <= -1, so S + I and with it Q_p + I is not
+positive definite, i.e. lambda_min(Q_p) <= -1.  Hence
+lambda_min(G(h, p)) = lambda_min(Q_p): one eigensolve of order s + f per p,
+not s + pf.
+
 Containment of one Hoffman graph in another is coloured induced containment:
 graphs.contains_induced with fat and slim as the two vertex colours.
 
@@ -73,15 +96,18 @@ class HoffmanGraph:
     def is_valid(self) -> bool:
         return not self.validate()
 
+    def _require_valid(self) -> None:
+        problems = self.validate()
+        if problems:
+            raise ValueError("invalid Hoffman graph: " + "; ".join(problems))
+
     def incidence(self) -> np.ndarray:
         """Slim-fat 0/1 incidence matrix C (slim rows, fat columns)."""
         return self.graph.adj[np.ix_(self.slim_vertices(), self.fat_vertices())].astype(np.int64)
 
     def special_matrix(self) -> np.ndarray:
         """S = A_slim - C C^T (int64), indexed by the sorted slim vertex list."""
-        problems = self.validate()
-        if problems:
-            raise ValueError("invalid Hoffman graph: " + "; ".join(problems))
+        self._require_valid()
         slim = self.slim_vertices()
         if not slim:
             raise ValueError("Hoffman graph has no slim vertices")
@@ -146,9 +172,7 @@ def fatten(h: HoffmanGraph, p: int) -> Graph:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    problems = h.validate()
-    if problems:
-        raise ValueError("invalid Hoffman graph: " + "; ".join(problems))
+    h._require_valid()
     slim = h.slim_vertices()
     s = len(slim)
     f = len(h.fat)
@@ -164,8 +188,38 @@ def fatten(h: HoffmanGraph, p: int) -> Graph:
 
 
 def fattening_lambda_min_sequence(h: HoffmanGraph, p_max: int) -> list[float]:
-    """lambda_min(G(h, p)) for p = 1..p_max."""
-    return [eig_symmetric(fatten(h, p))[-1] for p in range(1, p_max + 1)]
+    """lambda_min(G(h, p)) for p = 1..p_max, from the equitable quotient.
+
+    G(h, p) is never built.  With s slim and f fat vertices, A_S the slim
+    adjacency and C = h.incidence(), each fat vertex of h is a block of p
+    clique vertices in G(h, p), joined to that fat vertex's slim neighbours:
+
+    - a vector summing to zero on one block and zero elsewhere is an
+      eigenvector for -1; these span f(p - 1) dimensions of its eigenspace;
+    - the block-constant vectors span the complementary invariant subspace,
+      on which A(G(h, p)) acts as the quotient M = [[A_S, pC], [C^T, (p-1)I]];
+    - with D = diag(1_s, p 1_f), M is similar to the symmetric
+      Q_p = D^(1/2) M D^(-1/2) = [[A_S, sqrt(p) C], [sqrt(p) C^T, (p-1)I]].
+
+    So lambda_min(G(h, p)) = min(lambda_min(Q_p), -1), the -1 counting only
+    when p >= 2 and f >= 1; and lambda_min(Q_p) <= -1 whenever f >= 1 (the
+    module docstring has the Schur-complement proof), so the value is
+    lambda_min(Q_p), one eigensolve of order s + f per p.
+    """
+    h._require_valid()
+    slim = h.slim_vertices()
+    s = len(slim)
+    f = len(h.fat)
+    c = h.incidence()
+    q = np.zeros((s + f, s + f))
+    q[:s, :s] = h.graph.adj[np.ix_(slim, slim)]
+    seq = []
+    for p in range(1, p_max + 1):
+        q[:s, s:] = np.sqrt(p) * c
+        q[s:, :s] = q[:s, s:].T
+        q[s:, s:] = (p - 1) * np.eye(f)
+        seq.append(eig_symmetric(q)[-1])
+    return seq
 
 
 # -- induced Hoffman subgraph containment ----------------------------------------

@@ -3,7 +3,8 @@ permutations, so only for tiny inputs; the leaf key as a loop over every
 pair; a breadth-first search by vertex queue, independent of the package's
 bitmask frontiers; integer eigenvalue
 multiplicities by exact rank, independent of the characteristic polynomial;
-Cauchy interlacing, an eigensolver self-test; the Ramsey arrow check over
+Cauchy interlacing, an eigensolver self-test; the fattening's least
+eigenvalues from the fattened graphs themselves; the Ramsey arrow check over
 every graph as a pair mask, and the Ramsey recurrence as a recursion; and real roots counted by Sturm chains, with
 multiplicities from Yun's square-free decomposition, independent of the
 package's Descartes count."""
@@ -23,6 +24,7 @@ from regspectra import ramsey
 from regspectra.errors import UnsupportedSizeError
 from regspectra.formats import to_graph6
 from regspectra.graphs import DistanceLayers, Graph
+from regspectra.hoffman import HoffmanGraph, fatten
 from regspectra.exactpoly import Poly
 from regspectra.spectra import INTERLACING_TOL, eig_symmetric
 
@@ -210,6 +212,12 @@ def interlacing_check(g: Graph, subset: Sequence[int]) -> bool:
         full[i] + INTERLACING_TOL >= sub[i] >= full[i + n - s] - INTERLACING_TOL
         for i in range(s)
     )
+
+
+def fattening_lambda_min_reference(h: HoffmanGraph, p_max: int) -> list[float]:
+    """Oracle of `hoffman.fattening_lambda_min_sequence`: lambda_min(G(h, p))
+    for p = 1..p_max, each G(h, p) built and eigensolved whole."""
+    return [eig_symmetric(fatten(h, p))[-1] for p in range(1, p_max + 1)]
 
 
 def every_graph_arrows_bruteforce(n: int, s: int, t: int) -> bool:

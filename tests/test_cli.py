@@ -281,6 +281,8 @@ def test_foreign_option_is_usage_error(tmp_path, capsys, argv, option):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "Traceback" not in err
     assert "unrecognized arguments" in err and option in err
+    # the leaf that refused the option reports it, not the root parser
+    assert err.startswith(f"usage: regspectra {argv[0]} {argv[1]} ")
 
 
 @pytest.mark.parametrize(

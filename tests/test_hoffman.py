@@ -18,7 +18,8 @@ from regspectra.hoffman import (
     fattening_lambda_min_sequence,
     slim_with_fats,
 )
-from oracles import contains_induced_bruteforce
+from oracles import contains_induced_bruteforce, fattening_lambda_min_reference
+from regspectra import hoffman, kernel
 from regspectra.spectra import eig_symmetric
 
 
@@ -124,6 +125,48 @@ def test_fatten_order_and_interlacing_chain():
         for i in range(len(seq) - 1):
             assert seq[i + 1] <= seq[i] + 1e-9, name
         assert all(x >= lm - 1e-9 for x in seq), name
+
+
+def test_fattening_sequence_matches_fattened_graphs():
+    # the quotient identity against eigensolving each G(h, p) whole
+    cases = [(h, 30) for _, h in catalog()]
+    rng = random.Random(2525)
+    for _ in range(40):
+        s = rng.randint(1, 5)
+        slim = random_graph(s, rng.random(), rng)
+        fats = [rng.sample(range(s), rng.randint(1, s)) for _ in range(rng.randint(0, 3))]
+        cases.append((HoffmanGraph.with_fats(slim, fats), 12))
+    assert any(not h.fat for h, _ in cases)
+    for h, p_max in cases:
+        got = fattening_lambda_min_sequence(h, p_max)
+        want = fattening_lambda_min_reference(h, p_max)
+        assert len(got) == p_max
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-10, h
+
+
+def test_fattening_sequence_solves_only_the_quotient(monkeypatch):
+    # each p costs one eigensolve of order at most s + f and no fattened graph
+    orders, fattened = [], []
+    solve = kernel.sym_eigenvalues
+
+    def recording_solve(matrix):
+        orders.append(len(matrix))
+        return solve(matrix)
+
+    monkeypatch.setattr(kernel, "sym_eigenvalues", recording_solve)
+    monkeypatch.setattr(hoffman, "fatten", lambda *args: fattened.append(args))
+    for name, h in catalog():
+        orders.clear()
+        fattening_lambda_min_sequence(h, 30)
+        assert len(orders) == 30, name
+        assert max(orders) <= h.n, name
+    assert fattened == []
+
+
+def test_fattening_sequence_rejects_invalid():
+    bad = HoffmanGraph(Graph.from_edges(2, []), fat=[1])
+    with pytest.raises(ValueError, match="invalid Hoffman graph"):
+        fattening_lambda_min_sequence(bad, 3)
 
 
 def test_contains_hoffman_subgraph():
