@@ -13,9 +13,7 @@ incomplete, and exits 3; an input too large for memory prints one `error:`
 line and exits 3 too).  `--lambda` accepts exact rationals ("3/2") as well
 as decimals so floor-based thresholds never misround; `construct
 lower-bound-graph` and `bounds mu-bound` need an integer value ("2", "4/2"
-or "2.0").  `search --threads N` splits the generation tree over N >= 1
-worker processes (default 1); results are identical for every worker count,
-workers only change wall time.
+or "2.0").
 """
 
 from __future__ import annotations
@@ -66,16 +64,6 @@ def _parse_integer_lambda(text: str) -> int:
     if lam.denominator != 1:
         raise argparse.ArgumentTypeError(f"lambda must be an integer, got {text!r}")
     return int(lam)
-
-
-def _parse_workers(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad worker count {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {n}")
-    return n
 
 
 def _parse_parts(text: str) -> list[int]:
@@ -189,8 +177,7 @@ def _ramsey(args) -> int:
 
 
 def _search(args) -> int:
-    report = search.v_search(args.k, args.lam, args.n_max, prune=not args.no_prune,
-                             workers=args.threads)
+    report = search.v_search(args.k, args.lam, args.n_max, prune=not args.no_prune)
     if args.json:
         print(json.dumps(report.to_json_obj()))
     else:
@@ -304,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
     sr.add_argument("--n-max", type=int, required=True)
     sr.add_argument("--no-prune", action="store_true")
-    sr.add_argument("--threads", type=_parse_workers, default=1,
-                    help="worker processes for the generation tree (default: 1)")
 
     vp = leaf(sub, "verify", _verify, "run the acceptance criteria")
     vp.add_argument("--suite", default="all", choices=["all"] + sorted(acceptance.SUITES))

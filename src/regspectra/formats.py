@@ -69,7 +69,14 @@ def from_json_obj(obj: dict) -> Graph:
         isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in edges
     ):
         raise ValueError("graph JSON 'edges' must be a list of [u, v] integer pairs")
-    return Graph.from_edges(n, [tuple(e) for e in edges])
+    g = Graph.from_edges(n, [tuple(e) for e in edges])
+    pairs = set()
+    for u, v in edges:
+        pair = (min(u, v), max(u, v))
+        if pair in pairs:
+            raise ValueError(f"repeated edge {pair}")
+        pairs.add(pair)
+    return g
 
 
 def to_json_text(g: Graph) -> str:

@@ -61,7 +61,6 @@ rounding.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -79,7 +78,7 @@ from .spectra import INTERLACING_TOL, eigenvalue_at_most, eigenvalue_at_most_exa
 CANONICAL_CAP = 64
 DEFAULT_MAX_K = 5
 DEFAULT_MAX_N = 16
-# Serial candidates reach the dedup in batches: handing them over one at a
+# Candidates reach the dedup in batches: handing them over one at a
 # time cost about 7 % more CPU on v_search(3, 2, 12, prune=False) (median of
 # 24 in-process pairs; CPython 3.11, 2-core x86 host); from 256 up a batch is
 # as fast as collecting every candidate first, and memory stays bounded.
@@ -429,8 +428,6 @@ def _complete_from(
     rows: list[int],
     sat: int,
     prune_lam: Optional[float],
-    stop_depth: Optional[int] = None,
-    states: Optional[list] = None,
     verdicts: Optional[dict] = None,
     key: int = 1,
 ):
@@ -442,10 +439,8 @@ def _complete_from(
     neighbour bitmasks, then each is applied, checked by `_feasible` with the
     updated saturated mask and memo key, recursed into and undone.
 
-    When `stop_depth` is set, the completion stops once v >= stop_depth and
-    appends `(rows, sat)` to `states` instead (used to partition work across
-    processes).  `verdicts` is the prune-verdict memo of the pass (see
-    `_feasible`): the root call creates it, and the recursion shares it.
+    `verdicts` is the prune-verdict memo of the pass (see `_feasible`): the
+    root call creates it, and the recursion shares it.
 
     `key` names the saturated subgraph H for the memo: a leading 1, then per
     step of the pass n bits for the completed vertex's row and for the row
@@ -454,14 +449,9 @@ def _complete_from(
     since a saturated vertex has all its lower neighbours in H and was
     completed by a step iff fewer than k of them exist, else saturated by the
     step of its largest neighbour.  So keys are equal iff the labelled
-    subgraphs are.  A pass started from a stop-depth state begins again at
-    key 1, so its keys name H only within that pass, which keeps its own
-    memo."""
+    subgraphs are."""
     free = ((1 << n) - 1) & ~sat
     v = (free & -free).bit_length() - 1 if free else n
-    if stop_depth is not None and v >= stop_depth:
-        states.append((tuple(rows), sat))
-        return
     if not free:  # every vertex has degree k
         # connected (see the module docstring): for k >= 1 by the last
         # `_feasible`'s closed-component cut; for k = 0 the graph is edgeless
@@ -515,7 +505,7 @@ def _complete_from(
             if b & last:  # saturated now, with every neighbour in `child`
                 ckey = ckey << n | rows[u]
         if _feasible(k, n, rows, v, child, prune_lam, verdicts, ckey):
-            yield from _complete_from(k, n, rows, child, prune_lam, stop_depth, states, verdicts, ckey)
+            yield from _complete_from(k, n, rows, child, prune_lam, verdicts, ckey)
         rest = mask
         while rest:
             b = rest & -rest
@@ -581,45 +571,21 @@ def _feasible(
     return True
 
 
-def _worker_complete(args):
-    k, n, rows, sat, prune_lam = args
-    return list(_complete_from(k, n, list(rows), sat, prune_lam))
-
-
-def _candidate_rows(k: int, n: int, prune_lam: Optional[Real], workers: int):
-    """Yields the completed labeled candidates (row tuples).  Serially they
-    come in batches of _STREAM_BATCH straight from the completion; with
-    workers, each job's list comes back whole.  The serial pass, the
-    stop-depth pass and every job each keep their own prune memo (see
-    `_complete_from`).  With `prune_lam` set, the prune compares against its
-    float."""
+def _candidate_rows(k: int, n: int, prune_lam: Optional[Real]):
+    """Yields the completed labeled candidates (row tuples), in batches of
+    _STREAM_BATCH straight from the completion.  With `prune_lam` set, the
+    prune compares against its float."""
     sat = 0 if k else (1 << n) - 1  # the empty graph; with k = 0 it is complete
     lam = None if prune_lam is None else float(Fraction(prune_lam))
-    if workers <= 1 or n <= 3:
-        completion = _complete_from(k, n, [0] * n, sat, lam)
-        while batch := list(islice(completion, _STREAM_BATCH)):
-            yield from batch
-        return
-    # partition the tree at the completion of vertex 1 across processes
-    states: list = []
-    list(_complete_from(k, n, [0] * n, sat, lam, 2, states))
-    jobs = [(k, n, rows, sat, lam) for rows, sat in states]
-    if not jobs:
-        return
-    # fork where the platform has it, else its default (the first listed);
-    # a worker beyond the number of jobs would have nothing to do
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
-    with ctx.Pool(processes=min(workers, len(jobs))) as pool:
-        for chunk in pool.imap(_worker_complete, jobs):
-            yield from chunk
+    completion = _complete_from(k, n, [0] * n, sat, lam)
+    while batch := list(islice(completion, _STREAM_BATCH)):
+        yield from batch
 
 
 def enum_connected_regular(
     k: int,
     n: int,
     prune_lam: Optional[Real] = None,
-    workers: int = 1,
     _info: Optional[dict] = None,
 ) -> list[Graph]:
     """Exactly one representative per isomorphism class of connected k-regular
@@ -647,7 +613,7 @@ def enum_connected_regular(
         )
     if not parity_ok(k, n):
         return []
-    candidates, classes = _dedup(_candidate_rows(k, n, prune_lam, workers))
+    candidates, classes = _dedup(_candidate_rows(k, n, prune_lam))
     certs = sorted(classes)
     if _info is not None:
         _info["candidates"] = candidates
@@ -784,7 +750,12 @@ def v_search(
     by `spectra.eigenvalue_at_most` (exact within 1e-6 of the threshold).
     When the caps DEFAULT_MAX_K and DEFAULT_MAX_N cut the range, the report
     is marked incomplete.
+
+    `workers` is kept only for callers that already pass 1: the search is
+    one process, and any other value raises `ValueError`.
     """
+    if workers != 1:
+        raise ValueError(f"the search runs in one process; workers must be 1, got {workers!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if n_max < k + 1:
@@ -807,7 +778,6 @@ def v_search(
             k,
             n,
             prune_lam=lam_fr if prune else None,
-            workers=workers,
             _info=cinfo,
         )
         passed: list[ExtremalGraph] = []

@@ -236,19 +236,22 @@ def test_negative_lambda_parses(capsys):
     assert code == 0
 
 
-def test_threads_give_the_same_report(capsys):
-    argv = ("search", "--k", "3", "--lambda", "1", "--n-max", "10", "--json")
-    code1, out1, _ = run(capsys, *argv, "--threads", "1")
-    code2, out2, _ = run(capsys, *argv, "--threads", "2")
-    assert code1 == code2 == 0 and out1 == out2
-    assert json.loads(out1)["exact_v"] == 10
+def test_threads_is_usage_error(capsys):
+    # the search runs in one process: `search` has no --threads option
+    argv = ("search", "--k", "3", "--lambda", "1", "--n-max", "6", "--threads", "2")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: regspectra search ")
+    assert "unrecognized arguments: --threads 2" in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-2", "two"])
 def test_threads_below_one_is_usage_error(capsys, threads):
+    # every value is foreign, whether or not it reads as a count
     argv = ("search", "--k", "3", "--lambda", "1", "--n-max", "6", "--threads", threads)
     code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and "--threads" in err
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: --threads {threads}" in err
 
 
 def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):

@@ -84,3 +84,10 @@ def test_edgelist_repeated_edge_rejected():
     # a repeated line would load as one edge and contradict the header's m
     with pytest.raises(ValueError, match=r"repeated edge \(0, 1\)"):
         formats.from_edgelist_text("3 2\n0 1\n0 1\n")
+
+
+def test_json_repeated_edge_rejected():
+    # the JSON reader refuses what the edge-list reader refuses: [1, 0] is
+    # the edge [0, 1] again, and merging them would lose the second
+    with pytest.raises(ValueError, match=r"repeated edge \(0, 1\)"):
+        formats.from_json_obj({"order": 2, "edges": [[0, 1], [1, 0]]})

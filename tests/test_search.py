@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import multiprocessing
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -174,8 +173,8 @@ def test_dedup_cross_checks_certificates(monkeypatch):
 
 
 def test_enum_walks_once_per_class(monkeypatch):
-    # only the first candidate of each class is labelled, whatever the worker
-    # count; every other one stops at its first leaf
+    # only the first candidate of each class is labelled; every other one
+    # stops at its first leaf
     calls = [0]
     real = search.canonical_form
 
@@ -185,12 +184,11 @@ def test_enum_walks_once_per_class(monkeypatch):
 
     monkeypatch.setattr(search, "canonical_form", counted)
     for (k, n), classes in (((3, 12), 85), ((4, 10), 59)):
-        for workers in (1, 2):
-            calls[0] = 0
-            info: dict = {}
-            search.enum_connected_regular(k, n, workers=workers, _info=info)
-            assert info["classes"] == calls[0] == classes, (k, n, workers)
-            assert info["candidates"] > classes, (k, n, workers)
+        calls[0] = 0
+        info: dict = {}
+        search.enum_connected_regular(k, n, _info=info)
+        assert info["classes"] == calls[0] == classes, (k, n)
+        assert info["candidates"] > classes, (k, n)
 
 
 def _refine_reference(bits, cells, splitters=None):
@@ -362,13 +360,11 @@ def test_completed_candidates_connected():
         for n in range(k + 1, 11 if k < 4 else 10):
             if k * n % 2:
                 continue
-            for rows in search._candidate_rows(k, n, None, 1):
+            for rows in search._candidate_rows(k, n, None):
                 assert _rows_connected(rows), (k, n, rows)
                 seen += 1
     assert seen > 600
-    for rows in search._candidate_rows(3, 10, None, 2):  # the stop-depth jobs
-        assert _rows_connected(rows), rows
-    assert [len(list(search._candidate_rows(0, n, None, 1))) for n in (1, 2, 3)] == [1, 0, 0]
+    assert [len(list(search._candidate_rows(0, n, None))) for n in (1, 2, 3)] == [1, 0, 0]
 
 
 def _labeled_regular_count(k: int, n: int, connected_only: bool) -> int:
@@ -603,14 +599,11 @@ def test_prune_verdicts_memoized_per_order(monkeypatch):
         assert calls[0] == want, (k, lam, n_max)
         unpruned = search.v_search(k, lam, n_max, prune=False)
         assert pruned.same_result(unpruned)
-    # the last unpruned reference is that of (4, 1, 10)
-    assert search.v_search(4, 1, 10, workers=2).same_result(unpruned)
 
 
 def test_prune_key_identifies_saturated_subgraph(monkeypatch):
     # equal memo keys iff equal tested subgraphs, over every memo lookup of
-    # whole completion passes and of one worker job (a pass started from a
-    # stop-depth state).  The saturated subgraph H is its mask and induced
+    # whole completion passes.  The saturated subgraph H is its mask and induced
     # adjacency; H + {u} is that plus u's neighbours in H, which fixes it up
     # to u's label.  The cut keeps everything here, so every subgraph it
     # would test is looked up: H + {u} for each unsaturated neighbour u of
@@ -636,14 +629,10 @@ def test_prune_key_identifies_saturated_subgraph(monkeypatch):
 
     monkeypatch.setattr(search, "_feasible", recording)
     monkeypatch.setattr(search, "spectral_prune", lambda *args: True)
-    states: list = []
-    list(search._complete_from(4, 11, [0] * 11, 0, None, 2, states))
-    passes = [(3, n, [0] * n, 0) for n in (6, 8, 10)]
-    passes += [(4, n, [0] * n, 0) for n in (7, 8, 9, 10)] + [(5, 8, [0] * 8, 0)]
-    passes.append((4, 11, list(states[-1][0]), states[-1][1]))
-    for k, n, rows, sat in passes:
+    passes = [(3, n) for n in (6, 8, 10)] + [(4, n) for n in (7, 8, 9, 10)] + [(5, 8)]
+    for k, n in passes:
         seen.clear()
-        list(search._complete_from(k, n, rows, sat, 1.0, None, None, Memo()))
+        list(search._complete_from(k, n, [0] * n, 0, 1.0, Memo()))
         keys: dict = {}
         graphs: dict = {}
         for key, graph in seen:
@@ -697,9 +686,9 @@ def _stream_digest(items) -> str:
 
 def test_candidate_stream_pinned(monkeypatch):
     # the ordered stream of labelled candidates (bit rows) that reaches the
-    # dedup, and the worker states at the stop depth, recorded before the
-    # completion became a flat loop; the first candidate of each class is its
-    # representative, so the stream fixes every graph6 the search reports
+    # dedup, recorded before the completion became a flat loop; the first
+    # candidate of each class is its representative, so the stream fixes
+    # every graph6 the search reports
     seen: list = []
     real = search._dedup
 
@@ -722,12 +711,6 @@ def test_candidate_stream_pinned(monkeypatch):
         seen.clear()
         search.enum_connected_regular(k, n, prune_lam=lam)
         assert (len(seen), _stream_digest(seen)) == (count, digest), (k, n, lam)
-    states: list = []
-    list(search._complete_from(4, 11, [0] * 11, 0, None, 2, states))
-    assert (len(states), _stream_digest(rows for rows, _ in states)) == (
-        4,
-        "95bd03f48a77e0916390f1afc0e5b6c42d93b6d1cc1024a5594ef2416a615bf4",
-    )
 
 
 def test_canonical_forms_pinned():
@@ -750,11 +733,21 @@ def test_canonical_forms_pinned():
     )
 
 
-def test_saturated_subgraph_matches_induced():
+def test_saturated_subgraph_matches_induced(monkeypatch):
+    # the partial states are those `_feasible` is asked about in whole
+    # completion passes: the rows and the saturated mask after each step
     rng = random.Random(5)
-    for k, n, depth in ((3, 10, 4), (3, 12, 6), (4, 9, 3), (4, 11, 5)):
-        states: list = []
-        list(search._complete_from(k, n, [0] * n, 0, None, depth, states))
+    states: list = []
+    real = search._feasible
+
+    def recording(k, n, rows, v, sat, *args):
+        states.append((tuple(rows), sat))
+        return real(k, n, rows, v, sat, *args)
+
+    monkeypatch.setattr(search, "_feasible", recording)
+    for k, n in ((3, 10), (3, 12), (4, 9), (4, 11)):
+        states.clear()
+        list(search._complete_from(k, n, [0] * n, 0, None))
         assert states
         for rows, sat_mask in rng.sample(states, min(25, len(states))):
             g = Graph.from_edges(
@@ -768,13 +761,17 @@ def test_saturated_subgraph_matches_induced():
                 assert (got.adj == g.induced(vertices).adj).all()
 
 
-def test_v_search_workers_deterministic():
-    # the report, candidates per order included, is the serial one when the
-    # tree is split across jobs that each keep their own prune memo
-    for k, lam, n_max in ((3, 1, 10), (3, Fraction(3, 2), 14)):
-        a = search.v_search(k, lam, n_max, workers=1)
-        b = search.v_search(k, lam, n_max, workers=2)
-        assert a.to_json_obj() == b.to_json_obj(), (k, lam, n_max)
+def test_v_search_workers_one_is_the_default():
+    # the search is one process; callers that pass workers=1 get its report
+    want = search.v_search(3, 1, 10).to_json_obj()
+    assert search.v_search(3, 1, 10, workers=1).to_json_obj() == want
+
+
+@pytest.mark.parametrize("workers", [2, 0])
+def test_v_search_other_workers_refused(workers):
+    # any other worker count is refused rather than ignored
+    with pytest.raises(ValueError, match="workers must be 1"):
+        search.v_search(3, 1, 10, workers=workers)
 
 
 def test_prune_lam_takes_any_rational():
@@ -785,55 +782,6 @@ def test_prune_lam_takes_any_rational():
     report = search.v_search(3, "5/3", 12)
     assert report.counts[12].classes == len(want)
     assert report.same_result(search.v_search(3, "5/3", 12, prune=False))
-
-
-def test_workers_without_fork_use_the_default_start_method(monkeypatch):
-    # a platform that lists no "fork" runs the workers under its default
-    # (first listed) start method, here spawn, with the same report
-    requested = []
-    real = multiprocessing.get_context
-
-    def get_context(method=None):
-        requested.append(method)
-        return real(method)
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    a = search.v_search(3, 1, 10, workers=1)
-    b = search.v_search(3, 1, 10, workers=2)
-    assert requested and set(requested) == {"spawn"}
-    assert a.to_json_obj() == b.to_json_obj()
-
-
-def test_worker_pool_no_larger_than_the_jobs(monkeypatch):
-    # the partition at vertex 1 gives 3 jobs at (3, 10); a pool of 64 would
-    # start 61 idle processes, and no jobs start no pool.  The fake pool runs
-    # the jobs in this process and records its size.
-    sizes = []
-
-    class FakePool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, jobs):
-            return map(fn, jobs)
-
-    class FakeContext:
-        Pool = FakePool
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: FakeContext())
-    serial = search.enum_connected_regular(3, 10)
-    assert search.enum_connected_regular(3, 10, workers=64) == serial
-    assert sizes == [3]
-    # every branch is cut by vertex 1, so there is no job at all
-    assert search.enum_connected_regular(3, 10, prune_lam=-5.0, workers=64) == []
-    assert sizes == [3]
 
 
 def test_v_search_incomplete_flag():
