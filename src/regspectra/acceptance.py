@@ -360,7 +360,7 @@ def criterion_10():
             return False, {"case": (k, lam, n_max)}, "expected witness missing"
         details[f"v({k},{lam})<= {n_max}"] = {
             "exact_v": pruned.exact_v,
-            "extremal": [e.graph6 for e in pruned.extremal],
+            "extremal": [e.certificate for e in pruned.extremal],
         }
     return True, details, ""
 

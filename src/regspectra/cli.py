@@ -187,7 +187,7 @@ def _search(args) -> int:
             print("warning: caps cut the range; report incomplete")
         for e in report.extremal:
             flags = " boundary" if e.boundary else ""
-            print(f"  extremal {e.graph6} lambda_2={e.second_largest:.10g}{flags}")
+            print(f"  extremal {e.certificate} lambda_2={e.second_largest:.10g}{flags}")
     return 0 if report.complete else 3
 
 

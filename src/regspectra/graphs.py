@@ -50,10 +50,14 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on n vertices with these edges; a loop, a vertex out of
+        range or an edge given twice (in either orientation) is a ValueError."""
         a = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"invalid edge ({u}, {v}) for order {n}")
+            if a[u, v]:
+                raise ValueError(f"repeated edge {(min(u, v), max(u, v))}")
             a[u, v] = a[v, u] = True
         return cls(a)
 

@@ -60,12 +60,15 @@ class HoffmanGraph:
     __slots__ = ("graph", "fat")
 
     def __init__(self, graph: Graph, fat: Sequence[int] = ()):
-        fat_set = frozenset(int(v) for v in fat)
-        for v in fat_set:
+        fat_set: set[int] = set()
+        for v in map(int, fat):
             if not 0 <= v < graph.n:
                 raise ValueError(f"fat vertex {v} out of range")
+            if v in fat_set:
+                raise ValueError(f"repeated fat vertex {v}")
+            fat_set.add(v)
         self.graph = graph
-        self.fat = fat_set
+        self.fat = frozenset(fat_set)
 
     @property
     def n(self) -> int:

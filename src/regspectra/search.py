@@ -9,10 +9,12 @@ eigenvalue and reports extremal witnesses.
 
 The labeling reads bit rows (one neighbor bitmask per vertex), either a
 `Graph`'s or the generator's own, and packs the certificate straight from
-them; the generator builds a `Graph` only for the first candidate of a
-class.  Two leaves with equal keys give an automorphism, and a sibling in
-the orbit of an explored one, under the automorphisms found so far that fix
-the individualized vertices, is skipped.  Its subtree is the image of an
+them.  The dedup keeps only the certificates, and every graph the search
+hands out is a certificate decoded: its class's canonical representative,
+so the report does not depend on the order in which candidates arrive.
+Two leaves with equal keys give an automorphism, and a sibling in the orbit
+of an explored one, under the automorphisms found so far that fix the
+individualized vertices, is skipped.  Its subtree is the image of an
 explored one, so it holds no key the walk has not met, and the first leaf
 of every key is still reached: the labeling and the recorded orders are
 those of the whole tree.
@@ -71,7 +73,7 @@ import numpy as np
 from . import kernel
 from .bounds import Real
 from .errors import UnsupportedSizeError
-from .formats import pack_graph6, to_graph6
+from .formats import from_graph6, pack_graph6, to_graph6
 from .graphs import Graph, members, reach, twin_classes
 from .spectra import INTERLACING_TOL, eigenvalue_at_most, eigenvalue_at_most_exact, spectrum
 
@@ -345,10 +347,10 @@ def canonical_form(
     return CanonicalForm(labeling=tuple(labeling), certificate=pack_graph6(bits, best))
 
 
-def _dedup(candidates: Iterable[tuple[int, ...]]) -> tuple[int, dict[str, tuple[int, ...]]]:
+def _dedup(candidates: Iterable[tuple[int, ...]]) -> tuple[int, set[str]]:
     """Isomorph rejection over one dedup pass: `candidates` are the bit rows
-    of graphs of one order.  Returns the number of candidates and the first
-    candidate of each class, by certificate, in order of discovery.
+    of graphs of one order.  Returns the number of candidates and the set of
+    the classes' certificates, which does not depend on the candidates' order.
 
     The pass holds the leaf keys of the classes found so far.  A candidate
     whose first leaf's key is among them is isomorphic to a found class and
@@ -357,37 +359,37 @@ def _dedup(candidates: Iterable[tuple[int, ...]]) -> tuple[int, dict[str, tuple[
     labels it and adds its keys.  A labelled class whose certificate was
     already seen would mean the keys missed an isomorphism."""
     keys: set[int] = set()
-    classes: dict[str, tuple[int, ...]] = {}
+    certs: set[str] = set()
     count = 0
     for rows in candidates:
         count += 1
         if _leaf_key(rows, next(_leaf_orders(rows, len(rows), []))) in keys:
             continue
         cert = canonical_form(rows, keys=keys).certificate
-        if cert in classes:
+        if cert in certs:
             raise AssertionError("leaf-key rejection missed an isomorphism")
-        classes[cert] = rows
-    return count, classes
+        certs.add(cert)
+    return count, certs
 
 
 def enumerate_all_graphs(n: int) -> list[Graph]:
     """All graphs on n vertices up to isomorphism (vertex extension + canonical
-    rejection).  Intended for n <= 7.  Each class is kept as its bit rows;
-    every extension by one vertex joined to the vertices of a mask goes
-    through one dedup pass per order, and only the returned classes become
-    `Graph`s."""
+    rejection), each its canonical representative, in certificate order.
+    Intended for n <= 7.  Every extension of a class of the order below by one
+    vertex joined to the vertices of a mask goes through one dedup pass per
+    order, whose certificates, decoded, are the classes of that order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    current: list[tuple[int, ...]] = [(0,)]
+    graphs = [from_graph6("@")]  # K1
     for size in range(2, n + 1):
         new = 1 << (size - 1)
-        _, classes = _dedup(
-            tuple(row | new if mask >> w & 1 else row for w, row in enumerate(rows)) + (mask,)
-            for rows in current
+        _, certs = _dedup(
+            tuple(row | new if mask >> w & 1 else row for w, row in enumerate(g.bits())) + (mask,)
+            for g in graphs
             for mask in range(new)
         )
-        current = [classes[c] for c in sorted(classes)]
-    return [_saturated_subgraph(rows, range(n)) for rows in current]
+        graphs = [from_graph6(c) for c in sorted(certs)]
+    return graphs
 
 
 # -- isomorph-free generation of connected regular graphs --------------------------
@@ -589,7 +591,8 @@ def enum_connected_regular(
     _info: Optional[dict] = None,
 ) -> list[Graph]:
     """Exactly one representative per isomorphism class of connected k-regular
-    graphs on n vertices.
+    graphs on n vertices: the canonical one, its certificate decoded, in
+    certificate order, so the result does not depend on the candidates' order.
 
     Vertex-by-vertex completion with interchangeable candidates restricted to
     block prefixes (any completion is isomorphic to a surviving one), followed
@@ -600,8 +603,7 @@ def enum_connected_regular(
     completion contains induced fails the interlacing cut (`_feasible`), so
     the result is exhaustive for the graphs with second eigenvalue at most
     `prune_lam` (sound for the search driver), not for all graphs.
-    `_info`, when given, receives the candidate and class counts and the
-    certificates of the returned graphs, in the same order.
+    `_info`, when given, receives the number of labelled candidates.
     """
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
@@ -613,14 +615,10 @@ def enum_connected_regular(
         )
     if not parity_ok(k, n):
         return []
-    candidates, classes = _dedup(_candidate_rows(k, n, prune_lam))
-    certs = sorted(classes)
+    candidates, certs = _dedup(_candidate_rows(k, n, prune_lam))
     if _info is not None:
         _info["candidates"] = candidates
-        _info["classes"] = len(classes)
-        _info["certificates"] = certs
-    # a completed graph is all saturated
-    return [_saturated_subgraph(classes[c], range(n)) for c in certs]
+    return [from_graph6(c) for c in sorted(certs)]
 
 
 # -- exact boundary recheck ---------------------------------------------------------
@@ -637,16 +635,16 @@ def second_eigenvalue_at_most(g: Graph, lam: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class ExtremalGraph:
-    graph6: str
+    """A witness: `certificate` is the graph6 of its class's canonical graph,
+    and the spectrum is that graph's."""
+
     certificate: str
     second_largest: float
     spectrum_json: dict
     boundary: bool
 
     def graph(self) -> Graph:
-        from .formats import from_graph6
-
-        return from_graph6(self.graph6)
+        return from_graph6(self.certificate)
 
 
 @dataclass(frozen=True)
@@ -707,7 +705,7 @@ class SearchReport:
             },
             "extremal": [
                 {
-                    "graph6": e.graph6,
+                    "graph6": e.certificate,
                     "second_largest": e.second_largest,
                     "spectrum": e.spectrum_json,
                     "boundary": e.boundary,
@@ -717,9 +715,10 @@ class SearchReport:
         }
 
 
-def _judge(g: Graph, certificate: str, lam: Fraction) -> Optional[ExtremalGraph]:
-    """The witness record of `g` (canonical certificate `certificate`) if
-    lambda_2(g) <= lam, else None.
+def _judge(g: Graph, lam: Fraction) -> Optional[ExtremalGraph]:
+    """The witness record of `g` if lambda_2(g) <= lam, else None.  `g` is
+    canonical (a decoded certificate), so its certificate is `to_graph6(g)`
+    and the spectrum is that of the canonical graph.
 
     The verdict is `spectra.eigenvalue_at_most`'s on the spectrum's floats;
     `boundary` records that its exact leg decided."""
@@ -728,8 +727,7 @@ def _judge(g: Graph, certificate: str, lam: Fraction) -> Optional[ExtremalGraph]
     if not accept:
         return None
     return ExtremalGraph(
-        graph6=to_graph6(g),
-        certificate=certificate,
+        certificate=to_graph6(g),
         second_largest=spec.second_largest(),
         spectrum_json=spec.to_json_obj(),
         boundary=boundary,
@@ -781,14 +779,14 @@ def v_search(
             _info=cinfo,
         )
         passed: list[ExtremalGraph] = []
-        for g, cert in zip(graphs, cinfo["certificates"]):
+        for g in graphs:
             degs = set(g.degrees())
             if degs != {k} or not g.is_connected():
                 raise AssertionError("generator produced an invalid graph")
-            witness = _judge(g, cert, lam_fr)
+            witness = _judge(g, lam_fr)
             if witness is not None:
                 passed.append(witness)
-        counts[n] = OrderCount(cinfo.get("candidates", 0), cinfo.get("classes", 0), len(passed))
+        counts[n] = OrderCount(cinfo["candidates"], len(graphs), len(passed))
         if passed:
             passed_by_order[n] = passed
 

@@ -171,6 +171,14 @@ def test_repeated_edge_line_is_usage_error(tmp_path, capsys):
     assert err.splitlines() == ["error: repeated edge (0, 1)"]
 
 
+def test_repeated_fat_vertex_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text('{"order": 3, "edges": [[0, 1], [0, 2], [1, 2]], "fat": [2, 2]}')
+    code, out, err = run(capsys, "hoffman", "special-matrix", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: repeated fat vertex 2"]
+
+
 @pytest.mark.parametrize(
     "command, text",
     [

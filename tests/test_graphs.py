@@ -48,6 +48,8 @@ def test_graph_validation():
         Graph(np.eye(2, dtype=bool))  # loops
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 0)])
+    with pytest.raises(ValueError, match=r"repeated edge \(0, 1\)"):
+        Graph.from_edges(3, [(0, 1), (1, 0)])
     # one bad entry in an otherwise valid 8x8 matrix is enough
     asymmetric = cycle(8).adj.copy()
     asymmetric[1, 6] = True

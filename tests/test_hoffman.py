@@ -35,6 +35,9 @@ def test_validate():
     assert any("no slim neighbor" in msg for msg in bad.validate())
     with pytest.raises(ValueError):
         HoffmanGraph(g, fat=[5])
+    # a repeated id would be merged into one fat vertex
+    with pytest.raises(ValueError, match="repeated fat vertex 2"):
+        HoffmanGraph.from_json_obj({"order": 3, "edges": [[0, 1], [0, 2], [1, 2]], "fat": [2, 2]})
 
 
 def test_special_matrix_examples():

@@ -20,6 +20,7 @@ from regspectra.construct import (
     random_graph,
 )
 from regspectra.errors import UnsupportedSizeError
+from regspectra.formats import from_graph6, to_graph6
 from regspectra.graphs import Graph, members, reach
 from regspectra.spectra import eig_symmetric, eigenvalue_at_most, spectrum_is
 
@@ -37,8 +38,6 @@ def test_canonical_relabel_invariance():
 
 
 def test_canonical_labeling_realizes_certificate():
-    from regspectra.formats import from_graph6, to_graph6
-
     rng = random.Random(88)
     for _ in range(20):
         g = random_graph(rng.randint(1, 9), rng.random(), rng)
@@ -150,16 +149,12 @@ def test_index_hits_agree_with_bruteforce_classifier():
     cubic8 = search.enum_connected_regular(3, 8)
     eight = [_relabelled(g, rng) for g in cubic8 + cubic8[:2]]
     for graphs, want in ((five, 34), (eight, 5)):
-        count, classes = search._dedup(g.bits() for g in graphs)
+        count, certs = search._dedup(g.bits() for g in graphs)
         assert count == len(graphs)
-        kept = [
-            brute_force_certificate(search._saturated_subgraph(rows, range(len(rows))))
-            for rows in classes.values()
-        ]
+        kept = [brute_force_certificate(from_graph6(cert)) for cert in certs]
         assert len(set(kept)) == len(kept) == want
         assert set(kept) == {brute_force_certificate(g) for g in graphs}
-        for cert, rows in classes.items():
-            assert search.canonical_form(rows).certificate == cert
+        assert certs == {search.canonical_form(g).certificate for g in graphs}
 
 
 def test_dedup_cross_checks_certificates(monkeypatch):
@@ -186,8 +181,7 @@ def test_enum_walks_once_per_class(monkeypatch):
     for (k, n), classes in (((3, 12), 85), ((4, 10), 59)):
         calls[0] = 0
         info: dict = {}
-        search.enum_connected_regular(k, n, _info=info)
-        assert info["classes"] == calls[0] == classes, (k, n)
+        assert len(search.enum_connected_regular(k, n, _info=info)) == calls[0] == classes, (k, n)
         assert info["candidates"] > classes, (k, n)
 
 
@@ -575,12 +569,13 @@ def test_boundary_graph_above_order_12_settled_exactly():
     # L(Petersen): n = 15, 4-regular, lambda_2 = 2 exactly (multiplicity 5)
     g = line_graph(petersen())
     assert g.n == 15 and set(g.degrees()) == {4}
-    cert = search.canonical_form(g).certificate
-    at = search._judge(g, cert, Fraction(2))
+    cf = search.canonical_form(g)
+    canonical = g.relabel(cf.labeling)
+    at = search._judge(canonical, Fraction(2))
     assert at is not None and at.boundary
-    assert at.certificate == cert
+    assert at.certificate == cf.certificate
     # just below 2 the float filter (+1e-9 benefit) would accept; exact rejects
-    assert search._judge(g, cert, Fraction(2) - Fraction(1, 10**10)) is None
+    assert search._judge(canonical, Fraction(2) - Fraction(1, 10**10)) is None
 
 
 def test_prune_verdicts_memoized_per_order(monkeypatch):
@@ -646,7 +641,7 @@ def test_prune_key_identifies_saturated_subgraph(monkeypatch):
 
 def test_v_search_orders_match_standalone_enumeration(monkeypatch):
     # every order's outcome in v_search is that of a standalone call:
-    # candidates, classes and certificates
+    # candidates and the canonical graphs of the classes
     standalone = search.enum_connected_regular
     recorded: dict = {}
 
@@ -665,7 +660,7 @@ def test_v_search_orders_match_standalone_enumeration(monkeypatch):
             assert standalone(k, n, prune_lam=lam, _info=alone) == graphs, (k, n)
             assert alone == info, (k, n)
             counts = report.counts[n]
-            assert (counts.candidates, counts.classes) == (info["candidates"], info["classes"])
+            assert (counts.candidates, counts.classes) == (info["candidates"], len(graphs))
 
 
 def test_pruned_candidates_per_order_pinned():
@@ -686,9 +681,7 @@ def _stream_digest(items) -> str:
 
 def test_candidate_stream_pinned(monkeypatch):
     # the ordered stream of labelled candidates (bit rows) that reaches the
-    # dedup, recorded before the completion became a flat loop; the first
-    # candidate of each class is its representative, so the stream fixes
-    # every graph6 the search reports
+    # dedup, recorded before the completion became a flat loop
     seen: list = []
     real = search._dedup
 
@@ -715,8 +708,10 @@ def test_candidate_stream_pinned(monkeypatch):
 
 def test_canonical_forms_pinned():
     # labeling, certificate, leaf-key set and first leaf order over a fixed
-    # corpus, recorded before the refinement stopped using the last fragment
-    # of a split cell as a splitter; any reordering of cells moves them
+    # corpus; any reordering of cells moves them.  Re-pinned when the search
+    # began to hand out canonical representatives: the digest is the one the
+    # labelling had already given on this corpus with each generated graph
+    # relabelled canonically, so the labelling itself did not move
     rng = random.Random(61)
     graphs = search.enum_connected_regular(3, 10) + search.enum_connected_regular(4, 9)
     graphs += search.enumerate_all_graphs(6) + [petersen(), _shrikhande()]
@@ -729,8 +724,26 @@ def test_canonical_forms_pinned():
         forms.append((cf.labeling, cf.certificate, sorted(keys), first))
     assert (len(forms), _stream_digest(forms)) == (
         386,
-        "8b1770bf421d7f6b77924de90d27a7d54f6e24d901d5c75a5ae4220be0b5b5fb",
+        "8867f1420c4faca0a0cb2b081b9f5e2660c385c31b1075f421e2a8099322c414",
     )
+
+
+def test_report_independent_of_candidate_order(monkeypatch):
+    # the report is a function of the classes: the same candidates in the
+    # reverse order give the same report, graph6 and spectra included
+    cases = ((4, 1, 13, True), (3, 2, 12, False))
+    want = [search.v_search(k, lam, n, prune=prune).to_json_obj() for k, lam, n, prune in cases]
+    real = search._candidate_rows
+    monkeypatch.setattr(search, "_candidate_rows", lambda *args: reversed(list(real(*args))))
+    for (k, lam, n_max, prune), obj in zip(cases, want):
+        assert search.v_search(k, lam, n_max, prune=prune).to_json_obj() == obj, (k, lam, n_max)
+
+
+def test_enumerated_graphs_are_canonical():
+    # every graph the search hands out is its class's canonical representative
+    graphs = search.enum_connected_regular(3, 10) + search.enum_connected_regular(4, 9)
+    for g in graphs + search.enumerate_all_graphs(6):
+        assert to_graph6(g) == search.canonical_form(g).certificate
 
 
 def test_saturated_subgraph_matches_induced(monkeypatch):
