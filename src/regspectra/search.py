@@ -49,8 +49,12 @@ subgraph on the saturated vertices plus any one unsaturated vertex u is
 induced in every completion, whatever the later steps add.  After each step
 the cut tests that subgraph for every unsaturated neighbour u of the vertex
 just completed, and the saturated subgraph alone (which each of those
-contains) only when there is none; one eigensolve per distinct labelled
-subgraph and pass.
+contains) only when there is none.  Before the steps, a node with more
+choices than candidate blocks forward-checks: it tests sat + {v, u} for the
+first candidate u of each block once, and drops every choice that takes a
+failing block, instead of building each such child and cutting it there.
+Both go through the same `spectral_prune` and one memo per pass: one
+eigensolve per distinct labelled subgraph and pass.
 
 The prune's float cut gives the partial graph `spectra.INTERLACING_TOL`
 (1e-9) of benefit, so it errs toward keeping: a true graph meets the
@@ -444,6 +448,24 @@ def _complete_from(
     `verdicts` is the prune-verdict memo of the pass (see `_feasible`): the
     root call creates it, and the recursion shares it.
 
+    With the prune on, a node with more choices than blocks forward-checks
+    before it applies any: for the first candidate u of each block it tests
+    the subgraph on sat + {v, u}, with v adjacent to its earlier neighbours
+    and u, and u to its saturated neighbours and v, and drops every choice
+    that takes a failing block.  This is sound: v's earlier neighbours lie
+    below v, so they are all saturated, and v is saturated after the choice;
+    saturated rows are frozen, so sat + {v, u} is induced in every child that
+    picks u and in every completion of it, and the interlacing cut of the
+    module docstring holds for it.  The block's candidates have equal rows,
+    so its first one stands for all, and a choice that takes any of them
+    takes the first.  The test is `spectral_prune`'s float cut with
+    `INTERLACING_TOL`: it errs toward keeping and decides nothing at the
+    boundary.  Its memo key is `(key << n | base, rows[u] & sat | 1 << v)`,
+    the key under which a child whose choice saturates nothing looks the
+    same subgraph up, so that child meets the verdict in the memo.  The
+    choices left, and their order, are those of the unchecked node minus
+    children that `_feasible` would cut.
+
     `key` names the saturated subgraph H for the memo: a leading 1, then per
     step of the pass n bits for the completed vertex's row and for the row
     of each vertex it saturated above it, masked to the step's saturated
@@ -494,6 +516,22 @@ def _complete_from(
                 grown.append((need - c, mask | prefixes[c]))
                 c -= 1
         choices = grown
+    if prune_lam is not None and len(choices) > len(blocks):
+        # the forward check: sat + {v, u} for each block's first candidate u
+        shift = (k - prune_lam) / n
+        dead = 0
+        for prefixes in blocks.values():
+            b = prefixes[1]
+            u = b.bit_length() - 1
+            rows[v] = base | b
+            rows[u] |= bv
+            memo = (key << n | base, rows[u] & (sat | bv))
+            if not _passes(rows, sat | bv, u, memo, verdicts, prune_lam, shift):
+                dead |= b
+            rows[u] ^= bv
+        rows[v] = base
+        if dead:
+            choices = [choice for choice in choices if not choice[1] & dead]
     for _, mask in choices:
         child = sat | bv | mask & last
         rows[v] = base | mask
@@ -540,8 +578,8 @@ def _feasible(
     sat + {u} is induced in every completion.  The cut tests it for each
     unsaturated neighbour u of v, and tests the saturated subgraph H alone
     only when v has none: each sat + {u} contains H, so passing it implies
-    passing H.  `verdicts` memoizes the pass's verdicts: H under `key`,
-    which names it (see `_complete_from`), and sat + {u} under
+    passing H.  `verdicts` memoizes the pass's verdicts (`_passes`): H under
+    `key`, which names it (see `_complete_from`), and sat + {u} under
     `(key, rows[u] & sat)`, which names it up to u's label."""
     full = (1 << n) - 1
     free = full & ~sat
@@ -562,15 +600,31 @@ def _feasible(
     if prune_lam is None:
         return True
     shift = (k - prune_lam) / n
-    tests = [(sat | 1 << u, (key, rows[u] & sat)) for u in members(near)] or [(sat, key)]
-    for mask, memo in tests:
-        keep = verdicts.get(memo)
-        if keep is None:
-            sub = _saturated_subgraph(rows, members(mask))
-            keep = verdicts[memo] = spectral_prune(sub, prune_lam, shift)
-        if not keep:
+    tests = [(u, (key, rows[u] & sat)) for u in members(near)] or [(None, key)]
+    for u, memo in tests:
+        if not _passes(rows, sat, u, memo, verdicts, prune_lam, shift):
             return False
     return True
+
+
+def _passes(
+    rows: list[int],
+    h: int,
+    u: Optional[int],
+    memo,
+    verdicts: dict,
+    lam: float,
+    shift: float,
+) -> bool:
+    """`spectral_prune` on the subgraph the bit rows induce on the vertex
+    set `h` plus the vertex u (`h` alone when u is None), solved once per
+    memo key of the pass; `verdicts` is the pass's memo, which both
+    `_feasible` and the forward check of `_complete_from` consult here."""
+    keep = verdicts.get(memo)
+    if keep is None:
+        sub = _saturated_subgraph(rows, members(h if u is None else h | 1 << u))
+        keep = verdicts[memo] = spectral_prune(sub, lam, shift)
+    return keep
 
 
 def _candidate_rows(k: int, n: int, prune_lam: Optional[Real]):

@@ -587,8 +587,9 @@ def test_prune_verdicts_memoized_per_order(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(search, "spectral_prune", counted)
-    # one eigensolve per distinct subgraph tested in each order's pass
-    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 303), ((4, 1, 10), 290)):
+    # one eigensolve per distinct subgraph tested in each order's pass, the
+    # forward check's sat + {v, u} included
+    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 253), ((4, 1, 10), 276)):
         calls[0] = 0
         pruned = search.v_search(k, lam, n_max)
         assert calls[0] == want, (k, lam, n_max)
@@ -598,45 +599,100 @@ def test_prune_verdicts_memoized_per_order(monkeypatch):
 
 def test_prune_key_identifies_saturated_subgraph(monkeypatch):
     # equal memo keys iff equal tested subgraphs, over every memo lookup of
-    # whole completion passes.  The saturated subgraph H is its mask and induced
-    # adjacency; H + {u} is that plus u's neighbours in H, which fixes it up
-    # to u's label.  The cut keeps everything here, so every subgraph it
-    # would test is looked up: H + {u} for each unsaturated neighbour u of
-    # the completed vertex, else H alone.
+    # whole completion passes, at both sites that share the pass's memo:
+    # `_feasible` and the forward check of `_complete_from`.  A lookup names
+    # H + {u}: H's mask and induced adjacency, and u's neighbours in H, which
+    # fix the subgraph up to u's label (H alone when there is no u).  The cut
+    # keeps everything here, so every subgraph it would test is looked up:
+    # in `_feasible`, H + {u} for each unsaturated neighbour u of the
+    # completed vertex, else H alone.
     seen: list = []
-    lookups: list = []
-    real = search._feasible
+    gets = [0]
+    in_feasible = [False]
+    real_feasible, real_passes = search._feasible, search._passes
 
     class Memo(dict):
         def get(self, key, default=None):
-            lookups.append(key)
+            gets[0] += 1
             return super().get(key, default)
 
-    def recording(k, n, rows, v, sat, prune_lam, verdicts, key):
-        start = len(lookups)
-        keep = real(k, n, rows, v, sat, prune_lam, verdicts, key)
-        if len(lookups) > start:  # not cut before the spectral test
+    def recording(rows, h, u, memo, *args):
+        adj = search._saturated_subgraph(rows, members(h)).adj.tobytes()
+        seen.append((in_feasible[0], memo, (h, adj, None if u is None else rows[u] & h)))
+        return real_passes(rows, h, u, memo, *args)
+
+    def checked(k, n, rows, v, sat, prune_lam, verdicts, key):
+        start = len(seen)
+        in_feasible[0] = True
+        keep = real_feasible(k, n, rows, v, sat, prune_lam, verdicts, key)
+        in_feasible[0] = False
+        if len(seen) > start:  # not cut before the spectral test
             h = (sat, search._saturated_subgraph(rows, members(sat)).adj.tobytes())
             tested = [h + (rows[u] & sat,) for u in members(rows[v] & ~sat)] or [h + (None,)]
-            assert len(lookups) - start == len(tested)
-            seen.extend(zip(lookups[start:], tested))
+            assert [graph for _, _, graph in seen[start:]] == tested
         return keep
 
-    monkeypatch.setattr(search, "_feasible", recording)
+    monkeypatch.setattr(search, "_feasible", checked)
+    monkeypatch.setattr(search, "_passes", recording)
     monkeypatch.setattr(search, "spectral_prune", lambda *args: True)
     passes = [(3, n) for n in (6, 8, 10)] + [(4, n) for n in (7, 8, 9, 10)] + [(5, 8)]
     for k, n in passes:
         seen.clear()
+        gets[0] = 0
         list(search._complete_from(k, n, [0] * n, 0, 1.0, Memo()))
+        assert gets[0] == len(seen), (k, n)  # every memo lookup is recorded
         keys: dict = {}
         graphs: dict = {}
-        for key, graph in seen:
+        sites: dict = {}
+        for site, key, graph in seen:
             keys.setdefault(key, set()).add(graph)
             graphs.setdefault(graph, set()).add(key)
+            sites.setdefault(key, set()).add(site)
         assert all(len(g) == 1 for g in keys.values()), (k, n)
         assert all(len(g) == 1 for g in graphs.values()), (k, n)
         assert len(keys) < len(seen), (k, n)  # the memo has hits to give
         assert {type(key) for key in keys} == {int, tuple}, (k, n)
+        # the forward check ran, and a child met its verdict under its own key
+        assert {True, False} in sites.values(), (k, n)
+
+
+def test_forward_check_cuts_a_block_at_the_parent(monkeypatch):
+    # the node after vertex 0 of the (3, 10) pass at lambda = 1: v = 1 needs
+    # two of its candidates, the block {2, 3} (row {0}) and the block
+    # {4, ..., 9} (empty rows).  With u = 2, sat + {v, u} = {0, 1, 2} is a
+    # triangle, which fails the cut; with u = 4 it is a path, which passes
+    k, n, lam = 3, 10, 1.0
+    shift = (k - lam) / n
+    triangle, p3 = complete(3), path(3)
+    assert not search.spectral_prune(triangle, lam, shift)
+    assert search.spectral_prune(p3, lam, shift)
+    solved: list = []
+    children: list = []
+    real_prune, real_feasible = search.spectral_prune, search._feasible
+
+    def prune(g, *args):
+        solved.append(g.adj.tobytes())
+        return real_prune(g, *args)
+
+    def feasible(k, n, rows, v, *args):
+        if v == 1:
+            children.append(rows[1])
+        return real_feasible(k, n, rows, v, *args)
+
+    monkeypatch.setattr(search, "spectral_prune", prune)
+    monkeypatch.setattr(search, "_feasible", feasible)
+    rows = [0b1110, 1, 1, 1] + [0] * 6
+    completions = list(search._complete_from(k, n, rows, 0b1, lam))
+    assert completions  # the Petersen graph
+    block = 0b1100
+    # no child that takes the failing block is generated, let alone completed
+    assert children and not any(row & block for row in children)
+    assert not any(done[1] & block for done in completions)
+    # the child taking 4 and 5 saturates nothing: its test of sat + {v, 4}
+    # finds the forward verdict under its own key, so the path is solved once
+    assert 0b110001 in children
+    assert solved.count(p3.adj.tobytes()) == 1
+    assert solved.count(triangle.adj.tobytes()) == 1
 
 
 def test_v_search_orders_match_standalone_enumeration(monkeypatch):
