@@ -37,6 +37,20 @@ for k >= 1 the last feasibility check, made with no unsaturated vertex left,
 cuts a saturated component that is not the whole graph, so every completed
 graph has passed it; for k = 0 the one graph is edgeless, connected iff n = 1.
 
+The completion is rooted: vertex 0 carries the lexicographically largest
+vertex invariant I(w) = (t(w), q(w)) of the completed graph, where t(w)
+counts the edges among w's neighbours and q(w) sums |N(w) & N(x)|^2 over
+every vertex x (`_invariant`, popcounts of the bit rows).  A completed graph
+is yielded only if no vertex beats vertex 0 (`_rooted`; ties pass), and a
+child is cut as soon as the vertex it completed beats I(0), which is final
+once vertices 0..k are saturated.  No class is lost: the block-prefix rule
+never moves vertex 0, so every class is reached with each of its vertices as
+vertex 0, among them one of maximal I; and t and q only grow as edges are
+added, so on that copy no value met in the tree exceeds I(0).  The rule
+cuts the labelled candidates about five-fold on the unpruned passes (the
+cheap vertex-invariant test of McKay's canonical construction path, J.
+Algorithms 26, 1998); `_dedup` still rejects the isomorphs it leaves.
+
 The pruned completion has one spectral cut, by interlacing (Haemers 1995).
 Let G be a connected k-regular graph on n vertices with lambda_2(G) <=
 lambda, and c = (k - lambda)/n.  Then A - cJ has eigenvalue k - cn = lambda
@@ -84,12 +98,13 @@ from .spectra import INTERLACING_TOL, eigenvalue_at_most, eigenvalue_at_most_exa
 CANONICAL_CAP = 64
 DEFAULT_MAX_K = 5
 DEFAULT_MAX_N = 16
-# Candidates reach the dedup in batches: handing them over one at a
-# time cost about 7 % more CPU on v_search(3, 2, 12, prune=False) (median of
-# 24 in-process pairs; CPython 3.11, 2-core x86 host); from 256 up a batch is
-# as fast as collecting every candidate first, and memory stays bounded.
-# Re-measured without it in ten perfbench pairs: search_unpruned cpu_s median
-# 0.378 -> 0.426 reference s, worse in all ten.
+# Candidates reach the dedup in batches: handing them over one at a time
+# costs about 7 % more CPU.  Measured with the root rule on (in-process CPU,
+# CPython 3.11, 2-core x86 host, alternating runs): v_search(3, 2, 12,
+# prune=False) 0.132 -> 0.142 s (medians of 8 runs, each the median of 3;
+# slower in all 8), and v_search(3, 2, 14, prune=False) 1.40 -> 1.51 s
+# (slower in 6 of 6).  From 256 up a batch is as fast as collecting every
+# candidate first, and memory stays bounded.
 _STREAM_BATCH = 512
 
 
@@ -428,6 +443,29 @@ def _saturated_subgraph(rows: Sequence[int], sat: Sequence[int]) -> Graph:
     return Graph((r[:, None] >> idx[None, :]) & 1)
 
 
+def _invariant(rows: Sequence[int], w: int) -> int:
+    """The vertex invariant I(w) = (t(w), q(w)) of the bit rows, packed as
+    t << 20 | q so that ints compare as the pairs do: t counts the edges
+    among w's neighbours (each twice), and q is the sum over every vertex x
+    of |N(w) & N(x)|^2.  Both only grow as edges are added.  q is at most
+    n * k^2 < 2^20 for n, k <= 64."""
+    row = rows[w]
+    t = q = 0
+    for x, r in enumerate(rows):
+        c = (r & row).bit_count()
+        q += c * c
+        if row >> x & 1:
+            t += c
+    return t << 20 | q
+
+
+def _rooted(rows: Sequence[int]) -> bool:
+    """The leaf rule of the completion: no vertex's invariant exceeds vertex
+    0's (ties pass)."""
+    top = _invariant(rows, 0)
+    return all(_invariant(rows, w) <= top for w in range(1, len(rows)))
+
+
 def _complete_from(
     k: int,
     n: int,
@@ -436,6 +474,7 @@ def _complete_from(
     prune_lam: Optional[float],
     verdicts: Optional[dict] = None,
     key: int = 1,
+    root: Optional[int] = None,
 ):
     """Completion of the bit rows `rows` (degree = popcount) with saturated
     bitmask `sat`; yields completed row tuples.  The next vertex v is the
@@ -466,6 +505,31 @@ def _complete_from(
     choices left, and their order, are those of the unchecked node minus
     children that `_feasible` would cut.
 
+    The root rule: vertex 0 must carry the lexicographically largest
+    invariant I(w) = (t(w), q(w)) of the completed graph (`_invariant`).
+    Vertex 0's neighbours are 1..k, since the root takes a prefix of the one
+    block of untouched vertices, so I(0) reads only the rows of 0..k and is
+    final once all of them are saturated; `root` carries it from then on and
+    is None before.  That is tested on the child's saturated mask, not on
+    v == k, since a step may saturate k before k is the vertex completed.
+    Once I(0) is final, a child whose completed vertex v has I(v) > I(0) is
+    cut before `_feasible` runs, and at the leaf a graph is yielded only if
+    no vertex beats vertex 0 (`_rooted`).  This is sound:
+    - for every class and every vertex x the completion reaches a labelled
+      copy with 0 -> x: two candidates with equal rows are swapped by an
+      automorphism of the partial graph that fixes v and every vertex below
+      it, so any neighbour choice can be relabelled to a block prefix, and
+      vertex 0 never moves;
+    - root at an x of maximal I: on that copy no final value exceeds I(0);
+    - t and q only grow as edges are added, so a current value is a lower
+      bound of its final one, and the cut in the tree drops only leaves the
+      leaf rule would drop.  The interlacing cut, the forward check and the
+      closed-component cut drop only subtrees with no admissible
+      completion, whatever the labelling, so the rule holds alongside them,
+      in pruned and unpruned passes alike;
+    - ties are never cut (`>`, not `>=`): cutting them would lose every
+      vertex-transitive class.
+
     `key` names the saturated subgraph H for the memo: a leading 1, then per
     step of the pass n bits for the completed vertex's row and for the row
     of each vertex it saturated above it, masked to the step's saturated
@@ -479,7 +543,7 @@ def _complete_from(
     if not free:  # every vertex has degree k
         # connected (see the module docstring): for k >= 1 by the last
         # `_feasible`'s closed-component cut; for k = 0 the graph is edgeless
-        if k or n == 1:
+        if (k or n == 1) and _rooted(rows):
             yield tuple(rows)
         return
     if verdicts is None:
@@ -532,6 +596,7 @@ def _complete_from(
         rows[v] = base
         if dead:
             choices = [choice for choice in choices if not choice[1] & dead]
+    low = (1 << k + 1) - 1  # vertex 0 and its neighbours 1..k
     for _, mask in choices:
         child = sat | bv | mask & last
         rows[v] = base | mask
@@ -544,8 +609,11 @@ def _complete_from(
             rows[u] |= bv
             if b & last:  # saturated now, with every neighbour in `child`
                 ckey = ckey << n | rows[u]
-        if _feasible(k, n, rows, v, child, prune_lam, verdicts, ckey):
-            yield from _complete_from(k, n, rows, child, prune_lam, verdicts, ckey)
+        top = _invariant(rows, 0) if root is None and child & low == low else root
+        if (top is None or _invariant(rows, v) <= top) and _feasible(
+            k, n, rows, v, child, prune_lam, verdicts, ckey
+        ):
+            yield from _complete_from(k, n, rows, child, prune_lam, verdicts, ckey, top)
         rest = mask
         while rest:
             b = rest & -rest
@@ -657,7 +725,8 @@ def enum_connected_regular(
     completion contains induced fails the interlacing cut (`_feasible`), so
     the result is exhaustive for the graphs with second eigenvalue at most
     `prune_lam` (sound for the search driver), not for all graphs.
-    `_info`, when given, receives the number of labelled candidates.
+    `_info`, when given, receives the number of labelled candidates, which
+    the root rule of `_complete_from` has already thinned.
     """
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")

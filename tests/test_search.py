@@ -348,10 +348,11 @@ def _rows_connected(rows) -> bool:
 def test_completed_candidates_connected():
     # the completion yields only connected graphs without a test at the leaf:
     # for k >= 1 the last feasibility check, with no unsaturated vertex left,
-    # cuts a closed component that is not the whole graph
+    # cuts a closed component that is not the whole graph.  The range reaches
+    # n = 12 for k <= 3 since the root rule emits fewer candidates per class
     seen = 0
     for k in range(6):
-        for n in range(k + 1, 11 if k < 4 else 10):
+        for n in range(k + 1, 13 if k < 4 else 10):
             if k * n % 2:
                 continue
             for rows in search._candidate_rows(k, n, None):
@@ -588,8 +589,8 @@ def test_prune_verdicts_memoized_per_order(monkeypatch):
 
     monkeypatch.setattr(search, "spectral_prune", counted)
     # one eigensolve per distinct subgraph tested in each order's pass, the
-    # forward check's sat + {v, u} included
-    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 253), ((4, 1, 10), 276)):
+    # forward check's sat + {v, u} included, in the tree the root rule leaves
+    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 177), ((4, 1, 10), 216)):
         calls[0] = 0
         pruned = search.v_search(k, lam, n_max)
         assert calls[0] == want, (k, lam, n_max)
@@ -720,11 +721,12 @@ def test_v_search_orders_match_standalone_enumeration(monkeypatch):
 
 
 def test_pruned_candidates_per_order_pinned():
-    # labelled candidates per order of the pruned search, recorded before the
-    # prune matrix was built from the bit rows; the prune path must not move them
+    # labelled candidates per order of the pruned search, recorded when the
+    # root rule came in (before it, (4, 1, 10) read 6 at n = 7 and 33 at n = 9);
+    # the prune path must not move them
     want = {
         (3, Fraction(3, 2), 12): {4: 1, 5: 0, 6: 3, 7: 0, 8: 4, 9: 0, 10: 1, 11: 0, 12: 0},
-        (4, 1, 10): {5: 1, 6: 1, 7: 6, 8: 1, 9: 33, 10: 1},
+        (4, 1, 10): {5: 1, 6: 1, 7: 5, 8: 1, 9: 11, 10: 1},
     }
     for (k, lam, n_max), per_order in want.items():
         r = search.v_search(k, lam, n_max)
@@ -735,9 +737,17 @@ def _stream_digest(items) -> str:
     return hashlib.sha256(repr(list(items)).encode()).hexdigest()
 
 
+def _no_root_rule(rows, w):
+    """A constant vertex invariant: every vertex ties with vertex 0, so the
+    root rule of `_complete_from` cuts nothing."""
+    return 0
+
+
 def test_candidate_stream_pinned(monkeypatch):
     # the ordered stream of labelled candidates (bit rows) that reaches the
-    # dedup, recorded before the completion became a flat loop
+    # dedup.  `rule_off` was recorded before the completion became a flat
+    # loop, and still holds with the root rule off; `rule_on` was recorded
+    # when the rule came in
     seen: list = []
     real = search._dedup
 
@@ -750,16 +760,53 @@ def test_candidate_stream_pinned(monkeypatch):
         return real(tee())
 
     monkeypatch.setattr(search, "_dedup", recording)
-    want = {
+    rule_off = {
         (3, 10, None): (250, "2d4174a6225711a85ebcc403259c56ec8dd45576ccfdc52965e83463397c4bc5"),
         (4, 9, None): (268, "a96a36600da0d1fa34792f87249b3bd85ab6df57f586079ac2fe5b47925cad74"),
         (3, 12, 1.5): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
         (3, 12, 2.0): (546, "d66f6c1ff42bb02ab28faaa84ba87a443c5710d4d07f5b3f0abffba0ba359d87"),
     }
-    for (k, n, lam), (count, digest) in want.items():
-        seen.clear()
-        search.enum_connected_regular(k, n, prune_lam=lam)
-        assert (len(seen), _stream_digest(seen)) == (count, digest), (k, n, lam)
+    rule_on = {
+        (3, 10, None): (75, "dec65529633593564950fe70c6d0ae1eb54b9af811c4d0d89bf65f28b696076f"),
+        (4, 9, None): (73, "48a6321aa1bcefd33ecb9acb784c8581b781e8283667a7d6f97af241e6db3580"),
+        (3, 12, 1.5): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        (3, 12, 2.0): (205, "d5abb7261c41659f3fb0e0ac506e47cd98224078ab1c8d9f13f4f785832379c6"),
+    }
+    for invariant, want in ((_no_root_rule, rule_off), (search._invariant, rule_on)):
+        monkeypatch.setattr(search, "_invariant", invariant)
+        for (k, n, lam), (count, digest) in want.items():
+            seen.clear()
+            search.enum_connected_regular(k, n, prune_lam=lam)
+            assert (len(seen), _stream_digest(seen)) == (count, digest), (k, n, lam)
+
+
+def test_root_cut_looks_ahead_of_the_leaf_rule(monkeypatch):
+    # the cut in the tree only anticipates the leaf rule: with the root rule
+    # on, the stream is the rule-off stream filtered by `_rooted`, unpruned
+    # and pruned alike, so the tree loses no candidate the leaf would keep
+    for k, n in ((3, 10), (3, 12), (4, 9), (4, 10), (5, 10)):
+        for lam in (None, 2.0):
+            rooted = list(search._candidate_rows(k, n, lam))
+            with monkeypatch.context() as m:
+                m.setattr(search, "_invariant", _no_root_rule)
+                every = list(search._candidate_rows(k, n, lam))
+            assert rooted == [rows for rows in every if search._rooted(rows)], (k, n, lam)
+            assert len(rooted) < len(every), (k, n, lam)
+
+
+def test_invariant_counts_triangles_and_common_neighbours():
+    # I(w) = (t, q) packed as t << 20 | q: t is twice the edges among N(w), q
+    # sums |N(w) & N(x)|^2 over every x (w itself gives deg(w)^2)
+    k4 = complete(4).bits()
+    assert search._invariant(k4, 0) == 6 << 20 | (9 + 3 * 4)
+    c4 = cycle(4).bits()
+    assert search._invariant(c4, 0) == 0 << 20 | (4 + 4)
+    # the root rule keeps ties: in a vertex-transitive graph every vertex is one
+    assert search._rooted(petersen().bits()) and search._rooted(k4)
+    # the paw (a triangle 0, 1, 2 with a pendant 3 at 2): vertex 2 beats 0
+    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]).bits()
+    assert search._invariant(paw, 2) > search._invariant(paw, 0)
+    assert not search._rooted(paw)
 
 
 def test_canonical_forms_pinned():
