@@ -167,7 +167,8 @@ def load_graph(text: str, fmt: Union[str, None] = None) -> Graph:
             return from_graph6(text)
         raise ValueError(f"unknown graph format {fmt!r}")
     stripped = text.strip()
-    if stripped.startswith("{"):
+    # graph6 of order 60 starts with "{" too, but never holds a '"'
+    if stripped.startswith("{") and '"' in stripped:
         return from_json_text(text)
     first = stripped.splitlines()[0].split() if stripped else []
     if len(first) == 2 and all(tok.isdigit() for tok in first):

@@ -50,8 +50,11 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """The graph on n vertices with these edges; a loop, a vertex out of
-        range or an edge given twice (in either orientation) is a ValueError."""
+        """The graph on n vertices with these edges; n < 1, a loop, a vertex
+        out of range or an edge given twice (in either orientation) is a
+        ValueError."""
+        if n < 1:
+            raise ValueError("graph must have at least one vertex")
         a = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):

@@ -217,13 +217,13 @@ def _leaf_key(bits: Sequence[int], order: Sequence[int]) -> int:
     return key
 
 
-def _siblings(cell: list[int], path: int, autos: list, twin: list[int]):
+def _siblings(cell: list[int], path: int, autos: list, mates: list[int]):
     """The vertices of `cell` after its first, which has been explored, whose
     subtrees may hold new leaf keys, in order; `path` is the node's mask of
     individualized vertices.  Lazy, so each sibling is judged by the
     automorphisms found before it is asked for."""
     explored = [cell[0]]
-    seen_twins = twin[cell[0]]  # union of the explored siblings' twin classes
+    seen_twins = mates[cell[0]]  # union of the explored siblings' twin classes
     orbit = {u: u for u in cell}  # union-find over the cell
     used = 0  # automorphisms of `autos` already considered
 
@@ -235,7 +235,7 @@ def _siblings(cell: list[int], path: int, autos: list, twin: list[int]):
     for v in cell[1:]:
         if seen_twins >> v & 1:
             continue  # a twin of an earlier sibling: identical subtree
-        seen_twins |= twin[v]
+        seen_twins |= mates[v]
         for fixed, sigma in autos[used:]:
             if path & ~fixed == 0:  # sigma fixes the path, so maps cell to cell
                 for u in cell:

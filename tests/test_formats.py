@@ -91,3 +91,21 @@ def test_json_repeated_edge_rejected():
     # the edge [0, 1] again, and merging them would lose the second
     with pytest.raises(ValueError, match=r"repeated edge \(0, 1\)"):
         formats.from_json_obj({"order": 2, "edges": [[0, 1], [1, 0]]})
+
+
+def test_graph6_sniffed_at_every_order():
+    # graph6 of order 60 starts with "{", like JSON, but holds no '"'
+    rng = random.Random(60)
+    for n in range(1, 71):
+        g = random_graph(n, 0.5, rng)
+        assert formats.load_graph(formats.to_graph6(g)) == g
+    g = cycle(60)
+    assert formats.load_graph(formats.to_json_text(g)) == g
+    assert formats.load_graph('\n {"order": 2, "edges": [[0, 1]]}\n') == complete(2)
+
+
+def test_negative_order_rejected():
+    # Graph's own message, not numpy's "negative dimensions are not allowed"
+    for fmt, text in (("json", '{"order": -1, "edges": []}'), ("edgelist", "-1 0\n")):
+        with pytest.raises(ValueError, match="graph must have at least one vertex"):
+            formats.load_graph(text, fmt)

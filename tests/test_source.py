@@ -1,9 +1,162 @@
-"""Static checks on the package source."""
+"""Static checks on the package source.
+
+The design rules of ROADMAP north-star 2 ("one eigensolver", "one BFS", ...)
+are the rows of `RULES`: each names a regex that no line of the files it
+covers may match (but for "one-cut", which wants exactly one matching line,
+inside `spectral_prune`), and each is its own test.  One source rule stays a
+CI step (`.github/workflows/tests.yml`, "No tracked file matches
+.gitignore"): it asks which files git tracks, which only the git index
+knows, and a test run on an exported tree has no index to ask.
+"""
 
 import ast
+import re
+from fnmatch import fnmatch
 from pathlib import Path
+from typing import NamedTuple, Optional
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "regspectra"
+
+
+class Rule(NamedTuple):
+    name: str
+    pattern: str  # searched in each line
+    files: str = "*.py"  # glob over the file names in src/regspectra
+    exempt: tuple[str, ...] = ()
+    inside: Optional[str] = None  # exactly one line matches, inside this top-level def
+
+
+RULES = [
+    # numpy.linalg only in kernel.py
+    Rule("one-eigensolver", r"linalg", exempt=("kernel.py",)),
+    # bit-row frontiers only; no vertex queue or distance matrix
+    Rule("one-bfs", r"deque|distance_matrix"),
+    # no eigenvalue margin; the window and the negated-matrix premise only in spectra.py
+    Rule("one-boundary-rule-margin", r"STRICT_MARGIN"),
+    Rule(
+        "one-boundary-rule-window",
+        r"BOUNDARY_WINDOW|eigenvalue_at_most\(-",
+        exempt=("spectra.py",),
+    ),
+    # graphs go to spectra as they are; no adjacency casts outside it
+    Rule("one-spectral-front-door", r"\.adj\.astype"),
+    # twin classes only from graphs.twin_classes
+    Rule("one-twin-rule", r"def .*twin", exempt=("graphs.py",)),
+    # claimed spectra are exact
+    Rule("one-spectrum-check", r"approx_eq"),
+    Rule("one-exact-count", r"sturm_chain|squarefree|count_roots_in"),
+    Rule("one-parser-per-command", r"args.command ==|needs --", files="cli.py"),
+    Rule("one-search-process", r"multiprocessing|stop_depth"),
+    # the search's one eigensolve is the prune's
+    Rule("one-cut", r"kernel\.sym_eigenvalues", files="search.py", inside="spectral_prune"),
+]
+
+
+def _def_lines(text: str, name: str) -> range:
+    """The line numbers of the top-level function `name`, or none."""
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return range(node.lineno, node.end_lineno + 1)
+    return range(0)
+
+
+def violations(rule: Rule, name: str, text: str) -> list[str]:
+    """The lines of file `name` that break `rule`, as "name:line: text"."""
+    if not fnmatch(name, rule.files) or name in rule.exempt:
+        return []
+    hits = [
+        (i, line.strip())
+        for i, line in enumerate(text.splitlines(), 1)
+        if re.search(rule.pattern, line)
+    ]
+    missing = []
+    if rule.inside is not None:
+        inside = [hit for hit in hits if hit[0] in _def_lines(text, rule.inside)]
+        if inside:
+            hits.remove(inside[0])  # the one line the rule expects
+        else:
+            missing = [f"{name}: no line of {rule.inside} matches {rule.pattern}"]
+    return [f"{name}:{i}: {line}" for i, line in hits] + missing
+
+
+@pytest.mark.parametrize("rule", RULES, ids=[rule.name for rule in RULES])
+def test_source_rule(rule):
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += violations(rule, path.name, path.read_text())
+    assert found == []
+
+
+# one planted violation per rule: (rule, file name, text, line reported)
+PLANTED = [
+    ("one-eigensolver", "graphs.py", "import numpy\nfrom numpy import linalg\n", 2),
+    ("one-bfs", "graphs.py", "from collections import deque\n", 1),
+    ("one-bfs", "bounds.py", "d = g.distance_matrix()\n", 1),
+    ("one-boundary-rule-margin", "spectra.py", "STRICT_MARGIN = 1e-9\n", 1),
+    ("one-boundary-rule-window", "bounds.py", "ok = x <= lam + BOUNDARY_WINDOW\n", 1),
+    ("one-boundary-rule-window", "bounds.py", "ok = eigenvalue_at_most(-a, lam)\n", 1),
+    ("one-spectral-front-door", "hoffman.py", "m = g.adj.astype(float)\n", 1),
+    ("one-twin-rule", "search.py", "x = 1\n\ndef twin_of(bits, v):\n", 3),
+    ("one-spectrum-check", "acceptance.py", "ok = s.approx_eq(t)\n", 1),
+    ("one-exact-count", "exactpoly.py", "def sturm_chain(p):\n", 1),
+    ("one-exact-count", "exactpoly.py", "q = squarefree(p)\n", 1),
+    ("one-exact-count", "exactpoly.py", "c = count_roots_in(p, a, b)\n", 1),
+    ("one-parser-per-command", "cli.py", "if args.command == 'search':\n", 1),
+    ("one-parser-per-command", "cli.py", "raise UsageError('needs --k')\n", 1),
+    ("one-search-process", "search.py", "import multiprocessing\n", 1),
+    ("one-search-process", "search.py", "def f(stop_depth):\n", 1),
+    (
+        "one-cut",
+        "search.py",
+        "def spectral_prune(h, lam, shift):\n"
+        "    return kernel.sym_eigenvalues(h.adj - shift)[-1] <= lam\n"
+        "\n"
+        "\n"
+        "def _judge(g, lam):\n"
+        "    return kernel.sym_eigenvalues(g.adj)\n",
+        6,
+    ),
+    (
+        "one-cut",
+        "search.py",
+        "def spectral_prune(h, lam, shift):\n"
+        "    vals = kernel.sym_eigenvalues(h.adj - shift)\n"
+        "    return kernel.sym_eigenvalues(h.adj)[-1] <= lam\n",
+        3,
+    ),
+]
+
+# text each rule allows: an exempt file, or the one line the rule expects
+ALLOWED = [
+    ("one-eigensolver", "kernel.py", "vals = np.linalg.eigvalsh(m)\n"),
+    ("one-boundary-rule-window", "spectra.py", "BOUNDARY_WINDOW = 1e-6\n"),
+    ("one-twin-rule", "graphs.py", "def twin_classes(bits):\n"),
+    ("one-parser-per-command", "search.py", "if args.command == 'search':\n"),
+    (
+        "one-cut",
+        "search.py",
+        "def spectral_prune(h, lam, shift):\n"
+        "    return kernel.sym_eigenvalues(h.adj - shift)[-1] <= lam\n",
+    ),
+]
+
+
+def _rule(name: str) -> Rule:
+    (rule,) = [rule for rule in RULES if rule.name == name]
+    return rule
+
+
+def test_each_rule_fires():
+    assert {name for name, *_ in PLANTED} == {rule.name for rule in RULES}
+    for name, file, text, line in PLANTED:
+        found = violations(_rule(name), file, text)
+        assert [v.split(":")[:2] for v in found] == [[file, str(line)]], (name, found)
+    for name, file, text in ALLOWED:
+        assert violations(_rule(name), file, text) == [], name
+    # the cut must be there: a search.py without it breaks the rule
+    assert violations(_rule("one-cut"), "search.py", "x = 1\n") != []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
