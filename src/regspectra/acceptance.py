@@ -288,7 +288,7 @@ def criterion_08():
             g = fatten(_random_hoffman(rng), rng.randint(9, 12))
         if association.hypothesis_report(g, 2, 9):
             continue  # hypotheses violated; not part of this suite
-        hg, part = association.associate(g, 2, 9, certified=True)
+        hg, part = association.associate(g, 2, 9)
         fam = part.family
         if part.warnings:
             return False, {"warnings": list(part.warnings)}, ""
@@ -320,7 +320,7 @@ def criterion_09():
         ok = False
         for p in (10, 12, 16):
             g = fatten(h, p)
-            hg, part = association.associate(g, 2, 9, certified=True)
+            hg, part = association.associate(g, 2, 9)
             if part.warnings:
                 continue
             found, _ = hoffman.contains_hoffman_subgraph(hg, h)

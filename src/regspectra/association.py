@@ -145,7 +145,7 @@ def hypothesis_report(g: Graph, m: int, n: int) -> list[str]:
     return warnings
 
 
-def partition_classes(fam: CliqueFamily, m: int, certified: bool = False) -> CliquePartition:
+def partition_classes(fam: CliqueFamily, m: int) -> CliquePartition:
     """Classes of the mutual-non-neighbor relation over a clique family.
 
     Each clique's quasi-clique is computed once, and two cliques are related
@@ -155,9 +155,10 @@ def partition_classes(fam: CliqueFamily, m: int, certified: bool = False) -> Cli
     components, in order of least index, members sorted.  When the predicate
     fails to be transitive on a class (possible only when the hypotheses are
     violated), a warning is recorded for each unrelated pair.  A class's
-    quasi-clique is that of its lexicographically least representative; in
-    certified mode, agreement across all representatives is verified and a
-    mismatch raises ConsistencyError.
+    quasi-clique is that of its lexicographically least representative, and
+    every other representative's is compared with it: a class where they
+    differ gets one warning, or raises ConsistencyError when the hypotheses
+    hold and nothing else was warned about.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -183,18 +184,13 @@ def partition_classes(fam: CliqueFamily, m: int, certified: bool = False) -> Cli
                         f"(cliques {cls[a]} and {cls[b]} unrelated)"
                     )
 
-    if certified:
-        for cls in classes:
-            for other in cls[1:]:
-                if quasis[other] != quasis[cls[0]]:
-                    if not warnings:
-                        raise ConsistencyError(
-                            "quasi-clique depends on the representative although "
-                            "the hypotheses hold"
-                        )
-                    warnings.append(
-                        f"quasi-clique differs across representatives in class {cls}"
-                    )
+    for cls in classes:
+        if any(quasis[other] != quasis[cls[0]] for other in cls[1:]):
+            if not warnings:
+                raise ConsistencyError(
+                    "quasi-clique depends on the representative although the hypotheses hold"
+                )
+            warnings.append(f"quasi-clique differs across representatives in class {cls}")
 
     return CliquePartition(
         family=fam,
@@ -205,16 +201,15 @@ def partition_classes(fam: CliqueFamily, m: int, certified: bool = False) -> Cli
     )
 
 
-def associate(
-    g: Graph, m: int, n: int, certified: bool = False
-) -> tuple[HoffmanGraph, CliquePartition]:
+def associate(g: Graph, m: int, n: int) -> tuple[HoffmanGraph, CliquePartition]:
     """Associated Hoffman graph: g as slim part, one fat vertex per class.
 
     Fat vertex i (appended after the g vertices, in class order) is adjacent
-    to exactly the quasi-clique of class i.  Requires n >= (m+1)^2.
+    to exactly the quasi-clique of class i, which `partition_classes` checks
+    against every representative of its class.  Requires n >= (m+1)^2.
     """
     if n < (m + 1) ** 2:
         raise ValueError(f"n must be at least (m+1)^2 = {(m + 1) ** 2}")
     fam = maximal_cliques(g, n)
-    part = partition_classes(fam, m, certified=certified)
+    part = partition_classes(fam, m)
     return HoffmanGraph.with_fats(g, part.quasi_cliques), part

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .construct import (
     complement,
@@ -31,11 +31,7 @@ from .construct import (
 from .graphs import Graph, components, distance_layers, members, regularity_params
 from .hoffman import attach_universal_fat
 from .ramsey import RamseyValue, ramsey_lookup
-from .spectra import eigenvalue_at_most_exact, lambda_min_at_least, spectrum_is
-
-# anything `Fraction` takes: 'p/q' and decimal strings, and a float at its
-# exact binary value
-Real = Union[int, float, str, Fraction]
+from .spectra import Real, eigenvalue_at_most_exact, lambda_min_at_least, spectrum_is
 
 
 @dataclass(frozen=True)
@@ -283,21 +279,25 @@ def known_v(k: int, lam: Real) -> KnownValue:
     # lam > 1
     if lam * lam >= 4 * (k - 1):
         return KnownValue(kind="infinite", note="bipartite Ramanujan families exceed every order")
+    # the largest integer mu <= lam with k = mu * a, a >= 2: lower_bound_graph(mu, a)
+    # has second eigenvalue mu <= lam on 2k + 2mu vertices (mu = 1: the paper's 2k + 2)
+    mu = max(d for d in range(1, min(math.floor(lam), k // 2) + 1) if k % d == 0)
     return KnownValue(
         kind="interval",
-        lower=2 * k + 2,
+        lower=2 * k + 2 * mu,
         upper=None,
-        note="finite, but the additive constant is not explicit",
+        note=f"finite, but the additive constant is not explicit; "
+        f"lower end from lower_bound_graph({mu}, {k // mu})",
     )
 
 
-# -- certified lower-bound construction -------------------------------------------
+# -- exactly checked lower-bound construction ----------------------------------------
 
 
 def lower_bound_graph(lam: int, a: int) -> tuple[Graph, BoundCertificate]:
     """lambda-coclique extension of the complement of the line graph of
     K_{2,a+1}: a (lam*a)-regular graph on 2*lam*a + 2*lam vertices with
-    spectrum {k, lam^a, 0^((lam-1)(2a+2)), -lam^a, -k}, certified exactly by
+    spectrum {k, lam^a, 0^((lam-1)(2a+2)), -lam^a, -k}, checked exactly by
     `spectrum_is`, so its second largest eigenvalue is lambda."""
     if not isinstance(lam, int) or lam < 1:
         raise ValueError("lambda must be a positive integer")

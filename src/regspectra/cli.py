@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import acceptance, association, bounds, construct, formats, hoffman, search, spectra
-from .errors import CapExceededError, UnsupportedSizeError
+from .errors import CapExceededError, ConsistencyError, UnsupportedSizeError
 from .graphs import Graph
 
 
@@ -124,7 +124,7 @@ def _hoffman_lambda_min(args) -> int:
 
 
 def _associate(args) -> int:
-    hg, part = association.associate(_read_graph(args), args.m, args.n, certified=args.certified)
+    hg, part = association.associate(_read_graph(args), args.m, args.n)
     if args.json:
         print(json.dumps({"hoffman": hg.to_json_obj(), "partition": part.to_json_obj()}))
     else:
@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = graph_in(leaf(sub, "associate", _associate, "quasi-clique associated Hoffman graph"))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--certified", action="store_true")
 
     actions = group(sub, "bounds", "thresholds, known values, mu bound, Ramsey", "action")
     p = leaf(actions, "thresholds", _thresholds)
@@ -316,6 +315,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

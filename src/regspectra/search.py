@@ -89,11 +89,10 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import kernel
-from .bounds import Real
 from .errors import UnsupportedSizeError
 from .formats import from_graph6, pack_graph6, to_graph6
 from .graphs import Graph, members, reach, twin_classes
-from .spectra import INTERLACING_TOL, eigenvalue_at_most, eigenvalue_at_most_exact, spectrum
+from .spectra import INTERLACING_TOL, Real, eigenvalue_at_most, eigenvalue_at_most_exact, spectrum
 
 CANONICAL_CAP = 64
 DEFAULT_MAX_K = 5
@@ -250,12 +249,13 @@ def _siblings(cell: list[int], path: int, autos: list, mates: list[int]):
         yield v
 
 
-def _leaf_orders(bits: Sequence[int], n: int, autos: list):
-    """The leaves of the individualization-refinement tree, depth first; each
-    is an order (position -> vertex).  A node individualizes each vertex v
-    of the first non-singleton cell C of its stable partition in turn: C
-    becomes [v] followed by the rest of C, and `_refine` is seeded with the
-    singleton alone, the rest being C's last fragment.
+def _leaf_orders(bits: Sequence[int], n: int):
+    """The first leaf of each leaf key in the individualization-refinement
+    tree, depth first, as `(key, order)` (order: position -> vertex).  A
+    node individualizes each vertex v of the first non-singleton cell C of
+    its stable partition in turn: C becomes [v] followed by the rest of C,
+    and `_refine` is seeded with the singleton alone, the rest being C's
+    last fragment.
 
     The walk keeps an explicit stack of the nodes on its path, each with its
     partition, target cell and path mask.  A descent individualizes the
@@ -266,17 +266,22 @@ def _leaf_orders(bits: Sequence[int], n: int, autos: list):
     before a target are singletons and stay so, so the next target is
     sought after it.
 
-    Two rules skip a sibling of an explored vertex, each because its subtree
-    is the image of an explored subtree under an automorphism that fixes the
-    individualized vertices, so it repeats explored leaf keys:
+    A leaf whose key was met before is not yielded: the map from the earlier
+    order's vertices to its own is an automorphism, recorded with its
+    fixed-point mask.  Two rules skip a sibling of an explored vertex, each
+    because its subtree is the image of an explored subtree under an
+    automorphism that fixes the individualized vertices, so it repeats
+    explored leaf keys:
     - a twin of an earlier sibling (swapping twins is such an automorphism);
-    - a sibling in the orbit of an explored one, under the automorphisms in
-      `autos` that fix the path pointwise.  `autos` holds `(fixed mask,
-      permutation)` pairs; the caller may append to it between leaves, and
-      each node unions the new ones it admits into its own orbit partition.
-    The set of leaf keys is therefore that of the full tree, which is the
-    same for every graph of the class.  The twin classes are computed when a
-    node first offers a second sibling."""
+    - a sibling in the orbit of an explored one, under the recorded
+      automorphisms that fix the path, which each node unions into its own
+      orbit partition as they are found.
+    So the walk meets every key of the full tree, each first at the same
+    leaf (an earlier leaf with that key would otherwise exist), and the key
+    set is the same for every graph of the class.  The twin classes are
+    computed when a node first offers a second sibling."""
+    autos: list = []  # (fixed mask, permutation) per repeated key
+    first: dict[int, list[int]] = {}  # key -> order of its first leaf
     twin: Optional[list[int]] = None
     stack: list[list] = []  # [cells, target, path, sibling iterator or None] per node
     cells = _refine(bits, [list(range(n))])
@@ -289,7 +294,19 @@ def _leaf_orders(bits: Sequence[int], n: int, autos: list):
                 v = cells[target][0]
                 break
         else:
-            yield [cell[0] for cell in cells]
+            order = [cell[0] for cell in cells]
+            key = _leaf_key(bits, order)
+            earlier = first.setdefault(key, order)
+            if earlier is order:
+                yield key, order
+            else:
+                sigma = [0] * n
+                fixed = 0
+                for u, w in zip(earlier, order):
+                    sigma[u] = w
+                    if u == w:
+                        fixed |= 1 << u
+                autos.append((fixed, sigma))
             # back up to the deepest node with a sibling left
             while stack:
                 node = stack[-1]
@@ -311,25 +328,6 @@ def _leaf_orders(bits: Sequence[int], n: int, autos: list):
         target += 1
 
 
-def _first_orders(bits: Sequence[int], leaves, autos: list) -> dict[int, list[int]]:
-    """Leaf key -> order of the first leaf with that key, over `leaves`.  A
-    leaf whose key is already there is an automorphism (the map from the
-    earlier order's vertices to this one's); it is appended to `autos` with
-    its fixed-point mask, where `_leaf_orders` prunes by it."""
-    orders: dict[int, list[int]] = {}
-    for order in leaves:
-        earlier = orders.setdefault(_leaf_key(bits, order), order)
-        if earlier is not order:
-            sigma = [0] * len(order)
-            fixed = 0
-            for u, w in zip(earlier, order):
-                sigma[u] = w
-                if u == w:
-                    fixed |= 1 << u
-            autos.append((fixed, sigma))
-    return orders
-
-
 def canonical_form(
     g: Union[Graph, Sequence[int]], *, keys: Optional[set[int]] = None
 ) -> CanonicalForm:
@@ -340,11 +338,9 @@ def canonical_form(
     `g` is a `Graph` or its bit rows (one neighbor bitmask per vertex,
     symmetric and loop-free, not validated here); the certificate is packed
     from the bits under the canonical order, so both forms give the same
-    result.  The walk prunes by the automorphisms its repeated leaf keys
-    reveal (see `_leaf_orders`): a pruned subtree is the image of an explored
-    one and holds the same keys, and the first leaf with a given key is never
-    pruned, since an earlier leaf with that key would then exist.  So the
-    canonical order and the recorded orders are those of the full tree.
+    result.  The orders are those `_leaf_orders` yields, the first leaf of
+    each key of the full tree, although its walk prunes by the
+    automorphisms it finds.
 
     `keys`, when given, receives every leaf key the walk met: the leaf-key
     set of the class, shared by every graph isomorphic to `g` (see
@@ -355,8 +351,7 @@ def canonical_form(
         raise UnsupportedSizeError(f"order {n} exceeds canonical cap {CANONICAL_CAP}")
     if n < 1:
         raise ValueError("graph must have at least one vertex")
-    autos: list = []
-    orders = _first_orders(bits, _leaf_orders(bits, n, autos), autos)
+    orders = dict(_leaf_orders(bits, n))
     best = orders[min(orders)]
     labeling = [0] * n
     for position, old in enumerate(best):
@@ -372,17 +367,17 @@ def _dedup(candidates: Iterable[tuple[int, ...]]) -> tuple[int, set[str]]:
     the classes' certificates, which does not depend on the candidates' order.
 
     The pass holds the leaf keys of the classes found so far.  A candidate
-    whose first leaf's key is among them is isomorphic to a found class and
-    is skipped, neither labelled nor certified.  Otherwise it is a new class
-    (isomorphic graphs have the same leaf-key set), and `canonical_form`
-    labels it and adds its keys.  A labelled class whose certificate was
-    already seen would mean the keys missed an isomorphism."""
+    whose first leaf's key (one root-to-leaf path of `_leaf_orders`) is among
+    them is isomorphic to a found class and is skipped, never labelled.
+    Otherwise it is a new class (isomorphic graphs share the leaf-key set)
+    and `canonical_form` labels it and adds its keys; a labelled class whose
+    certificate was already seen would mean the keys missed an isomorphism."""
     keys: set[int] = set()
     certs: set[str] = set()
     count = 0
     for rows in candidates:
         count += 1
-        if _leaf_key(rows, next(_leaf_orders(rows, len(rows), []))) in keys:
+        if next(_leaf_orders(rows, len(rows)))[0] in keys:
             continue
         cert = canonical_form(rows, keys=keys).certificate
         if cert in certs:

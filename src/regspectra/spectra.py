@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +35,10 @@ SYMMETRY_TOL = 1e-12  # largest |a_ij - a_ji| an eigensolve input may have
 GROUP_TOL = 1e-8  # floats this close are one eigenvalue (scaled by the norm)
 INTERLACING_TOL = 1e-9  # slack on a float eigenvalue inequality that holds exactly
 BOUNDARY_WINDOW = 1e-6  # nearer than this to lambda, the exact leg decides
+
+# a real parameter: anything `Fraction` takes ('p/q' and decimal strings, and
+# a float at its exact binary value)
+Real = Union[int, float, str, Fraction]
 
 
 def _matrix(x) -> np.ndarray:

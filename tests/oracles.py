@@ -1,6 +1,7 @@
 """Brute-force oracles for the tests: exhaustive over subsets and
 permutations, so only for tiny inputs; the leaf key as a loop over every
-pair; a breadth-first search by vertex queue, independent of the package's
+pair; the individualization-refinement tree walked whole, with no pruning;
+a breadth-first search by vertex queue, independent of the package's
 bitmask frontiers; integer eigenvalue
 multiplicities by exact rank, independent of the characteristic polynomial;
 Cauchy interlacing, an eigensolver self-test; the fattening's least
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from regspectra import ramsey
+from regspectra import ramsey, search
 from regspectra.errors import UnsupportedSizeError
 from regspectra.formats import to_graph6
 from regspectra.graphs import DistanceLayers, Graph
@@ -63,6 +64,25 @@ def leaf_key_reference(bits: Sequence[int], order: Sequence[int]) -> int:
         for j in range(i + 1, n):
             key = (key << 1) | (bi >> order[j] & 1)
     return key
+
+
+def leaf_orders_reference(bits: Sequence[int], n: int):
+    """Oracle of `search._leaf_orders`' tree: every leaf order (position ->
+    vertex), depth first, by recursion over `search._refine`, with no twin
+    or automorphism pruning.  A node individualizes each vertex v of its
+    first non-singleton cell in turn, as [v] followed by the rest."""
+
+    def walk(cells):
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if target is None:
+            yield [cell[0] for cell in cells]
+            return
+        for v in cells[target]:
+            rest = [w for w in cells[target] if w != v]
+            split = cells[:target] + [[v], rest] + cells[target + 1 :]
+            yield from walk(search._refine(bits, split, [target]))
+
+    yield from walk(search._refine(bits, [list(range(n))]))
 
 
 def contains_induced_bruteforce(

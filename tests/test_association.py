@@ -104,7 +104,7 @@ def test_partition_and_warnings():
     # clean instance: no warnings
     g = fatten(attach_universal_fat(complete(2)), 10)
     fam = association.maximal_cliques(g, 9)
-    part = association.partition_classes(fam, 2, certified=True)
+    part = association.partition_classes(fam, 2)
     assert part.warnings == ()
     assert part.quasi_cliques[0] == frozenset(range(12))
 
@@ -127,7 +127,7 @@ def test_representative_independence_under_hypotheses():
         if association.hypothesis_report(g, 2, 9):
             continue
         fam = association.maximal_cliques(g, 9)
-        part = association.partition_classes(fam, 2, certified=True)
+        part = association.partition_classes(fam, 2)
         for cls, q in zip(part.classes, part.quasi_cliques):
             for idx in cls:
                 assert association.quasi_clique(g, fam.cliques[idx], 2) == q
@@ -169,7 +169,8 @@ def test_partition_json():
 def test_non_transitive_relation_warnings():
     # a strip of four triangles (edges |u - w| <= 2 on 0..5) plus a separate
     # triangle: each triangle is related to its strip neighbours only, so the
-    # strip's class holds unrelated pairs, each warned about in index order
+    # strip's class holds unrelated pairs, each warned about in index order,
+    # and its triangles' quasi-cliques differ, warned about once for the class
     edges = [(u, w) for u in range(6) for w in range(u + 1, min(u + 3, 6))]
     g = Graph.from_edges(9, edges + [(6, 7), (6, 8), (7, 8)])
     fam = association.maximal_cliques(g, 3)
@@ -182,4 +183,5 @@ def test_non_transitive_relation_warnings():
         f"{strip} (cliques 0 and 2 unrelated)",
         f"{strip} (cliques 0 and 3 unrelated)",
         f"{strip} (cliques 1 and 3 unrelated)",
+        "quasi-clique differs across representatives in class (0, 1, 2, 3)",
     )

@@ -164,6 +164,20 @@ def test_known_v():
         bounds.known_v(0, 1)
 
 
+def test_known_v_lower_end_is_a_witness():
+    # for integer lambda dividing k = lambda * a (a >= 2), lower_bound_graph
+    # certifies a connected k-regular graph on 2k + 2 lambda vertices with
+    # second eigenvalue lambda; known_v's lower end is its order, and names it
+    for lam in range(2, 6):
+        for a in range(2, 8):
+            g, cert = bounds.lower_bound_graph(lam, a)
+            kv = bounds.known_v(lam * a, lam)
+            assert cert.verified and kv.lower == g.n == 2 * lam * a + 2 * lam, (lam, a)
+            assert kv.upper is None and f"lower_bound_graph({lam}, {a})" in kv.note
+    # a lambda above an integer keeps that integer's witness
+    assert bounds.known_v(6, "5/2").lower == 16
+
+
 def test_known_v_consistent_with_search():
     from regspectra.search import v_search
 

@@ -6,6 +6,7 @@ import pytest
 
 from regspectra import cli, formats, search
 from regspectra.construct import cycle, petersen
+from regspectra.graphs import Graph
 
 
 def run(capsys, *argv):
@@ -17,6 +18,9 @@ def run(capsys, *argv):
 def test_known_v(capsys):
     code, out, _ = run(capsys, "bounds", "known-v", "--k", "11", "--lambda", "1")
     assert code == 0 and out.strip() == "24"
+    # the lower end is the order of lower_bound_graph(2, 3)
+    code, out, _ = run(capsys, "bounds", "known-v", "--k", "6", "--lambda", "2")
+    assert code == 0 and out.startswith("[16, unknown]  ")
 
 
 def test_known_v_rational(capsys):
@@ -130,6 +134,33 @@ def test_associate(tmp_path, capsys):
     blob = json.loads(out)
     assert blob["hoffman"]["fat"] == [9]
     assert blob["partition"]["classes"][0]["quasi_clique"] == list(range(9))
+
+
+def test_certified_is_usage_error(tmp_path, capsys):
+    # association always checks every representative: `associate` has no --certified option
+    gfile = tmp_path / "g.el"
+    gfile.write_text(formats.dump_graph(petersen(), "edgelist"))
+    code, out, err = run(capsys, "associate", str(gfile), "--m", "2", "--n", "9", "--certified")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: regspectra associate ")
+    assert "unrecognized arguments: --certified" in err
+
+
+def test_associate_consistency_error(tmp_path, monkeypatch, capsys):
+    # K_11 minus an edge: two maximal 10-cliques in one class, hypotheses hold;
+    # a quasi-clique that depends on the representative is a verification failure
+    from regspectra import association
+
+    edges = [(i, j) for i in range(11) for j in range(i + 1, 11) if (i, j) != (9, 10)]
+    gfile = tmp_path / "g.el"
+    gfile.write_text(formats.dump_graph(Graph.from_edges(11, edges), "edgelist"))
+    real = association.quasi_clique
+    monkeypatch.setattr(
+        association, "quasi_clique", lambda g, c, m: real(g, c, m) | ({99} if 9 in c else set())
+    )
+    code, out, err = run(capsys, "associate", str(gfile), "--m", "2", "--n", "9")
+    assert code == 1 and out == ""
+    assert err == "error: quasi-clique depends on the representative although the hypotheses hold\n"
 
 
 def test_search_cli(capsys):

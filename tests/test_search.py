@@ -24,7 +24,13 @@ from regspectra.formats import from_graph6, to_graph6
 from regspectra.graphs import Graph, members, reach
 from regspectra.spectra import eig_symmetric, eigenvalue_at_most, spectrum_is
 
-from oracles import bfs_distance_layers, brute_force_certificate, leaf_key_reference
+from oracles import (
+    bfs_distance_layers,
+    brute_force_certificate,
+    leaf_key_reference,
+    leaf_orders_reference,
+)
+import parity_grid
 
 
 def test_canonical_relabel_invariance():
@@ -108,8 +114,7 @@ def _relabelled(g: Graph, rng: random.Random) -> Graph:
 
 
 def _first_key(g: Graph) -> int:
-    bits = g.bits()
-    return search._leaf_key(bits, next(search._leaf_orders(bits, g.n, [])))
+    return next(search._leaf_orders(g.bits(), g.n))[0]
 
 
 def test_leaf_key_matches_reference():
@@ -280,29 +285,39 @@ def _hypercube3() -> Graph:
     return Graph.from_edges(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
 
 
-def test_automorphism_pruned_walk_keeps_first_orders():
-    # the pruned walk meets every leaf key of the full tree (the twin rule
-    # alone: an automorphism list that stays empty), first at the same order
-    # and in the same sequence; every recorded automorphism is one
+def test_automorphism_pruned_walk_keeps_first_orders(monkeypatch):
+    # the pruned walk yields every leaf key of the full, unpruned tree, first
+    # at the same order and in the same sequence; every automorphism it
+    # records (the lists its sibling iterators read) is one
     rng = random.Random(31)
     graphs = [petersen(), _hypercube3(), _rook4(), _shrikhande()]
     graphs += [cycle(n) for n in (3, 5, 8, 11)]
     graphs += [complete_bipartite(s, t) for s, t in ((1, 4), (3, 3), (2, 5), (4, 4))]
     graphs += search.enumerate_all_graphs(6)
     graphs += [_relabelled(g, rng) for g in graphs]
+    recorded: list = []
+    real = search._siblings
+
+    def siblings(cell, path, autos, mates):
+        recorded.append(autos)
+        return real(cell, path, autos, mates)
+
+    monkeypatch.setattr(search, "_siblings", siblings)
+    checked = 0
     for g in graphs:
         bits = g.bits()
         full: dict = {}
-        for order in search._leaf_orders(bits, g.n, []):
+        for order in leaf_orders_reference(bits, g.n):
             full.setdefault(search._leaf_key(bits, order), order)
-        autos: list = []
-        pruned = search._first_orders(bits, search._leaf_orders(bits, g.n, autos), autos)
-        assert list(pruned.items()) == list(full.items()), g
-        for fixed, sigma in autos:
+        recorded.clear()
+        assert list(search._leaf_orders(bits, g.n)) == list(full.items()), g
+        for fixed, sigma in {(f, tuple(s)) for autos in recorded for f, s in autos}:
             assert sorted(sigma) == list(range(g.n))
             assert all(bits[sigma[u]] == sum(1 << sigma[w] for w in range(g.n) if bits[u] >> w & 1)
                        for u in range(g.n))
             assert fixed == sum(1 << u for u in range(g.n) if sigma[u] == u)
+            checked += 1
+    assert checked > 0
 
 
 def test_walk_refine_counts(monkeypatch):
@@ -823,7 +838,7 @@ def test_canonical_forms_pinned():
     for g in graphs:
         keys: set = set()
         cf = search.canonical_form(g, keys=keys)
-        first = next(search._leaf_orders(g.bits(), g.n, []))
+        first = next(search._leaf_orders(g.bits(), g.n))[1]
         forms.append((cf.labeling, cf.certificate, sorted(keys), first))
     assert (len(forms), _stream_digest(forms)) == (
         386,
@@ -840,6 +855,16 @@ def test_report_independent_of_candidate_order(monkeypatch):
     monkeypatch.setattr(search, "_candidate_rows", lambda *args: reversed(list(real(*args))))
     for (k, lam, n_max, prune), obj in zip(cases, want):
         assert search.v_search(k, lam, n_max, prune=prune).to_json_obj() == obj, (k, lam, n_max)
+
+
+@pytest.mark.parametrize("k, n_max", parity_grid.SMALL)
+def test_parity_grid(k, n_max):
+    # exact_v, per-order classes and passed, and the extremal certificates
+    # with their boundary flags, against the committed reference
+    want = parity_grid.reference()
+    for lam in parity_grid.LAMBDAS:
+        got = parity_grid.record(search.v_search(k, lam, n_max).to_json_obj())
+        assert got == want[k, lam, n_max], (k, lam, n_max)
 
 
 def test_enumerated_graphs_are_canonical():

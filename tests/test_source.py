@@ -49,6 +49,8 @@ RULES = [
     Rule("one-exact-count", r"sturm_chain|squarefree|count_roots_in"),
     Rule("one-parser-per-command", r"args.command ==|needs --", files="cli.py"),
     Rule("one-search-process", r"multiprocessing|stop_depth"),
+    # the search sits below the bounds: it imports nothing from them
+    Rule("search-below-bounds", r"from \.bounds|from \. import .*\bbounds\b", files="search.py"),
     # the search's one eigensolve is the prune's
     Rule("one-cut", r"kernel\.sym_eigenvalues", files="search.py", inside="spectral_prune"),
 ]
@@ -107,6 +109,8 @@ PLANTED = [
     ("one-parser-per-command", "cli.py", "raise UsageError('needs --k')\n", 1),
     ("one-search-process", "search.py", "import multiprocessing\n", 1),
     ("one-search-process", "search.py", "def f(stop_depth):\n", 1),
+    ("search-below-bounds", "search.py", "from . import kernel\nfrom .bounds import Real\n", 2),
+    ("search-below-bounds", "search.py", "from . import bounds, kernel\n", 1),
     (
         "one-cut",
         "search.py",
@@ -134,6 +138,7 @@ ALLOWED = [
     ("one-boundary-rule-window", "spectra.py", "BOUNDARY_WINDOW = 1e-6\n"),
     ("one-twin-rule", "graphs.py", "def twin_classes(bits):\n"),
     ("one-parser-per-command", "search.py", "if args.command == 'search':\n"),
+    ("search-below-bounds", "acceptance.py", "from .bounds import known_v\n"),
     (
         "one-cut",
         "search.py",
