@@ -236,13 +236,17 @@ def criterion_07():
     for lam in (1, Fraction(3, 2), 2, Fraction(5, 2), 3):
         th = bounds.thresholds(lam)
         lam_fr = Fraction(lam)
-        if th.t_prime != math.floor(lam_fr**2 / 2) + 1:
-            return False, {"lambda": str(lam), "t_prime": th.t_prime}, "t' closed form"
+        t = th.t_prime
+        t_qualifies = not lambda_min_at_least(complete_bipartite(2, t), lam_fr)[0]
+        t_minimal = t == 1 or lambda_min_at_least(complete_bipartite(2, t - 1), lam_fr)[0]
+        if not (t_qualifies and t_minimal):
+            return False, {"lambda": str(lam), "t_prime": t}, "t' not minimal"
         if th.m_prime > 1 and not lambda_min_at_least(k_tilde(th.m_prime - 1), lam_fr)[0]:
             return False, {"lambda": str(lam)}, "m' not minimal"
         if lambda_min_at_least(k_tilde(th.m_prime), lam_fr)[0]:
             return False, {"lambda": str(lam)}, "m' does not qualify"
-        details[str(lam)] = {"t_prime": th.t_prime, "m_prime": th.m_prime}
+        details[str(lam)] = {"t_prime": t, "m_prime": th.m_prime,
+                             "t_prime_qualifies": t_qualifies, "t_prime_minimal": t_minimal}
     quotient_worst = 0.0
     for m in range(1, 7):
         g = k_tilde(m)

@@ -161,7 +161,9 @@ def m_lambda_interval(lam: Real, n_prime: Optional[int] = None) -> tuple[int, Op
     lo = m_lambda_lower(lam)
     if n_prime is None:
         return lo, None
-    r = ramsey_lookup(n_prime, thresholds(lam).t_prime)
+    if lam < 1:
+        raise ValueError("lambda must be >= 1")
+    r = ramsey_lookup(n_prime, t_prime_closed_form(lam))
     upper = None if r.upper is None else max(r.upper, lo)
     return max(r.lower, lo), upper
 
@@ -362,7 +364,7 @@ def co_edge_bound_check(g: Graph, lam: Real) -> BoundCertificate:
     ell_cap = (lam - 1) ** 2 / 4 + 1
     ell_ok = Fraction(ell) <= ell_cap
 
-    c2_threshold = 8 if lam == 2 else None
+    c2_threshold = mu_bound(2) if lam == 2 else None
     falsified = (
         not vacuous
         and c2_threshold is not None

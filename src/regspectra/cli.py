@@ -5,7 +5,8 @@ word naming the leaf command, and each leaf declares only the options its
 handler reads (required where the handler needs them) and names that handler
 through `set_defaults(run=...)`.  A missing or foreign option is therefore
 argparse's usage error, reported under the leaf's own usage line.  `--json`
-is global and may stand at any level.
+belongs to the leaves that print JSON, and a graph file's format is inferred
+from its text.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
 exceeded (a search whose range the caps cut still prints its report, marked
@@ -30,7 +31,7 @@ from .graphs import Graph
 
 def _read_graph(args) -> Graph:
     with open(args.graph, "r", encoding="ascii") as fh:
-        return formats.load_graph(fh.read(), args.fmt)
+        return formats.load_graph(fh.read())
 
 
 def _emit_graph(g: Graph, args) -> None:
@@ -212,23 +213,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral bounds and exhaustive search for regular graphs "
         "with bounded second eigenvalue",
     )
-    ap.add_argument("--json", action="store_true", help="machine-readable output")
-    common = argparse.ArgumentParser(add_help=False)
-    # SUPPRESS keeps an unset lower-level flag from clobbering a higher one
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
 
     def group(sub, name, help, dest):
-        parser = sub.add_parser(name, help=help, parents=[common])
-        return parser.add_subparsers(dest=dest, required=True)
+        return sub.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
 
     def leaf(sub, name, run, help=None):
-        parser = sub.add_parser(name, help=help, parents=[common])
+        parser = sub.add_parser(name, help=help)
         parser.set_defaults(run=run, leaf=parser)
+        return parser
+
+    def json_out(parser):
+        parser.add_argument("--json", action="store_true", help="machine-readable output")
         return parser
 
     def graph_in(parser):
         parser.add_argument("graph", help="graph file: edge list, JSON or graph6")
-        parser.add_argument("--format", dest="fmt", choices=formats.FORMATS, default=None)
         return parser
 
     def hoffman_in(parser):
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         return parser
 
     sub = ap.add_subparsers(dest="command", required=True)
-    graph_in(leaf(sub, "spectrum", _spectrum, "adjacency spectrum of a graph file"))
+    json_out(graph_in(leaf(sub, "spectrum", _spectrum, "adjacency spectrum of a graph file")))
 
     names = group(sub, "construct", "build a named graph", "name")
     p = leaf(names, "complete-multipartite",
@@ -257,41 +256,41 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(names, "coclique-ext",
              _emitting(lambda a: construct.coclique_extension(_read_graph(a), a.q)))
     graph_out(graph_in(p)).add_argument("--q", type=int, required=True)
-    p = graph_out(leaf(names, "lower-bound-graph", _lower_bound_graph))
+    p = json_out(graph_out(leaf(names, "lower-bound-graph", _lower_bound_graph)))
     p.add_argument("--lambda", dest="lam", type=_parse_integer_lambda, required=True)
     p.add_argument("--a", type=int, required=True)
 
     actions = group(sub, "hoffman", "Hoffman-graph operations", "action")
-    hoffman_in(leaf(actions, "special-matrix", _special_matrix))
-    hoffman_in(leaf(actions, "lambda-min", _hoffman_lambda_min))
+    json_out(hoffman_in(leaf(actions, "special-matrix", _special_matrix)))
+    json_out(hoffman_in(leaf(actions, "lambda-min", _hoffman_lambda_min)))
     p = graph_out(hoffman_in(leaf(actions, "fatten",
                                   _emitting(lambda a: hoffman.fatten(_read_hoffman(a), a.p)))))
     p.add_argument("--p", type=int, default=1, help="fattening parameter")
-    hoffman_in(leaf(actions, "validate", _hoffman_validate))
+    json_out(hoffman_in(leaf(actions, "validate", _hoffman_validate)))
 
     p = graph_in(leaf(sub, "associate", _associate, "quasi-clique associated Hoffman graph"))
-    p.add_argument("--m", type=int, required=True)
+    json_out(p).add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
     actions = group(sub, "bounds", "thresholds, known values, mu bound, Ramsey", "action")
-    p = leaf(actions, "thresholds", _thresholds)
+    p = json_out(leaf(actions, "thresholds", _thresholds))
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
-    p = leaf(actions, "known-v", _known_v)
+    p = json_out(leaf(actions, "known-v", _known_v))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
     p = leaf(actions, "mu-bound", _mu_bound)
     p.add_argument("--lambda", dest="lam", type=_parse_integer_lambda, required=True)
-    p = leaf(actions, "ramsey", _ramsey)
+    p = json_out(leaf(actions, "ramsey", _ramsey))
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
 
-    sr = leaf(sub, "search", _search, "exhaustive maximum-order search")
+    sr = json_out(leaf(sub, "search", _search, "exhaustive maximum-order search"))
     sr.add_argument("--k", type=int, required=True)
     sr.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
     sr.add_argument("--n-max", type=int, required=True)
     sr.add_argument("--no-prune", action="store_true")
 
-    vp = leaf(sub, "verify", _verify, "run the acceptance criteria")
+    vp = json_out(leaf(sub, "verify", _verify, "run the acceptance criteria"))
     vp.add_argument("--suite", default="all", choices=["all"] + sorted(acceptance.SUITES))
 
     return ap

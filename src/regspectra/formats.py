@@ -10,7 +10,7 @@ byte extension so that every graph this package builds stays serializable.
 from __future__ import annotations
 
 import json
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -156,21 +156,14 @@ def dump_graph(g: Graph, fmt: str) -> str:
     raise ValueError(f"unknown graph format {fmt!r}")
 
 
-def load_graph(text: str, fmt: Union[str, None] = None) -> Graph:
-    """Parse `text` in the given format, or sniff it when fmt is None."""
-    if fmt is not None:
-        if fmt == "edgelist":
-            return from_edgelist_text(text)
-        if fmt == "json":
-            return from_json_text(text)
-        if fmt == "graph6":
-            return from_graph6(text)
-        raise ValueError(f"unknown graph format {fmt!r}")
+def load_graph(text: str) -> Graph:
+    """Parse `text`, its format told by its first non-blank character: JSON
+    starts with "{" and holds a '"' (graph6 of order 60 starts with "{" too,
+    but never holds one), an edge list starts with its order (a digit or
+    "-"), and graph6 uses only the characters 63..126."""
     stripped = text.strip()
-    # graph6 of order 60 starts with "{" too, but never holds a '"'
     if stripped.startswith("{") and '"' in stripped:
         return from_json_text(text)
-    first = stripped.splitlines()[0].split() if stripped else []
-    if len(first) == 2 and all(tok.isdigit() for tok in first):
+    if stripped[:1].isdigit() or stripped.startswith("-"):
         return from_edgelist_text(text)
     return from_graph6(text)

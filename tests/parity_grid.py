@@ -3,14 +3,18 @@
 `parity_grid.json` holds one record per case (k, lambda, n_max) of the
 pruned search: `exact_v`, `unique`, `[classes, passed]` for each order with
 a class, and each extremal certificate with its `boundary` flag.  It holds
-no candidate counts (the generator may change them) and no floats.
+no candidate counts (the generator may change them) and no floats.  Past the
+grid it holds the CLOSING searches, whose n_max lies past the answer, so
+they show that no larger graph exists: v(4, 1) = 12, v(5, 1) = v(5, 5/4) = 16
+and v(4, 3/2) = 14.
 
     python tests/parity_grid.py                  # GRID through `regspectra`
     PYTHONPATH=src python tests/parity_grid.py --write   # rewrite the file
 
 The check runs each case of GRID through the console script (about 25 s of
 CPU) and exits 1 on the first case that differs; Tier-1
-(`test_search.py::test_parity_grid`) checks the SMALL cases in process.
+(`test_search.py::test_parity_grid`) checks the SMALL and CLOSING cases in
+process.
 The file was written once by `--write`; a change that rewrites it names each
 case that moved and why.
 """
@@ -23,6 +27,7 @@ from pathlib import Path
 LAMBDAS = ("-1", "0", "1/2", "1", "5/4", "3/2", "5/3", "2", "9/4", "5/2", "3", "7/2")
 GRID = ((2, 12), (3, 14), (4, 11), (5, 10))  # (k, n_max), each with every lambda
 SMALL = ((2, 12), (3, 12), (4, 10))
+CLOSING = ((4, "1", 13), (5, "1", 16), (5, "5/4", 16), (4, "3/2", 16))  # (k, lambda, n_max)
 REFERENCE = Path(__file__).with_name("parity_grid.json")
 
 
@@ -48,7 +53,8 @@ def _write() -> None:
     from regspectra.search import v_search
 
     shapes = sorted(set(GRID) | set(SMALL))
-    records = [record(v_search(k, lam, n).to_json_obj()) for k, n in shapes for lam in LAMBDAS]
+    cases = [(k, lam, n) for k, n in shapes for lam in LAMBDAS] + list(CLOSING)
+    records = [record(v_search(k, lam, n).to_json_obj()) for k, lam, n in cases]
     REFERENCE.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
 
 

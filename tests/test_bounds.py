@@ -144,6 +144,9 @@ def test_m_lambda_interval():
     lo, hi = bounds.m_lambda_interval(2, n_prime=3)
     # R(3, t'(2)) = R(3,3) = 6 < 9, so the floor term dominates
     assert lo == 9 and hi == 9
+    # t' is defined for lambda >= 1 only
+    with pytest.raises(ValueError, match="lambda must be >= 1"):
+        bounds.m_lambda_interval(Fraction(1, 2), n_prime=3)
 
 
 def test_known_v():

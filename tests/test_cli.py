@@ -1,6 +1,8 @@
 """End-to-end CLI checks through main(argv)."""
 
+import argparse
 import json
+from itertools import takewhile
 
 import pytest
 
@@ -24,7 +26,7 @@ def test_known_v(capsys):
 
 
 def test_known_v_rational(capsys):
-    code, out, _ = run(capsys, "--json", "bounds", "known-v", "--k", "4", "--lambda", "1/2")
+    code, out, _ = run(capsys, "bounds", "known-v", "--k", "4", "--lambda", "1/2", "--json")
     assert code == 0
     blob = json.loads(out)
     assert blob["kind"] == "interval" and blob["lower"] == 8
@@ -90,10 +92,10 @@ def test_emitted_graph_reingests_isomorphic(tmp_path, capsys):
         code, _, _ = run(capsys, "construct", "complement", str(src),
                          "--out", str(mid), "--out-format", fmt)
         assert code == 0
-        code, _, _ = run(capsys, "construct", "complement", str(mid), "--format", fmt,
+        code, _, _ = run(capsys, "construct", "complement", str(mid),
                          "--out", str(out_file), "--out-format", fmt)
         assert code == 0
-        back = formats.load_graph(out_file.read_text(), fmt)
+        back = formats.load_graph(out_file.read_text())
         assert search.canonical_form(back).certificate == want
 
 
@@ -313,18 +315,67 @@ def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
         (("bounds", "ramsey", "--s", "3", "--t", "4", "--lambda", "2"), "--lambda"),
         (("hoffman", "validate", "HFILE", "--p", "2"), "--p"),
         (("hoffman", "lambda-min", "HFILE", "--out", "x.el"), "--out"),
+        (("construct", "complement", "GFILE", "--json"), "--json"),
+        (("bounds", "mu-bound", "--lambda", "2", "--json"), "--json"),
+        # the format of a graph file is read from the file
+        (("spectrum", "GFILE", "--format", "json"), "--format"),
     ],
 )
 def test_foreign_option_is_usage_error(tmp_path, capsys, argv, option):
     # each command takes only the options its handler reads
-    hfile = tmp_path / "h.json"
-    hfile.write_text(json.dumps({"order": 3, "edges": [[0, 1], [0, 2], [1, 2]], "fat": [2]}))
-    argv = [str(hfile) if a == "HFILE" else a for a in argv]
-    code, out, err = run(capsys, *argv)
+    files = {"HFILE": tmp_path / "h.json", "GFILE": tmp_path / "g.json"}
+    hoffman = {"order": 3, "edges": [[0, 1], [0, 2], [1, 2]], "fat": [2]}
+    files["HFILE"].write_text(json.dumps(hoffman))
+    files["GFILE"].write_text(formats.to_json_text(petersen()))
+    words = " ".join(takewhile(lambda a: a not in files and not a.startswith("-"), argv))
+    code, out, err = run(capsys, *[str(files.get(a, a)) for a in argv])
     assert code == 2 and out == "" and "Traceback" not in err
     assert "unrecognized arguments" in err and option in err
     # the leaf that refused the option reports it, not the root parser
-    assert err.startswith(f"usage: regspectra {argv[0]} {argv[1]} ")
+    assert err.startswith(f"usage: regspectra {words} ")
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (("--json", "search", "--k", "3", "--lambda", "1", "--n-max", "10"), "search"),
+        (("bounds", "--json", "known-v", "--k", "4", "--lambda", "1/2"), "bounds known-v"),
+    ],
+)
+def test_json_above_the_leaf_is_usage_error(capsys, argv, words):
+    # --json belongs to the leaf that prints JSON, not to the root or a group
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: regspectra {words} ")
+    assert "unrecognized arguments: --json" in err
+
+
+def test_json_declared_on_the_leaves_that_print_json():
+    def walk(parser, words=()):
+        yield " ".join(words), parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    yield from walk(child, words + (name,))
+
+    with_json = [
+        words
+        for words, parser in walk(cli.build_parser())
+        if any("--json" in a.option_strings for a in parser._actions)
+    ]
+    assert sorted(with_json) == sorted([
+        "spectrum",
+        "construct lower-bound-graph",
+        "hoffman special-matrix",
+        "hoffman lambda-min",
+        "hoffman validate",
+        "associate",
+        "bounds thresholds",
+        "bounds known-v",
+        "bounds ramsey",
+        "search",
+        "verify",
+    ])
 
 
 @pytest.mark.parametrize(

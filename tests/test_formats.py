@@ -17,9 +17,7 @@ def _random_graphs(count, max_n=12, seed=99):
 @pytest.mark.parametrize("fmt", formats.FORMATS)
 def test_round_trip(fmt):
     for g in _random_graphs(25):
-        text = formats.dump_graph(g, fmt)
-        back = formats.load_graph(text, fmt)
-        assert back == g
+        assert formats.load_graph(formats.dump_graph(g, fmt)) == g
 
 
 def test_format_sniffing():
@@ -105,7 +103,8 @@ def test_graph6_sniffed_at_every_order():
 
 
 def test_negative_order_rejected():
-    # Graph's own message, not numpy's "negative dimensions are not allowed"
-    for fmt, text in (("json", '{"order": -1, "edges": []}'), ("edgelist", "-1 0\n")):
+    # Graph's own message, not numpy's "negative dimensions are not allowed";
+    # a leading "-" starts an edge list, since no graph6 character is one
+    for text in ('{"order": -1, "edges": []}', "-1 0\n"):
         with pytest.raises(ValueError, match="graph must have at least one vertex"):
-            formats.load_graph(text, fmt)
+            formats.load_graph(text)

@@ -742,6 +742,8 @@ def test_pruned_candidates_per_order_pinned():
     want = {
         (3, Fraction(3, 2), 12): {4: 1, 5: 0, 6: 3, 7: 0, 8: 4, 9: 0, 10: 1, 11: 0, 12: 0},
         (4, 1, 10): {5: 1, 6: 1, 7: 5, 8: 1, 9: 11, 10: 1},
+        # no candidate at all past v(4, 1) = 12
+        (4, 1, 13): {5: 1, 6: 1, 7: 5, 8: 1, 9: 11, 10: 1, 11: 0, 12: 6, 13: 0},
     }
     for (k, lam, n_max), per_order in want.items():
         r = search.v_search(k, lam, n_max)
@@ -865,6 +867,27 @@ def test_parity_grid(k, n_max):
     for lam in parity_grid.LAMBDAS:
         got = parity_grid.record(search.v_search(k, lam, n_max).to_json_obj())
         assert got == want[k, lam, n_max], (k, lam, n_max)
+
+
+@pytest.mark.parametrize("k, lam, n_max", parity_grid.CLOSING)
+def test_parity_grid_closing(k, lam, n_max):
+    # the searches that close v(k, lambda), against the committed reference
+    got = parity_grid.record(search.v_search(k, lam, n_max).to_json_obj())
+    assert got == parity_grid.reference()[k, lam, n_max]
+
+
+def test_parity_grid_records_hold_known_facts():
+    # every committed certificate is canonical; the closing records give the
+    # known values, and the k = 5 witness is the Clebsch graph (5, 1^10, (-3)^5)
+    want = parity_grid.reference()
+    for r in want.values():
+        for g6, _ in r["extremal"]:
+            assert search.canonical_form(from_graph6(g6)).certificate == g6, g6
+    known = {(4, "1", 13): 12, (5, "1", 16): 16, (5, "5/4", 16): 16, (4, "3/2", 16): 14}
+    assert {case: want[case]["exact_v"] for case in parity_grid.CLOSING} == known
+    for case in ((5, "1", 16), (5, "5/4", 16)):
+        ((g6, _),) = want[case]["extremal"]
+        assert spectrum_is(from_graph6(g6), {5: 1, 1: 10, -3: 5}), case
 
 
 def test_enumerated_graphs_are_canonical():

@@ -47,7 +47,12 @@ RULES = [
     # claimed spectra are exact
     Rule("one-spectrum-check", r"approx_eq"),
     Rule("one-exact-count", r"sturm_chain|squarefree|count_roots_in"),
-    Rule("one-parser-per-command", r"args.command ==|needs --", files="cli.py"),
+    # no dispatch on the command's name; no option shared through a parent parser
+    Rule(
+        "one-parser-per-command",
+        r"args.command ==|needs --|SUPPRESS|parents=",
+        files="cli.py",
+    ),
     Rule("one-search-process", r"multiprocessing|stop_depth"),
     # the search sits below the bounds: it imports nothing from them
     Rule("search-below-bounds", r"from \.bounds|from \. import .*\bbounds\b", files="search.py"),
@@ -107,6 +112,8 @@ PLANTED = [
     ("one-exact-count", "exactpoly.py", "c = count_roots_in(p, a, b)\n", 1),
     ("one-parser-per-command", "cli.py", "if args.command == 'search':\n", 1),
     ("one-parser-per-command", "cli.py", "raise UsageError('needs --k')\n", 1),
+    ("one-parser-per-command", "cli.py", "p = sub.add_parser('search', parents=[common])\n", 1),
+    ("one-parser-per-command", "cli.py", "x = 1\nc.add_argument('--json', default=SUPPRESS)\n", 2),
     ("one-search-process", "search.py", "import multiprocessing\n", 1),
     ("one-search-process", "search.py", "def f(stop_depth):\n", 1),
     ("search-below-bounds", "search.py", "from . import kernel\nfrom .bounds import Real\n", 2),
