@@ -3,9 +3,9 @@
 Three layers: a canonical labeling (iterated neighborhood refinement with
 individualization backtracking, twin-class and automorphism pruning), an
 isomorph-free generator of connected k-regular graphs (vertex-by-vertex
-completion with a block-prefix symmetry rule, canonical-certificate
-rejection), and the search driver that filters by the second largest
-eigenvalue and reports extremal witnesses.
+completion with a block-prefix symmetry rule, isomorph rejection by leaf
+keys with the certificate as a cross-check), and the search driver that
+filters by the second largest eigenvalue and reports extremal witnesses.
 
 The labeling reads bit rows (one neighbor bitmask per vertex), either a
 `Graph`'s or the generator's own, and packs the certificate straight from
@@ -90,7 +90,7 @@ import numpy as np
 
 from . import kernel
 from .errors import UnsupportedSizeError
-from .formats import from_graph6, pack_graph6, to_graph6
+from .formats import from_graph6, pack_graph6
 from .graphs import Graph, members, reach, twin_classes
 from .spectra import INTERLACING_TOL, Real, eigenvalue_at_most, eigenvalue_at_most_exact, spectrum
 
@@ -361,10 +361,10 @@ def canonical_form(
     return CanonicalForm(labeling=tuple(labeling), certificate=pack_graph6(bits, best))
 
 
-def _dedup(candidates: Iterable[tuple[int, ...]]) -> tuple[int, set[str]]:
+def _dedup(candidates: Iterable[tuple[int, ...]]) -> tuple[int, list[str]]:
     """Isomorph rejection over one dedup pass: `candidates` are the bit rows
-    of graphs of one order.  Returns the number of candidates and the set of
-    the classes' certificates, which does not depend on the candidates' order.
+    of graphs of one order.  Returns the number of candidates and the
+    classes' sorted certificates, which do not depend on the candidates' order.
 
     The pass holds the leaf keys of the classes found so far.  A candidate
     whose first leaf's key (one root-to-leaf path of `_leaf_orders`) is among
@@ -383,7 +383,7 @@ def _dedup(candidates: Iterable[tuple[int, ...]]) -> tuple[int, set[str]]:
         if cert in certs:
             raise AssertionError("leaf-key rejection missed an isomorphism")
         certs.add(cert)
-    return count, certs
+    return count, sorted(certs)
 
 
 def enumerate_all_graphs(n: int) -> list[Graph]:
@@ -402,7 +402,7 @@ def enumerate_all_graphs(n: int) -> list[Graph]:
             for g in graphs
             for mask in range(new)
         )
-        graphs = [from_graph6(c) for c in sorted(certs)]
+        graphs = [from_graph6(c) for c in certs]
     return graphs
 
 
@@ -701,12 +701,7 @@ def _candidate_rows(k: int, n: int, prune_lam: Optional[Real]):
         yield from batch
 
 
-def enum_connected_regular(
-    k: int,
-    n: int,
-    prune_lam: Optional[Real] = None,
-    _info: Optional[dict] = None,
-) -> list[Graph]:
+def enum_connected_regular(k: int, n: int, prune_lam: Optional[Real] = None) -> list[Graph]:
     """Exactly one representative per isomorphism class of connected k-regular
     graphs on n vertices: the canonical one, its certificate decoded, in
     certificate order, so the result does not depend on the candidates' order.
@@ -720,8 +715,6 @@ def enum_connected_regular(
     completion contains induced fails the interlacing cut (`_feasible`), so
     the result is exhaustive for the graphs with second eigenvalue at most
     `prune_lam` (sound for the search driver), not for all graphs.
-    `_info`, when given, receives the number of labelled candidates, which
-    the root rule of `_complete_from` has already thinned.
     """
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
@@ -733,10 +726,8 @@ def enum_connected_regular(
         )
     if not parity_ok(k, n):
         return []
-    candidates, certs = _dedup(_candidate_rows(k, n, prune_lam))
-    if _info is not None:
-        _info["candidates"] = candidates
-    return [from_graph6(c) for c in sorted(certs)]
+    _, certs = _dedup(_candidate_rows(k, n, prune_lam))
+    return [from_graph6(c) for c in certs]
 
 
 # -- exact boundary recheck ---------------------------------------------------------
@@ -770,7 +761,6 @@ class OrderCount:
     candidates: int
     classes: int
     passed: int
-    parity_skipped: bool = False
 
 
 @dataclass(frozen=True)
@@ -817,7 +807,6 @@ class SearchReport:
                     "candidates": c.candidates,
                     "classes": c.classes,
                     "passed": c.passed,
-                    "parity_skipped": c.parity_skipped,
                 }
                 for n_, c in sorted(self.counts.items())
             },
@@ -833,19 +822,22 @@ class SearchReport:
         }
 
 
-def _judge(g: Graph, lam: Fraction) -> Optional[ExtremalGraph]:
-    """The witness record of `g` if lambda_2(g) <= lam, else None.  `g` is
-    canonical (a decoded certificate), so its certificate is `to_graph6(g)`
-    and the spectrum is that of the canonical graph.
+def _judge(cert: str, k: int, lam: Fraction) -> Optional[ExtremalGraph]:
+    """The witness record of the class with certificate `cert` if its second
+    eigenvalue is at most lam, else None.  The record carries the spectrum
+    of the certificate decoded, re-checked to be connected and k-regular.
 
     The verdict is `spectra.eigenvalue_at_most`'s on the spectrum's floats;
     `boundary` records that its exact leg decided."""
+    g = from_graph6(cert)
+    if set(g.degrees()) != {k} or not g.is_connected():
+        raise AssertionError("generator produced an invalid graph")
     spec = spectrum(g)
     accept, boundary = eigenvalue_at_most(g, 2, lam, spec.values())
     if not accept:
         return None
     return ExtremalGraph(
-        certificate=to_graph6(g),
+        certificate=cert,
         second_largest=spec.second_largest(),
         spectrum_json=spec.to_json_obj(),
         boundary=boundary,
@@ -883,37 +875,18 @@ def v_search(
     n_cap = min(n_max, DEFAULT_MAX_N) if k <= DEFAULT_MAX_K else k  # empty range when k too big
 
     counts: dict[int, OrderCount] = {}
-    passed_by_order: dict[int, list[ExtremalGraph]] = {}
-
+    exact_v: Optional[int] = None
+    extremal: tuple[ExtremalGraph, ...] = ()
+    # orders go up, so the last one that passes anything is exact_v
     for n in range(k + 1, n_cap + 1):
         if not parity_ok(k, n):
-            counts[n] = OrderCount(0, 0, 0, parity_skipped=True)
+            counts[n] = OrderCount(0, 0, 0)
             continue
-        cinfo: dict = {}
-        graphs = enum_connected_regular(
-            k,
-            n,
-            prune_lam=lam_fr if prune else None,
-            _info=cinfo,
-        )
-        passed: list[ExtremalGraph] = []
-        for g in graphs:
-            degs = set(g.degrees())
-            if degs != {k} or not g.is_connected():
-                raise AssertionError("generator produced an invalid graph")
-            witness = _judge(g, lam_fr)
-            if witness is not None:
-                passed.append(witness)
-        counts[n] = OrderCount(cinfo["candidates"], len(graphs), len(passed))
+        candidates, certs = _dedup(_candidate_rows(k, n, lam_fr if prune else None))
+        passed = tuple(w for w in (_judge(c, k, lam_fr) for c in certs) if w is not None)
+        counts[n] = OrderCount(candidates, len(certs), len(passed))
         if passed:
-            passed_by_order[n] = passed
-
-    exact_v = max(passed_by_order) if passed_by_order else None
-    extremal = tuple(
-        sorted(passed_by_order.get(exact_v, []), key=lambda e: e.certificate)
-        if exact_v is not None
-        else []
-    )
+            exact_v, extremal = n, passed
     return SearchReport(
         k=k,
         lam=lam_f,

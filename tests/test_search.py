@@ -159,7 +159,7 @@ def test_index_hits_agree_with_bruteforce_classifier():
         kept = [brute_force_certificate(from_graph6(cert)) for cert in certs]
         assert len(set(kept)) == len(kept) == want
         assert set(kept) == {brute_force_certificate(g) for g in graphs}
-        assert certs == {search.canonical_form(g).certificate for g in graphs}
+        assert set(certs) == {search.canonical_form(g).certificate for g in graphs}
 
 
 def test_dedup_cross_checks_certificates(monkeypatch):
@@ -185,9 +185,9 @@ def test_enum_walks_once_per_class(monkeypatch):
     monkeypatch.setattr(search, "canonical_form", counted)
     for (k, n), classes in (((3, 12), 85), ((4, 10), 59)):
         calls[0] = 0
-        info: dict = {}
-        assert len(search.enum_connected_regular(k, n, _info=info)) == calls[0] == classes, (k, n)
-        assert info["candidates"] > classes, (k, n)
+        counts = search.v_search(k, k, n, prune=False).counts
+        assert calls[0] == sum(c.classes for c in counts.values()), (k, n)
+        assert counts[n].classes == classes < counts[n].candidates, (k, n)
 
 
 def _refine_reference(bits, cells, splitters=None):
@@ -518,22 +518,6 @@ def test_second_eigenvalue_at_most_exact():
     assert not search.second_eigenvalue_at_most(complete_bipartite(3, 3), Fraction(-1, 2))
 
 
-def test_v_search_results():
-    r = search.v_search(2, 0, 8)
-    assert r.exact_v == 4 and r.unique and r.complete
-    assert search.canonical_form(complete_bipartite(2, 2)).certificate == \
-        r.extremal[0].certificate
-    r = search.v_search(3, -0.5, 8)
-    assert r.exact_v == 4 and r.unique
-    assert search.canonical_form(complete(4)).certificate == r.extremal[0].certificate
-    r = search.v_search(2, 1, 10)
-    assert r.exact_v == 6
-    r = search.v_search(3, 0, 10)
-    assert r.exact_v == 6 and r.unique
-    assert search.canonical_form(complete_bipartite(3, 3)).certificate == \
-        r.extremal[0].certificate
-
-
 def test_v_search_monotone_in_lambda():
     values = [search.v_search(3, lam, 10).exact_v for lam in (-0.5, 0, 1)]
     assert values == sorted(values)
@@ -558,15 +542,6 @@ def test_v_search_extremal_revalidation():
     assert search.canonical_form(petersen()).certificate == r.extremal[0].certificate
 
 
-def test_v_search_reaches_the_clebsch_graph():
-    # at (5, 1) the cut on saturated-plus-one subgraphs reaches order 16 =
-    # 3k + 1, the bound at lambda = 1, and finds one graph there: the Clebsch
-    # graph, the one graph with spectrum 5, 1^10, (-3)^5
-    r = search.v_search(5, 1, 16)
-    assert r.complete and r.exact_v == 16 and r.unique
-    assert spectrum_is(r.extremal[0].graph(), {5: 1, 1: 10, -3: 5})
-
-
 def test_v_search_lower_bound_witness():
     # integer lambda, k = lambda * a: order 2k + 2*lambda is reached
     r = search.v_search(2, 1, 6)
@@ -586,12 +561,11 @@ def test_boundary_graph_above_order_12_settled_exactly():
     g = line_graph(petersen())
     assert g.n == 15 and set(g.degrees()) == {4}
     cf = search.canonical_form(g)
-    canonical = g.relabel(cf.labeling)
-    at = search._judge(canonical, Fraction(2))
+    at = search._judge(cf.certificate, 4, Fraction(2))
     assert at is not None and at.boundary
     assert at.certificate == cf.certificate
     # just below 2 the float filter (+1e-9 benefit) would accept; exact rejects
-    assert search._judge(canonical, Fraction(2) - Fraction(1, 10**10)) is None
+    assert search._judge(cf.certificate, 4, Fraction(2) - Fraction(1, 10**10)) is None
 
 
 def test_prune_verdicts_memoized_per_order(monkeypatch):
@@ -709,30 +683,6 @@ def test_forward_check_cuts_a_block_at_the_parent(monkeypatch):
     assert 0b110001 in children
     assert solved.count(p3.adj.tobytes()) == 1
     assert solved.count(triangle.adj.tobytes()) == 1
-
-
-def test_v_search_orders_match_standalone_enumeration(monkeypatch):
-    # every order's outcome in v_search is that of a standalone call:
-    # candidates and the canonical graphs of the classes
-    standalone = search.enum_connected_regular
-    recorded: dict = {}
-
-    def recording(k, n, *args, _info=None, **kwargs):
-        graphs = standalone(k, n, *args, _info=_info, **kwargs)
-        recorded[n] = (dict(_info), graphs)
-        return graphs
-
-    monkeypatch.setattr(search, "enum_connected_regular", recording)
-    for k, lam, n_max in ((3, Fraction(3, 2), 12), (4, 1, 10)):
-        recorded.clear()
-        report = search.v_search(k, lam, n_max)
-        assert sorted(recorded) == [n for n in range(k + 1, n_max + 1) if k * n % 2 == 0]
-        for n, (info, graphs) in recorded.items():
-            alone: dict = {}
-            assert standalone(k, n, prune_lam=lam, _info=alone) == graphs, (k, n)
-            assert alone == info, (k, n)
-            counts = report.counts[n]
-            assert (counts.candidates, counts.classes) == (info["candidates"], len(graphs))
 
 
 def test_pruned_candidates_per_order_pinned():
@@ -940,11 +890,19 @@ def test_v_search_other_workers_refused(workers):
 
 def test_prune_lam_takes_any_rational():
     # the prune compares against float(lam) + INTERLACING_TOL, and "5/3",
-    # Fraction(5, 3) and the v_search threshold give one result
+    # Fraction(5, 3) and the v_search threshold give one result: every
+    # order's candidates and classes in v_search are those of a standalone
+    # pass, and the odd orders have none
     want = search.enum_connected_regular(3, 12, prune_lam=Fraction(5, 3))
     assert want and search.enum_connected_regular(3, 12, prune_lam="5/3") == want
     report = search.v_search(3, "5/3", 12)
     assert report.counts[12].classes == len(want)
+    for n, c in report.counts.items():
+        alone = (0, 0)
+        if n % 2 == 0:
+            candidates = sum(1 for _ in search._candidate_rows(3, n, Fraction(5, 3)))
+            alone = (candidates, len(search.enum_connected_regular(3, n, prune_lam="5/3")))
+        assert (c.candidates, c.classes) == alone, n
     assert report.same_result(search.v_search(3, "5/3", 12, prune=False))
 
 

@@ -58,6 +58,9 @@ RULES = [
     Rule("search-below-bounds", r"from \.bounds|from \. import .*\bbounds\b", files="search.py"),
     # the search's one eigensolve is the prune's
     Rule("one-cut", r"kernel\.sym_eigenvalues", files="search.py", inside="spectral_prune"),
+    # each order reaches the report as the dedup's (candidates, certificates):
+    # no count side channel, no parity flag, no re-encoding of a certificate
+    Rule("one-order-path", r"_info\b|parity_skipped|to_graph6", files="search.py"),
 ]
 
 
@@ -118,6 +121,8 @@ PLANTED = [
     ("one-search-process", "search.py", "def f(stop_depth):\n", 1),
     ("search-below-bounds", "search.py", "from . import kernel\nfrom .bounds import Real\n", 2),
     ("search-below-bounds", "search.py", "from . import bounds, kernel\n", 1),
+    ("one-order-path", "search.py", "x = 1\ndef f(k, n, _info=None):\n", 2),
+    ("one-order-path", "search.py", "OrderCount(0, 0, 0, parity_skipped=True)\n", 1),
     (
         "one-cut",
         "search.py",
