@@ -32,7 +32,7 @@ from .bounds import (
     srg_mu_check,
     thresholds,
 )
-from .errors import CapExceededError, ConsistencyError, UnsupportedSizeError
+from .errors import ConsistencyError, UnsupportedSizeError
 from .graphs import (
     DistanceLayers,
     Graph,
@@ -68,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundCertificate",
-    "CapExceededError",
     "CliqueFamily",
     "CliquePartition",
     "ConsistencyError",

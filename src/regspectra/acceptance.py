@@ -293,19 +293,12 @@ def criterion_08():
         if association.hypothesis_report(g, 2, 9):
             continue  # hypotheses violated; not part of this suite
         hg, part = association.associate(g, 2, 9)
-        fam = part.family
+        # partition_classes warns on every unrelated pair within a class
         if part.warnings:
             return False, {"warnings": list(part.warnings)}, ""
-        for cls in part.classes:
-            for i in range(len(cls)):
-                for j in range(i + 1, len(cls)):
-                    if not association.equiv_nm(
-                        g, fam.cliques[cls[i]], fam.cliques[cls[j]], 2
-                    ):
-                        return False, {}, "transitivity violated"
         if not hg.is_valid():
             return False, {"violations": hg.validate()}, ""
-        if len(fam) > 0:
+        if len(part.family) > 0:
             nonempty_families += 1
         accepted += 1
     return accepted >= 50, {

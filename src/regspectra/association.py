@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .construct import k_tilde
-from .errors import CapExceededError, ConsistencyError
+from .errors import ConsistencyError, UnsupportedSizeError
 from .graphs import Graph, components, contains_induced, members
 from .hoffman import HoffmanGraph
 
@@ -71,12 +71,12 @@ def maximal_cliques(g: Graph, n: int) -> CliqueFamily:
     """All maximal cliques of g with at least n vertices (Bron-Kerbosch, pivoting).
 
     Deterministic: the family is sorted by the sorted vertex tuples.  Raises
-    CapExceededError past CLIQUE_ORDER_CAP vertices or CLIQUE_COUNT_CAP cliques.
+    UnsupportedSizeError past CLIQUE_ORDER_CAP vertices or CLIQUE_COUNT_CAP cliques.
     """
     if n < 1:
         raise ValueError("threshold must be >= 1")
     if g.n > CLIQUE_ORDER_CAP:
-        raise CapExceededError(f"graph order {g.n} exceeds clique cap {CLIQUE_ORDER_CAP}")
+        raise UnsupportedSizeError(f"graph order {g.n} exceeds clique cap {CLIQUE_ORDER_CAP}")
     bits = g.bits()
     found: list[int] = []
 
@@ -85,7 +85,7 @@ def maximal_cliques(g: Graph, n: int) -> CliqueFamily:
             if r.bit_count() >= n:
                 found.append(r)
                 if len(found) > CLIQUE_COUNT_CAP:
-                    raise CapExceededError(
+                    raise UnsupportedSizeError(
                         f"more than {CLIQUE_COUNT_CAP} maximal cliques of size >= {n}"
                     )
             return
@@ -139,7 +139,7 @@ def hypothesis_report(g: Graph, m: int, n: int) -> list[str]:
     warnings = []
     if n < (m + 1) ** 2:
         warnings.append(f"threshold n={n} below (m+1)^2={(m + 1) ** 2}")
-    present, _ = contains_induced(g, k_tilde(m), cap=2 * m + 1)
+    present, _ = contains_induced(g, k_tilde(m))
     if present:
         warnings.append(f"graph contains an induced K~_{2 * m}")
     return warnings

@@ -241,12 +241,7 @@ class KnownValue:
         return self.kind == "infinite"
 
     def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lower": self.lower,
-            "upper": self.upper,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def known_v(k: int, lam: Real) -> KnownValue:
@@ -266,31 +261,24 @@ def known_v(k: int, lam: Real) -> KnownValue:
         return KnownValue(kind="exact", lower=k + 1, upper=k + 1, note="attained only by the complete graph")
     if lam == 0:
         return KnownValue(kind="exact", lower=2 * k, upper=2 * k, note="attained only by the balanced complete bipartite graph")
-    if lam < 1:
-        return KnownValue(
-            kind="interval",
-            lower=2 * k,
-            upper=2 * k + 6,
-            note="monotone between the lambda=0 and lambda=1 values",
-        )
-    if lam == 1:
-        if k >= 11:
-            return KnownValue(kind="exact", lower=2 * k + 2, upper=2 * k + 2,
-                              note="complement of the line graph of K_{2,k+1}")
-        return KnownValue(kind="interval", lower=2 * k + 2, upper=2 * k + 6)
-    # lam > 1
+    if lam == 1 and k >= 11:
+        return KnownValue(kind="exact", lower=2 * k + 2, upper=2 * k + 2,
+                          note="complement of the line graph of K_{2,k+1}")
     if lam * lam >= 4 * (k - 1):
         return KnownValue(kind="infinite", note="bipartite Ramanujan families exceed every order")
     # the largest integer mu <= lam with k = mu * a, a >= 2: lower_bound_graph(mu, a)
-    # has second eigenvalue mu <= lam on 2k + 2mu vertices (mu = 1: the paper's 2k + 2)
-    mu = max(d for d in range(1, min(math.floor(lam), k // 2) + 1) if k % d == 0)
-    return KnownValue(
-        kind="interval",
-        lower=2 * k + 2 * mu,
-        upper=None,
-        note=f"finite, but the additive constant is not explicit; "
-        f"lower end from lower_bound_graph({mu}, {k // mu})",
-    )
+    # has second eigenvalue mu <= lam on 2k + 2mu vertices (mu = 1: the paper's 2k + 2);
+    # below lambda = 1, mu = 0 and K_{k,k} has second eigenvalue 0 on 2k vertices
+    mu = max((d for d in range(1, min(math.floor(lam), k // 2) + 1) if k % d == 0), default=0)
+    witness = f"lower_bound_graph({mu}, {k // mu})" if mu else "K_{k,k}"
+    if lam > 1:
+        return KnownValue(kind="interval", lower=2 * k + 2 * mu, upper=None,
+                          note=f"finite, but the additive constant is not explicit; "
+                          f"lower end from {witness}")
+    # Nozaki's LP bound at lambda = 1, which holds below it too, since v is monotone in lambda
+    return KnownValue(kind="interval", lower=2 * k + 2 * mu, upper=3 * k + 1,
+                      note=f"lower end from {witness}; upper end 3k + 1 from the LP bound at lambda = 1 with "
+                      "f = (x - 1)(x + (k + 1)/2)^2 (Nozaki, Graphs Combin. 31, 2015)")
 
 
 # -- exactly checked lower-bound construction ----------------------------------------

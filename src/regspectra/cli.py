@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import acceptance, association, bounds, construct, formats, hoffman, search, spectra
-from .errors import CapExceededError, ConsistencyError, UnsupportedSizeError
+from .errors import ConsistencyError, UnsupportedSizeError
 from .graphs import Graph
 
 
@@ -308,10 +308,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except (UnsupportedSizeError, CapExceededError, MemoryError) as exc:
+    except (UnsupportedSizeError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

@@ -1,12 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per kind of failure; the
+command line maps `UnsupportedSizeError` to exit code 3, any other
+`ValueError` to 2 and `ConsistencyError` to 1."""
 
 
 class UnsupportedSizeError(ValueError):
-    """Input exceeds a size cap (pattern too large, search regime exceeded)."""
-
-
-class CapExceededError(RuntimeError):
-    """A resource cap was hit (e.g. too many maximal cliques to enumerate)."""
+    """An input exceeds a size cap: a clique, Ramsey, search or canonical
+    labelling cap, or the int64 range of an exact spectrum check."""
 
 
 class ConsistencyError(RuntimeError):

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import ConsistencyError
+
 Poly = list[Fraction]
 
 
@@ -44,7 +46,7 @@ def charpoly(matrix) -> Poly:
     for k in range(1, n + 1):
         ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
         if rem:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible by k")
+            raise ConsistencyError("Faddeev-LeVerrier trace not divisible by k")
         coeffs[n - k] = ck
         if k == n:
             break

@@ -18,10 +18,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedSizeError
-
-INDUCED_PATTERN_CAP = 12
-
 
 class Graph:
     """Immutable simple graph on vertices 0..n-1 with dense adjacency.
@@ -233,7 +229,6 @@ def diameter(g: Graph) -> float:
 def contains_induced(
     g: Graph,
     h: Graph,
-    cap: int = INDUCED_PATTERN_CAP,
     *,
     colours: Optional[tuple[Sequence, Sequence]] = None,
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -245,7 +240,7 @@ def contains_induced(
     own colour (coloured induced containment).  Backtracking over host
     bitmask domains; a host vertex enters a pattern vertex's domain only when
     it has at least as many neighbours of each colour and at least as many
-    non-neighbours.  Patterns above `cap` vertices are refused.
+    non-neighbours.
 
     Two twin rules (see `twin_classes`) skip interchangeable vertices:
     - host: once host vertex w has failed at a node, its same-colour twins
@@ -259,8 +254,6 @@ def contains_induced(
     depth-first walk returns, is never pruned and is still met first, and
     `found` and `witness` are those of the walk without the rules.
     """
-    if h.n > cap:
-        raise UnsupportedSizeError(f"pattern order {h.n} exceeds cap {cap}")
     n, k = g.n, h.n
     gcol, hcol = colours if colours is not None else ((0,) * n, (0,) * k)
     if len(gcol) != n or len(hcol) != k:

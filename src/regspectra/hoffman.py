@@ -51,8 +51,6 @@ from .errors import ConsistencyError
 from .graphs import Graph, contains_induced
 from .spectra import INTERLACING_TOL, eig_symmetric
 
-HOFFMAN_PATTERN_CAP = 10
-
 
 class HoffmanGraph:
     """Graph plus fat/slim labels; immutable like Graph itself."""
@@ -234,16 +232,14 @@ def contains_hoffman_subgraph(
     """Label-respecting induced subgraph containment.
 
     This is graphs.contains_induced with the fat/slim labels as the two
-    colours, for patterns of at most HOFFMAN_PATTERN_CAP vertices.  Returns
-    (found, witness) with witness[i] the host vertex for pattern vertex i.
+    colours.  Returns (found, witness) with witness[i] the host vertex for
+    pattern vertex i.
     On success the induced-subgraph eigenvalue inequality
     lambda_min(pattern) >= lambda_min(h) is asserted as a post-check.
     """
     h_fat = [h.is_fat(v) for v in range(h.n)]
     pattern_fat = [pattern.is_fat(v) for v in range(pattern.n)]
-    found, witness = contains_induced(
-        h.graph, pattern.graph, HOFFMAN_PATTERN_CAP, colours=(h_fat, pattern_fat)
-    )
+    found, witness = contains_induced(h.graph, pattern.graph, colours=(h_fat, pattern_fat))
     # Induced Hoffman subgraphs cannot have a smaller lambda_min than the host.
     if found and pattern.slim_vertices() and h.slim_vertices():
         if pattern.lambda_min() < h.lambda_min() - INTERLACING_TOL:

@@ -13,7 +13,7 @@ provided for the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -52,13 +52,7 @@ class RamseyValue:
         return self.lower <= value and (self.upper is None or value <= self.upper)
 
     def to_json_obj(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "exact": self.exact,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
+        return asdict(self)
 
 
 def _table_exact(s: int, t: int) -> Optional[int]:
@@ -117,7 +111,7 @@ def ramsey_lookup(s: int, t: int) -> RamseyValue:
 def has_clique(g: Graph, r: int) -> bool:
     """Whether g has r pairwise adjacent vertices (r >= 1), by the one
     induced-subgraph matcher."""
-    return r >= 1 and contains_induced(g, complete(r), cap=r)[0]
+    return r >= 1 and contains_induced(g, complete(r))[0]
 
 
 def has_coclique(g: Graph, r: int) -> bool:
@@ -140,7 +134,7 @@ def every_graph_arrows(n: int, s: int, t: int) -> bool:
     too.  A branch that assigns every pair is a graph with neither.  A combo
     of at most one vertex has no pairs, so every graph contains it."""
     if n > 7:
-        raise ValueError("exhaustive check limited to n <= 7 (21 vertex pairs)")
+        raise UnsupportedSizeError("exhaustive check limited to n <= 7 (21 vertex pairs)")
     pairs = [(u, v) for v in range(n) for u in range(v)]
     index = {pq: i for i, pq in enumerate(pairs)}
     # closing[i] = (s masks, t masks) of the combos whose highest pair is i

@@ -89,7 +89,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import kernel
-from .errors import UnsupportedSizeError
+from .errors import ConsistencyError, UnsupportedSizeError
 from .formats import from_graph6, pack_graph6
 from .graphs import Graph, members, reach, twin_classes
 from .spectra import INTERLACING_TOL, Real, eigenvalue_at_most, eigenvalue_at_most_exact, spectrum
@@ -381,7 +381,7 @@ def _dedup(candidates: Iterable[tuple[int, ...]]) -> tuple[int, list[str]]:
             continue
         cert = canonical_form(rows, keys=keys).certificate
         if cert in certs:
-            raise AssertionError("leaf-key rejection missed an isomorphism")
+            raise ConsistencyError("leaf-key rejection missed an isomorphism")
         certs.add(cert)
     return count, sorted(certs)
 
@@ -831,7 +831,7 @@ def _judge(cert: str, k: int, lam: Fraction) -> Optional[ExtremalGraph]:
     `boundary` records that its exact leg decided."""
     g = from_graph6(cert)
     if set(g.degrees()) != {k} or not g.is_connected():
-        raise AssertionError("generator produced an invalid graph")
+        raise ConsistencyError("generator produced an invalid graph")
     spec = spectrum(g)
     accept, boundary = eigenvalue_at_most(g, 2, lam, spec.values())
     if not accept:

@@ -92,12 +92,7 @@ class Spectrum:
         """i-th largest eigenvalue counting multiplicity (1-indexed)."""
         if not 1 <= i <= self.n:
             raise ValueError(f"index {i} out of range 1..{self.n}")
-        seen = 0
-        for v, m in self.pairs:
-            seen += m
-            if i <= seen:
-                return v
-        raise AssertionError("unreachable")
+        return self.values()[i - 1]
 
     def second_largest(self) -> float:
         return self.value(2)

@@ -7,7 +7,7 @@ import pytest
 
 from regspectra import association
 from regspectra.construct import complete, cycle, petersen, random_graph
-from regspectra.errors import CapExceededError
+from regspectra.errors import UnsupportedSizeError
 from regspectra.graphs import Graph
 from regspectra.hoffman import attach_universal_fat, catalog, fatten
 
@@ -46,7 +46,7 @@ def test_maximal_cliques_against_oracle():
 def test_clique_caps(monkeypatch):
     # the caps are read at call time
     monkeypatch.setattr(association, "CLIQUE_ORDER_CAP", 4)
-    with pytest.raises(CapExceededError, match="exceeds clique cap 4"):
+    with pytest.raises(UnsupportedSizeError, match="exceeds clique cap 4"):
         association.maximal_cliques(complete(5), 1)
     monkeypatch.undo()
     # cocktail-party graphs have 2^(n/2) maximal cliques
@@ -54,7 +54,7 @@ def test_clique_caps(monkeypatch):
 
     monkeypatch.setattr(association, "CLIQUE_COUNT_CAP", 10)
     g = complete_multipartite([2] * 6)
-    with pytest.raises(CapExceededError, match="more than 10 maximal cliques"):
+    with pytest.raises(UnsupportedSizeError, match="more than 10 maximal cliques"):
         association.maximal_cliques(g, 1)
 
 

@@ -20,6 +20,7 @@ from regspectra.construct import (
 from regspectra.graphs import Graph, regularity_params
 from regspectra.spectra import lambda_min_at_least
 from oracles import bfs_pair_data
+import parity_grid
 
 
 def _lambda_min_at_least(g: Graph, lam) -> bool:
@@ -155,7 +156,7 @@ def test_known_v():
     assert bounds.known_v(11, 1).value == 24
     assert bounds.known_v(20, 1).value == 42
     kv = bounds.known_v(3, 1)
-    assert kv.kind == "interval" and kv.lower == 8 and kv.upper == 12
+    assert kv.kind == "interval" and kv.lower == 8 and kv.upper == 10
     assert bounds.known_v(2, 2).kind == "infinite"
     assert bounds.known_v(5, 4).kind == "infinite"  # 16 = 4(k-1)
     kv = bounds.known_v(9, 2)
@@ -187,6 +188,22 @@ def test_known_v_consistent_with_search():
     for k, lam, n_max in ((2, 0, 8), (3, -0.5, 8), (2, 1, 10), (3, 0, 10)):
         found = v_search(k, lam, n_max).exact_v
         assert bounds.known_v(k, lam).contains(found)
+
+
+def test_known_v_brackets_parity_grid():
+    # every committed search result lies below known_v's upper end, where it
+    # has one; a search that reaches the upper end has covered every order,
+    # so its result is v(k, lambda) and lies above the lower end too
+    reached = 0
+    for (k, lam, n_max), rec in parity_grid.reference().items():
+        kv = bounds.known_v(k, lam)
+        if kv.upper is None:
+            continue
+        assert rec["exact_v"] <= kv.upper, (k, lam)
+        if n_max >= kv.upper:
+            reached += 1
+            assert rec["exact_v"] >= kv.lower, (k, lam)
+    assert reached == 20
 
 
 def test_lower_bound_graph():

@@ -277,6 +277,16 @@ def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
     assert err == "error: Unable to allocate 37.3 GiB for the order-200001 matrix\n"
 
 
+def test_failed_cross_check_is_one_error_line(monkeypatch, capsys):
+    # a labelling that records no leaf keys lets a second candidate of a
+    # class through to the dedup's certificate cross-check
+    real = search.canonical_form
+    monkeypatch.setattr(search, "canonical_form", lambda rows, keys: real(rows))
+    code, out, err = run(capsys, "search", "--k", "3", "--lambda", "2", "--n-max", "10")
+    assert code == 1 and out == ""
+    assert err == "error: leaf-key rejection missed an isomorphism\n"
+
+
 SEARCH = ("search", "--k", "3", "--lambda", "1", "--n-max", "6")
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from regspectra.construct import complement, complete, cycle, edgeless, random_graph
-from regspectra.errors import UnsupportedSizeError
 from regspectra.graphs import Graph, contains_induced
 from regspectra.hoffman import (
     HoffmanGraph,
@@ -186,8 +185,6 @@ def test_contains_hoffman_subgraph():
     # label-respecting: an all-slim triangle is NOT inside q(K2) (whose K3 has a fat vertex)
     tri_slim = HoffmanGraph(complete(3))
     assert not contains_hoffman_subgraph(qk2, tri_slim)[0]
-    with pytest.raises(UnsupportedSizeError):
-        contains_hoffman_subgraph(qk3, HoffmanGraph(complete(11)))
 
 
 def test_contains_hoffman_witness_labels():

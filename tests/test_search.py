@@ -19,7 +19,7 @@ from regspectra.construct import (
     petersen,
     random_graph,
 )
-from regspectra.errors import UnsupportedSizeError
+from regspectra.errors import ConsistencyError, UnsupportedSizeError
 from regspectra.formats import from_graph6, to_graph6
 from regspectra.graphs import Graph, members, reach
 from regspectra.spectra import eig_symmetric, eigenvalue_at_most, spectrum_is
@@ -168,7 +168,7 @@ def test_dedup_cross_checks_certificates(monkeypatch):
     real = search.canonical_form
     monkeypatch.setattr(search, "canonical_form", lambda rows, keys: real(rows))
     g = petersen()
-    with pytest.raises(AssertionError, match="missed an isomorphism"):
+    with pytest.raises(ConsistencyError, match="missed an isomorphism"):
         search._dedup([g.bits(), _relabelled(g, random.Random(3)).bits()])
 
 

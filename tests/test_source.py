@@ -61,6 +61,9 @@ RULES = [
     # each order reaches the report as the dedup's (candidates, certificates):
     # no count side channel, no parity flag, no re-encoding of a certificate
     Rule("one-order-path", r"_info\b|parity_skipped|to_graph6", files="search.py"),
+    # a size refusal is an UnsupportedSizeError and a failed cross-check a
+    # ConsistencyError; no pattern cap that no caller meets
+    Rule("one-failure-kind", r"CapExceededError|PATTERN_CAP|raise (AssertionError|ArithmeticError)"),
 ]
 
 
@@ -123,6 +126,8 @@ PLANTED = [
     ("search-below-bounds", "search.py", "from . import bounds, kernel\n", 1),
     ("one-order-path", "search.py", "x = 1\ndef f(k, n, _info=None):\n", 2),
     ("one-order-path", "search.py", "OrderCount(0, 0, 0, parity_skipped=True)\n", 1),
+    ("one-failure-kind", "association.py", "x = 1\nraise CapExceededError('too many cliques')\n", 2),
+    ("one-failure-kind", "search.py", "raise AssertionError('generator produced an invalid graph')\n", 1),
     (
         "one-cut",
         "search.py",
