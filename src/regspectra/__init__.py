@@ -12,7 +12,6 @@ from .association import (
     CliqueFamily,
     CliquePartition,
     associate,
-    equiv_nm,
     maximal_cliques,
     partition_classes,
     quasi_clique,
@@ -92,7 +91,6 @@ __all__ = [
     "distance_layers",
     "eig_symmetric",
     "enum_connected_regular",
-    "equiv_nm",
     "fatten",
     "isolated_vertex_bound_check",
     "known_v",

@@ -128,12 +128,6 @@ def quasi_clique(g: Graph, clique: frozenset[int], m: int) -> frozenset[int]:
     )
 
 
-def equiv_nm(g: Graph, c1: frozenset[int], c2: frozenset[int], m: int) -> bool:
-    """Mutual at-most-(m-1)-non-neighbors predicate between two cliques of g:
-    each lies in the other's quasi-clique."""
-    return c1 <= quasi_clique(g, c2, m) and c2 <= quasi_clique(g, c1, m)
-
-
 def hypothesis_report(g: Graph, m: int, n: int) -> list[str]:
     """Warnings for violated hypotheses (n >= (m+1)^2, no induced K~_{2m})."""
     warnings = []
@@ -149,16 +143,16 @@ def partition_classes(fam: CliqueFamily, m: int) -> CliquePartition:
     """Classes of the mutual-non-neighbor relation over a clique family.
 
     Each clique's quasi-clique is computed once, and two cliques are related
-    when each lies in the other's quasi-clique (`equiv_nm`).  The relation is
-    held as bit rows over the clique indices, and its classes (the
-    transitive closure of the pairwise predicate) are their connected
-    components, in order of least index, members sorted.  When the predicate
-    fails to be transitive on a class (possible only when the hypotheses are
-    violated), a warning is recorded for each unrelated pair.  A class's
-    quasi-clique is that of its lexicographically least representative, and
-    every other representative's is compared with it: a class where they
-    differ gets one warning, or raises ConsistencyError when the hypotheses
-    hold and nothing else was warned about.
+    when each lies in the other's quasi-clique.  The relation is held as bit
+    rows over the clique indices, and its classes (the transitive closure of
+    the pairwise predicate) are their connected components, in order of
+    least index, members sorted.  When the predicate fails to be transitive
+    on a class (possible only when the hypotheses are violated), a warning is
+    recorded for each unrelated pair.  A class's quasi-clique is that of its
+    lexicographically least representative, and every other
+    representative's is compared with it: a class where they differ gets one
+    warning, or raises ConsistencyError when the hypotheses hold and nothing
+    else was warned about.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

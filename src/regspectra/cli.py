@@ -9,12 +9,11 @@ belongs to the leaves that print JSON, and a graph file's format is inferred
 from its text.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
-exceeded (a search whose range the caps cut still prints its report, marked
-incomplete, and exits 3; an input too large for memory prints one `error:`
-line and exits 3 too).  `--lambda` accepts exact rationals ("3/2") as well
-as decimals so floor-based thresholds never misround; `construct
-lower-bound-graph` and `bounds mu-bound` need an integer value ("2", "4/2"
-or "2.0").
+exceeded (a search past the caps or an input too large for memory prints
+one `error:` line and no report).  `--lambda` accepts exact rationals
+("3/2") as well as decimals so floor-based thresholds never misround;
+`construct lower-bound-graph` and `bounds mu-bound` need an integer value
+("2", "4/2" or "2.0").
 """
 
 from __future__ import annotations
@@ -184,12 +183,10 @@ def _search(args) -> int:
     else:
         print(f"v(k={report.k}, lambda={report.lam_exact}) over n <= {report.n_max}: "
               f"{report.exact_v if report.exact_v is not None else 'none found'}")
-        if not report.complete:
-            print("warning: caps cut the range; report incomplete")
         for e in report.extremal:
             flags = " boundary" if e.boundary else ""
             print(f"  extremal {e.certificate} lambda_2={e.second_largest:.10g}{flags}")
-    return 0 if report.complete else 3
+    return 0
 
 
 def _verify(args) -> int:

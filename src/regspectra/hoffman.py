@@ -191,21 +191,10 @@ def fatten(h: HoffmanGraph, p: int) -> Graph:
 def fattening_lambda_min_sequence(h: HoffmanGraph, p_max: int) -> list[float]:
     """lambda_min(G(h, p)) for p = 1..p_max, from the equitable quotient.
 
-    G(h, p) is never built.  With s slim and f fat vertices, A_S the slim
-    adjacency and C = h.incidence(), each fat vertex of h is a block of p
-    clique vertices in G(h, p), joined to that fat vertex's slim neighbours:
-
-    - a vector summing to zero on one block and zero elsewhere is an
-      eigenvector for -1; these span f(p - 1) dimensions of its eigenspace;
-    - the block-constant vectors span the complementary invariant subspace,
-      on which A(G(h, p)) acts as the quotient M = [[A_S, pC], [C^T, (p-1)I]];
-    - with D = diag(1_s, p 1_f), M is similar to the symmetric
-      Q_p = D^(1/2) M D^(-1/2) = [[A_S, sqrt(p) C], [sqrt(p) C^T, (p-1)I]].
-
-    So lambda_min(G(h, p)) = min(lambda_min(Q_p), -1), the -1 counting only
-    when p >= 2 and f >= 1; and lambda_min(Q_p) <= -1 whenever f >= 1 (the
-    module docstring has the Schur-complement proof), so the value is
-    lambda_min(Q_p), one eigensolve of order s + f per p.
+    G(h, p) is never built: each value is lambda_min of the symmetric
+    quotient Q_p = [[A_S, sqrt(p) C], [sqrt(p) C^T, (p-1)I]] (A_S the slim
+    adjacency, C = h.incidence()), one eigensolve of order s + f per p.  The
+    module docstring derives the identity.
     """
     h._require_valid()
     slim = h.slim_vertices()

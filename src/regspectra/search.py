@@ -33,9 +33,9 @@ signatures are packed ints, and a leaf key is built from the set bits of the
 rows rather than from all n(n-1)/2 pairs.
 
 The completion yields only connected graphs and never tests it at a leaf:
-for k >= 1 the last feasibility check, made with no unsaturated vertex left,
-cuts a saturated component that is not the whole graph, so every completed
-graph has passed it; for k = 0 the one graph is edgeless, connected iff n = 1.
+the last feasibility check, made with no unsaturated vertex left, cuts a
+saturated component that is not the whole graph, so every completed graph
+has passed it.
 
 The completion is rooted: vertex 0 carries the lexicographically largest
 vertex invariant I(w) = (t(w), q(w)) of the completed graph, where t(w)
@@ -536,9 +536,8 @@ def _complete_from(
     free = ((1 << n) - 1) & ~sat
     v = (free & -free).bit_length() - 1 if free else n
     if not free:  # every vertex has degree k
-        # connected (see the module docstring): for k >= 1 by the last
-        # `_feasible`'s closed-component cut; for k = 0 the graph is edgeless
-        if (k or n == 1) and _rooted(rows):
+        # connected by the last `_feasible`'s closed-component cut
+        if _rooted(rows):
             yield tuple(rows)
         return
     if verdicts is None:
@@ -694,11 +693,20 @@ def _candidate_rows(k: int, n: int, prune_lam: Optional[Real]):
     """Yields the completed labeled candidates (row tuples), in batches of
     _STREAM_BATCH straight from the completion.  With `prune_lam` set, the
     prune compares against its float."""
-    sat = 0 if k else (1 << n) - 1  # the empty graph; with k = 0 it is complete
     lam = None if prune_lam is None else float(Fraction(prune_lam))
-    completion = _complete_from(k, n, [0] * n, sat, lam)
+    completion = _complete_from(k, n, [0] * n, 0, lam)
     while batch := list(islice(completion, _STREAM_BATCH)):
         yield from batch
+
+
+def _check_range(k: int, n: int) -> None:
+    """The search layer's one range rule: 1 <= k < n, within the caps."""
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if k > DEFAULT_MAX_K or n > DEFAULT_MAX_N:
+        raise UnsupportedSizeError(
+            f"(k={k}, n={n}) beyond caps (max_k={DEFAULT_MAX_K}, max_n={DEFAULT_MAX_N})"
+        )
 
 
 def enum_connected_regular(k: int, n: int, prune_lam: Optional[Real] = None) -> list[Graph]:
@@ -716,14 +724,7 @@ def enum_connected_regular(k: int, n: int, prune_lam: Optional[Real] = None) -> 
     the result is exhaustive for the graphs with second eigenvalue at most
     `prune_lam` (sound for the search driver), not for all graphs.
     """
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
-    if k >= n:
-        raise ValueError("a simple k-regular graph needs n > k")
-    if k > DEFAULT_MAX_K or n > DEFAULT_MAX_N:
-        raise UnsupportedSizeError(
-            f"(k={k}, n={n}) beyond caps (max_k={DEFAULT_MAX_K}, max_n={DEFAULT_MAX_N})"
-        )
+    _check_range(k, n)
     if not parity_ok(k, n):
         return []
     _, certs = _dedup(_candidate_rows(k, n, prune_lam))
@@ -775,7 +776,6 @@ class SearchReport:
     extremal: tuple[ExtremalGraph, ...]
     unique: bool
     counts: dict[int, OrderCount]
-    complete: bool
     pruned: bool
 
     def same_result(self, other: "SearchReport") -> bool:
@@ -800,7 +800,6 @@ class SearchReport:
             "n_max": self.n_max,
             "exact_v": self.exact_v,
             "unique": self.unique,
-            "complete": self.complete,
             "pruned": self.pruned,
             "counts": {
                 str(n_): {
@@ -856,29 +855,23 @@ def v_search(
 
     Every candidate class is re-validated (connected, k-regular) and judged
     by `spectra.eigenvalue_at_most` (exact within 1e-6 of the threshold).
-    When the caps DEFAULT_MAX_K and DEFAULT_MAX_N cut the range, the report
-    is marked incomplete.
+    A range past the caps DEFAULT_MAX_K and DEFAULT_MAX_N raises
+    `UnsupportedSizeError`: no report covers fewer orders than it names.
 
     `workers` is kept only for callers that already pass 1: the search is
     one process, and any other value raises `ValueError`.
     """
     if workers != 1:
         raise ValueError(f"the search runs in one process; workers must be 1, got {workers!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n_max < k + 1:
-        raise ValueError("n_max must allow at least k+1 vertices")
+    _check_range(k, n_max)
     lam_fr = Fraction(lam)
     lam_f = float(lam_fr)
-
-    complete = k <= DEFAULT_MAX_K and n_max <= DEFAULT_MAX_N
-    n_cap = min(n_max, DEFAULT_MAX_N) if k <= DEFAULT_MAX_K else k  # empty range when k too big
 
     counts: dict[int, OrderCount] = {}
     exact_v: Optional[int] = None
     extremal: tuple[ExtremalGraph, ...] = ()
     # orders go up, so the last one that passes anything is exact_v
-    for n in range(k + 1, n_cap + 1):
+    for n in range(k + 1, n_max + 1):
         if not parity_ok(k, n):
             counts[n] = OrderCount(0, 0, 0)
             continue
@@ -896,6 +889,5 @@ def v_search(
         extremal=extremal,
         unique=len(extremal) == 1,
         counts=counts,
-        complete=complete,
         pruned=prune,
     )

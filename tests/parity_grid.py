@@ -8,21 +8,22 @@ grid it holds the CLOSING searches, whose n_max lies past the answer, so
 they show that no larger graph exists: v(4, 1) = 12, v(5, 1) = v(5, 5/4) = 16
 and v(4, 3/2) = 14.
 
-    python tests/parity_grid.py                  # GRID through `regspectra`
+    PYTHONPATH=src python tests/parity_grid.py           # check GRID
     PYTHONPATH=src python tests/parity_grid.py --write   # rewrite the file
 
-The check runs each case of GRID through the console script (about 25 s of
-CPU) and exits 1 on the first case that differs; Tier-1
-(`test_search.py::test_parity_grid`) checks the SMALL and CLOSING cases in
-process.
+The check runs each case of GRID in process (about 25 s of CPU) and exits 1
+on the first case that differs; Tier-1 (`test_search.py::test_parity_grid`)
+checks the SMALL and CLOSING cases through the same comparison, `moved`.
 The file was written once by `--write`; a change that rewrites it names each
 case that moved and why.
 """
 
 import json
-import subprocess
 import sys
+from functools import cache
 from pathlib import Path
+
+from regspectra.search import v_search
 
 LAMBDAS = ("-1", "0", "1/2", "1", "5/4", "3/2", "5/3", "2", "9/4", "5/2", "3", "7/2")
 GRID = ((2, 12), (3, 14), (4, 11), (5, 10))  # (k, n_max), each with every lambda
@@ -44,14 +45,20 @@ def record(obj: dict) -> dict:
     }
 
 
+@cache
 def reference() -> dict:
-    """(k, lambda, n_max) -> record, from the committed file."""
+    """(k, lambda, n_max) -> record, from the committed file, read once."""
     return {(r["k"], r["lambda"], r["n_max"]): r for r in json.loads(REFERENCE.read_text())}
 
 
-def _write() -> None:
-    from regspectra.search import v_search
+def moved(k: int, lam: str, n_max: int) -> list[str]:
+    """The fields of the case's record that the search no longer reproduces."""
+    got = record(v_search(k, lam, n_max).to_json_obj())
+    want = reference()[k, lam, n_max]
+    return [f for f, v in got.items() if v != want[f]]
 
+
+def _write() -> None:
     shapes = sorted(set(GRID) | set(SMALL))
     cases = [(k, lam, n) for k, n in shapes for lam in LAMBDAS] + list(CLOSING)
     records = [record(v_search(k, lam, n).to_json_obj()) for k, lam, n in cases]
@@ -65,16 +72,10 @@ def main(argv: list[str]) -> int:
     if argv:
         _write()
         return 0
-    want = reference()
     for k, n_max in GRID:
         for lam in LAMBDAS:
-            command = ["regspectra", "search", "--k", str(k), "--lambda", lam,
-                       "--n-max", str(n_max), "--json"]
-            out = subprocess.run(command, capture_output=True, text=True, check=True)
-            got = record(json.loads(out.stdout))
-            moved = [f for f, v in got.items() if v != want[k, lam, n_max][f]]
-            if moved:
-                print(f"parity grid: (k={k}, lambda={lam}, n_max={n_max}) moved in {moved}",
+            if fields := moved(k, lam, n_max):
+                print(f"parity grid: (k={k}, lambda={lam}, n_max={n_max}) moved in {fields}",
                       file=sys.stderr)
                 return 1
     print(f"parity grid: {len(GRID) * len(LAMBDAS)} cases unchanged")

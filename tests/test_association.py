@@ -58,29 +58,26 @@ def test_clique_caps(monkeypatch):
         association.maximal_cliques(g, 1)
 
 
-def test_equiv_nm():
-    g = complete(6)
-    fam = association.maximal_cliques(g, 3)
-    c = fam.cliques[0]
-    assert association.equiv_nm(g, c, c, 1)  # identical: zero non-neighbors
-    # two disjoint cliques with nothing between them
+def test_partition_disjoint_cliques():
+    # two disjoint cliques with nothing between them are never related
     from regspectra.construct import disjoint_union
 
-    g2 = disjoint_union(complete(4), complete(4))
-    fam2 = association.maximal_cliques(g2, 4)
-    assert len(fam2) == 2
-    assert not association.equiv_nm(g2, fam2.cliques[0], fam2.cliques[1], 3)
+    g = disjoint_union(complete(4), complete(4))
+    fam = association.maximal_cliques(g, 4)
+    assert len(fam) == 2
+    assert association.partition_classes(fam, 3).classes == ((0,), (1,))
 
 
-def test_equiv_nm_overlapping_cliques():
-    # two size-4 cliques sharing all but one vertex; privates non-adjacent
+def test_partition_overlapping_cliques():
+    # two size-4 cliques sharing all but one vertex; privates non-adjacent,
+    # so each has one non-neighbour in the other: related iff m >= 2
     edges = [(u, v) for u, v in combinations(range(4), 2)]  # K4 on 0..3
     edges += [(u, 4) for u in (1, 2, 3)]  # 4 joined to 1,2,3 but not 0
     g = Graph.from_edges(5, edges)
     fam = association.maximal_cliques(g, 4)
     assert len(fam) == 2
-    assert association.equiv_nm(g, fam.cliques[0], fam.cliques[1], 2)
-    assert not association.equiv_nm(g, fam.cliques[0], fam.cliques[1], 1)
+    assert association.partition_classes(fam, 2).classes == ((0, 1),)
+    assert association.partition_classes(fam, 1).classes == ((0,), (1,))
 
 
 def test_quasi_clique_contains_representative():

@@ -238,13 +238,15 @@ def test_cap_exit_code(capsys):
 
 
 def test_capped_search_exits_3(capsys):
-    # n_max 18 is above the order cap 16: the report covers orders <= 16 only
-    code, out, _ = run(capsys, "search", "--k", "3", "--lambda", "0", "--n-max", "18", "--json")
-    assert code == 3
-    blob = json.loads(out)
-    assert blob["complete"] is False and blob["exact_v"] == 6
-    code, out, _ = run(capsys, "search", "--k", "3", "--lambda", "0", "--n-max", "18")
-    assert code == 3 and "report incomplete" in out
+    # a range past either cap is refused before any order is searched: a
+    # report over fewer orders than asked would read as v(k, lambda)
+    for k, n_max in ((3, search.DEFAULT_MAX_N + 2), (search.DEFAULT_MAX_K + 1, 19)):
+        for json_flag in ((), ("--json",)):
+            argv = ("search", "--k", str(k), "--lambda", "1", "--n-max", str(n_max), *json_flag)
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == "", argv
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+            assert "beyond caps" in err, argv
 
 
 def test_spectrum_of_edgeless_graph(tmp_path, capsys):

@@ -64,6 +64,9 @@ RULES = [
     # a size refusal is an UnsupportedSizeError and a failed cross-check a
     # ConsistencyError; no pattern cap that no caller meets
     Rule("one-failure-kind", r"CapExceededError|PATTERN_CAP|raise (AssertionError|ArithmeticError)"),
+    # a search past the caps is refused, never reported over a cut range;
+    # the clique relation is tested only inside partition_classes
+    Rule("one-search-range", r"\.complete\b|complete=|\bn_cap\b|equiv_nm"),
 ]
 
 
@@ -128,6 +131,8 @@ PLANTED = [
     ("one-order-path", "search.py", "OrderCount(0, 0, 0, parity_skipped=True)\n", 1),
     ("one-failure-kind", "association.py", "x = 1\nraise CapExceededError('too many cliques')\n", 2),
     ("one-failure-kind", "search.py", "raise AssertionError('generator produced an invalid graph')\n", 1),
+    ("one-search-range", "cli.py", "x = 1\nreturn 0 if report.complete else 3\n", 2),
+    ("one-search-range", "search.py", "n_cap = min(n_max, DEFAULT_MAX_N)\n", 1),
     (
         "one-cut",
         "search.py",
@@ -156,6 +161,7 @@ ALLOWED = [
     ("one-twin-rule", "graphs.py", "def twin_classes(bits):\n"),
     ("one-parser-per-command", "search.py", "if args.command == 'search':\n"),
     ("search-below-bounds", "acceptance.py", "from .bounds import known_v\n"),
+    ("one-search-range", "acceptance.py", "g = construct.complete_multipartite(parts)\n"),
     (
         "one-cut",
         "search.py",
