@@ -193,23 +193,21 @@ def fattening_lambda_min_sequence(h: HoffmanGraph, p_max: int) -> list[float]:
 
     G(h, p) is never built: each value is lambda_min of the symmetric
     quotient Q_p = [[A_S, sqrt(p) C], [sqrt(p) C^T, (p-1)I]] (A_S the slim
-    adjacency, C = h.incidence()), one eigensolve of order s + f per p.  The
-    module docstring derives the identity.
+    adjacency, C = h.incidence()), of order s + f.  Q_1..Q_p_max go to the
+    eigensolver as one stack.  The module docstring derives the identity.
     """
     h._require_valid()
     slim = h.slim_vertices()
     s = len(slim)
     f = len(h.fat)
     c = h.incidence()
-    q = np.zeros((s + f, s + f))
-    q[:s, :s] = h.graph.adj[np.ix_(slim, slim)]
-    seq = []
-    for p in range(1, p_max + 1):
-        q[:s, s:] = np.sqrt(p) * c
-        q[s:, :s] = q[:s, s:].T
-        q[s:, s:] = (p - 1) * np.eye(f)
-        seq.append(eig_symmetric(q)[-1])
-    return seq
+    p = np.arange(1, p_max + 1)[:, None, None]
+    q = np.zeros((p_max, s + f, s + f))
+    q[:, :s, :s] = h.graph.adj[np.ix_(slim, slim)]
+    q[:, :s, s:] = np.sqrt(p) * c
+    q[:, s:, :s] = np.swapaxes(q[:, :s, s:], 1, 2)
+    q[:, s:, s:] = (p - 1) * np.eye(f)
+    return [vals[-1] for vals in eig_symmetric(q)]
 
 
 # -- induced Hoffman subgraph containment ----------------------------------------

@@ -40,16 +40,17 @@ has passed it.
 The completion is rooted: vertex 0 carries the lexicographically largest
 vertex invariant I(w) = (t(w), q(w)) of the completed graph, where t(w)
 counts the edges among w's neighbours and q(w) sums |N(w) & N(x)|^2 over
-every vertex x (`_invariant`, popcounts of the bit rows).  A completed graph
-is yielded only if no vertex beats vertex 0 (`_rooted`; ties pass), and a
-child is cut as soon as the vertex it completed beats I(0), which is final
-once vertices 0..k are saturated.  No class is lost: the block-prefix rule
-never moves vertex 0, so every class is reached with each of its vertices as
-vertex 0, among them one of maximal I; and t and q only grow as edges are
-added, so on that copy no value met in the tree exceeds I(0).  The rule
-cuts the labelled candidates about five-fold on the unpruned passes (the
-cheap vertex-invariant test of McKay's canonical construction path, J.
-Algorithms 26, 1998); `_dedup` still rejects the isomorphs it leaves.
+every vertex x (`_invariant`, popcounts of the rows of N(w) alone).  A
+completed graph is yielded only if no vertex beats vertex 0 (`_rooted`; ties
+pass), and a child is cut as soon as the vertex it completed beats I(0),
+which is final once vertices 0..k are saturated.  No class is lost: the
+block-prefix rule never moves vertex 0, so every class is reached with each
+of its vertices as vertex 0, among them one of maximal I; and t and q only
+grow as edges are added, so on that copy no value met in the tree exceeds
+I(0).  The rule cuts the labelled candidates about five-fold on the
+unpruned passes (the cheap vertex-invariant test of McKay's canonical
+construction path, J. Algorithms 26, 1998); `_dedup` still rejects the
+isomorphs it leaves.
 
 The pruned completion has one spectral cut, by interlacing (Haemers 1995).
 Let G be a connected k-regular graph on n vertices with lambda_2(G) <=
@@ -389,19 +390,34 @@ def _dedup(candidates: Iterable[tuple[int, ...]]) -> tuple[int, list[str]]:
 def enumerate_all_graphs(n: int) -> list[Graph]:
     """All graphs on n vertices up to isomorphism (vertex extension + canonical
     rejection), each its canonical representative, in certificate order.
-    Intended for n <= 7.  Every extension of a class of the order below by one
-    vertex joined to the vertices of a mask goes through one dedup pass per
-    order, whose certificates, decoded, are the classes of that order."""
+    Intended for n <= 7.  The extensions of the classes of the order below by
+    one vertex joined to the vertices of a mask go through one dedup pass per
+    order, whose certificates, decoded, are the classes of that order.
+
+    An extension is kept only if the new vertex has maximum degree: no old
+    vertex ends with a degree above popcount(mask).  No class is lost: a
+    graph G has a vertex w of maximum degree, G - w is isomorphic to a class
+    P of the order below, and relabelling G so that G - w = P and w is the
+    new vertex makes mask = N(w), an extension the rule keeps.  So the rule
+    thins the candidates and leaves the sorted certificates as they are."""
     if n < 1:
         raise ValueError("n must be >= 1")
+
+    def extensions(graphs: list[Graph], new: int):
+        for g in graphs:
+            bits = g.bits()
+            top = max(row.bit_count() for row in bits)
+            # the old vertices a mask of size `top` must avoid
+            peak = sum(1 << w for w, row in enumerate(bits) if row.bit_count() == top)
+            for mask in range(new):
+                d = mask.bit_count()
+                if d > top or d == top and not mask & peak:
+                    grown = tuple(row | new if mask >> w & 1 else row for w, row in enumerate(bits))
+                    yield grown + (mask,)
+
     graphs = [from_graph6("@")]  # K1
     for size in range(2, n + 1):
-        new = 1 << (size - 1)
-        _, certs = _dedup(
-            tuple(row | new if mask >> w & 1 else row for w, row in enumerate(g.bits())) + (mask,)
-            for g in graphs
-            for mask in range(new)
-        )
+        _, certs = _dedup(extensions(graphs, 1 << (size - 1)))
         graphs = [from_graph6(c) for c in certs]
     return graphs
 
@@ -443,14 +459,27 @@ def _invariant(rows: Sequence[int], w: int) -> int:
     t << 20 | q so that ints compare as the pairs do: t counts the edges
     among w's neighbours (each twice), and q is the sum over every vertex x
     of |N(w) & N(x)|^2.  Both only grow as edges are added.  q is at most
-    n * k^2 < 2^20 for n, k <= 64."""
+    n * k^2 < 2^20 for n, k <= 64.
+
+    Both read only the rows of N(w): t = sum over a in N(w) of
+    |N(a) & N(w)|, and expanding the square, q = sum over ordered pairs a, b
+    in N(w) of |N(a) & N(b)| (a = b gives deg(a)), since a vertex x counts
+    in |N(a) & N(b)| iff a and b both lie in N(w) & N(x).  So a vertex of
+    degree k costs k(k + 1)/2 popcounts, not one per vertex of the graph."""
     row = rows[w]
     t = q = 0
-    for x, r in enumerate(rows):
-        c = (r & row).bit_count()
-        q += c * c
-        if row >> x & 1:
-            t += c
+    seen: list[int] = []
+    rest = row
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        r = rows[b.bit_length() - 1]
+        t += (r & row).bit_count()
+        c = r.bit_count()
+        for s in seen:
+            c += 2 * (r & s).bit_count()
+        q += c
+        seen.append(r)
     return t << 20 | q
 
 

@@ -49,21 +49,21 @@ def _matrix(x) -> np.ndarray:
     return a.astype(np.int64) if a.dtype == bool else a
 
 
-def eig_symmetric(matrix) -> list[float]:
+def eig_symmetric(matrix) -> list:
     """All eigenvalues of a real symmetric matrix or of a graph's adjacency
-    matrix, sorted descending.
+    matrix, sorted descending; of a (b, m, m) stack of matrices, one such
+    list per matrix, from one kernel call.
 
-    Input asymmetry beyond SYMMETRY_TOL (absolute) is rejected.
+    Input asymmetry beyond SYMMETRY_TOL (absolute) in any matrix is rejected.
     """
     a = np.asarray(_matrix(matrix), dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError("matrix must be square, or a stack of square matrices")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    if a.shape[0] > 1 and np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
+    if np.any(np.abs(a - np.swapaxes(a, -1, -2)) > SYMMETRY_TOL):
         raise ValueError(f"matrix is not symmetric within {SYMMETRY_TOL}")
-    vals = kernel.sym_eigenvalues(a)
-    return [float(x) for x in vals[::-1]]
+    return kernel.sym_eigenvalues(a)[..., ::-1].tolist()
 
 
 @dataclass(frozen=True)

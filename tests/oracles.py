@@ -1,6 +1,8 @@
 """Brute-force oracles for the tests: exhaustive over subsets and
 permutations, so only for tiny inputs; the leaf key as a loop over every
 pair; the individualization-refinement tree walked whole, with no pruning;
+the root invariant as a pass over every vertex; every graph of an order
+from every extension of the order below, with no maximum-degree filter;
 a breadth-first search by vertex queue, independent of the package's
 bitmask frontiers; integer eigenvalue
 multiplicities by exact rank, independent of the characteristic polynomial;
@@ -23,7 +25,7 @@ import numpy as np
 
 from regspectra import ramsey, search
 from regspectra.errors import UnsupportedSizeError
-from regspectra.formats import to_graph6
+from regspectra.formats import from_graph6, to_graph6
 from regspectra.graphs import DistanceLayers, Graph
 from regspectra.hoffman import HoffmanGraph, fatten
 from regspectra.exactpoly import Poly
@@ -83,6 +85,36 @@ def leaf_orders_reference(bits: Sequence[int], n: int):
             yield from walk(search._refine(bits, split, [target]))
 
     yield from walk(search._refine(bits, [list(range(n))]))
+
+
+def invariant_reference(rows: Sequence[int], w: int) -> int:
+    """Oracle of `search._invariant`: I(w) = (t(w), q(w)) by its definition,
+    packed as t << 20 | q, one pass over every vertex x: t adds |N(w) & N(x)|
+    for each neighbour x of w, and q adds |N(w) & N(x)|^2 for every x."""
+    row = rows[w]
+    t = q = 0
+    for x, r in enumerate(rows):
+        c = (r & row).bit_count()
+        q += c * c
+        if row >> x & 1:
+            t += c
+    return t << 20 | q
+
+
+def enumerate_all_graphs_reference(n: int) -> list[Graph]:
+    """Oracle of `search.enumerate_all_graphs`: the same dedup passes over
+    every extension of each class of the order below by one vertex, with no
+    maximum-degree filter."""
+    graphs = [from_graph6("@")]  # K1
+    for size in range(2, n + 1):
+        new = 1 << (size - 1)
+        _, certs = search._dedup(
+            tuple(row | new if mask >> w & 1 else row for w, row in enumerate(g.bits())) + (mask,)
+            for g in graphs
+            for mask in range(new)
+        )
+        graphs = [from_graph6(c) for c in certs]
+    return graphs
 
 
 def contains_induced_bruteforce(

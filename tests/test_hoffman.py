@@ -147,21 +147,23 @@ def test_fattening_sequence_matches_fattened_graphs():
 
 
 def test_fattening_sequence_solves_only_the_quotient(monkeypatch):
-    # each p costs one eigensolve of order at most s + f and no fattened graph
-    orders, fattened = [], []
+    # the sequence is one kernel call on a stack of the 30 quotients, each of
+    # order at most s + f, and no fattened graph
+    shapes, fattened = [], []
     solve = kernel.sym_eigenvalues
 
     def recording_solve(matrix):
-        orders.append(len(matrix))
+        shapes.append(np.shape(matrix))
         return solve(matrix)
 
     monkeypatch.setattr(kernel, "sym_eigenvalues", recording_solve)
     monkeypatch.setattr(hoffman, "fatten", lambda *args: fattened.append(args))
     for name, h in catalog():
-        orders.clear()
+        shapes.clear()
         fattening_lambda_min_sequence(h, 30)
-        assert len(orders) == 30, name
-        assert max(orders) <= h.n, name
+        assert len(shapes) == 1, name
+        count, order, _ = shapes[0]
+        assert count == 30 and order <= h.n, name
     assert fattened == []
 
 

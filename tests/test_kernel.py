@@ -65,6 +65,22 @@ def test_validation():
         kernel.sym_eigenvalues(np.zeros(3))
 
 
+def test_stack_equals_each_matrix():
+    # a (b, m, m) stack gives a (b, m) array whose rows are, bit for bit,
+    # the matrices' own solves
+    rng = np.random.default_rng(36)
+    for b, m in ((1, 1), (3, 4), (30, 7)):
+        a = rng.integers(-3, 4, size=(b, m, m)).astype(float)
+        a = a + np.swapaxes(a, 1, 2)
+        vals = kernel.sym_eigenvalues(a)
+        assert vals.shape == (b, m)
+        for i in range(b):
+            assert np.array_equal(vals[i], kernel.sym_eigenvalues(a[i]))
+    for shape in ((2, 3, 4), (2, 2, 3, 3), (2, 0, 0)):
+        with pytest.raises(ValueError):
+            kernel.sym_eigenvalues(np.zeros(shape))
+
+
 def test_reads_lower_triangle_only():
     a = np.array([[2.0, 99.0], [1.0, 2.0]])  # the upper entry is ignored
     assert np.allclose(kernel.sym_eigenvalues(a), [1.0, 3.0])

@@ -27,6 +27,8 @@ from regspectra.spectra import eig_symmetric, eigenvalue_at_most, spectrum_is
 from oracles import (
     bfs_distance_layers,
     brute_force_certificate,
+    enumerate_all_graphs_reference,
+    invariant_reference,
     leaf_key_reference,
     leaf_orders_reference,
 )
@@ -349,8 +351,31 @@ def test_canonical_form_on_bit_rows():
 
 
 def test_enumerate_all_graphs_counts():
-    for n, want in ((1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)):
+    for n, want in ((1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044)):
         assert len(search.enumerate_all_graphs(n)) == want
+
+
+def test_enumerate_all_graphs_matches_unfiltered_extension():
+    # the maximum-degree rule loses no class: the same classes, in the same
+    # order, as the dedup over every extension
+    for n in range(1, 7):
+        assert search.enumerate_all_graphs(n) == enumerate_all_graphs_reference(n), n
+
+
+def test_enumerate_all_graphs_candidates_pinned(monkeypatch):
+    # extensions per order 2..7 that reach the dedup; every extension would
+    # be 2, 8, 32, 176, 1,088 and 9,984
+    counts = []
+    real = search._dedup
+
+    def recording(candidates):
+        count, certs = real(candidates)
+        counts.append(count)
+        return count, certs
+
+    monkeypatch.setattr(search, "_dedup", recording)
+    search.enumerate_all_graphs(7)
+    assert counts == [2, 5, 16, 70, 348, 2690]
 
 
 def _rows_connected(rows) -> bool:
@@ -776,6 +801,27 @@ def test_invariant_counts_triangles_and_common_neighbours():
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]).bits()
     assert search._invariant(paw, 2) > search._invariant(paw, 0)
     assert not search._rooted(paw)
+
+
+def test_invariant_matches_reference():
+    # I(w) from the rows of N(w) alone equals its definition over every
+    # vertex, on partial bit rows of mixed degrees up to k with isolated
+    # vertices left in
+    rng = random.Random(36)
+    degrees = set()
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        k = rng.randint(0, min(7, n - 1))
+        rows = [0] * n
+        for _ in range(rng.randint(0, n * k)):
+            u, w = rng.randrange(n), rng.randrange(n)
+            if u != w and rows[u].bit_count() < k and rows[w].bit_count() < k:
+                rows[u] |= 1 << w
+                rows[w] |= 1 << u
+        for w in range(n):
+            assert search._invariant(rows, w) == invariant_reference(rows, w), (rows, w)
+        degrees.update(row.bit_count() for row in rows)
+    assert degrees == set(range(8))
 
 
 def test_canonical_forms_pinned():

@@ -56,6 +56,8 @@ RULES = [
     Rule("one-search-process", r"multiprocessing|stop_depth"),
     # the search sits below the bounds: it imports nothing from them
     Rule("search-below-bounds", r"from \.bounds|from \. import .*\bbounds\b", files="search.py"),
+    # the kernel is reached through spectra, and from the search's prune alone
+    Rule("one-kernel-door", r"kernel\.sym_eigenvalues\(", exempt=("spectra.py", "search.py")),
     # the search's one eigensolve is the prune's
     Rule("one-cut", r"kernel\.sym_eigenvalues", files="search.py", inside="spectral_prune"),
     # each order reaches the report as the dedup's (candidates, certificates):
@@ -133,6 +135,8 @@ PLANTED = [
     ("one-failure-kind", "search.py", "raise AssertionError('generator produced an invalid graph')\n", 1),
     ("one-search-range", "cli.py", "x = 1\nreturn 0 if report.complete else 3\n", 2),
     ("one-search-range", "search.py", "n_cap = min(n_max, DEFAULT_MAX_N)\n", 1),
+    ("one-kernel-door", "hoffman.py", "seq = kernel.sym_eigenvalues(q)[:, 0]\n", 1),
+    ("one-kernel-door", "acceptance.py", "x = 1\ngmin = kernel.sym_eigenvalues(g.adj)[0]\n", 2),
     (
         "one-cut",
         "search.py",
@@ -162,6 +166,8 @@ ALLOWED = [
     ("one-parser-per-command", "search.py", "if args.command == 'search':\n"),
     ("search-below-bounds", "acceptance.py", "from .bounds import known_v\n"),
     ("one-search-range", "acceptance.py", "g = construct.complete_multipartite(parts)\n"),
+    ("one-kernel-door", "spectra.py", "return kernel.sym_eigenvalues(a)[..., ::-1].tolist()\n"),
+    ("one-kernel-door", "exactpoly.py", "numeric eigenvalue goes through `kernel.sym_eigenvalues`.\n"),
     (
         "one-cut",
         "search.py",

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from regspectra import bounds, exactpoly, spectra
+from regspectra import bounds, exactpoly, kernel, spectra
 from regspectra.construct import (
     complement,
     complete,
@@ -47,6 +47,34 @@ def test_eig_symmetric_validation():
     with pytest.raises(ValueError):
         eig_symmetric([[0.0, math.inf], [math.inf, 0.0]])
     assert eig_symmetric([[0.0] * 4 for _ in range(4)]) == [0.0] * 4
+
+
+def test_eig_symmetric_stack(monkeypatch):
+    # a (b, m, m) stack gives one descending list per matrix, each equal to
+    # the matrix's own call, from one kernel call; the checks cover the
+    # whole stack
+    rng = np.random.default_rng(36)
+    m = rng.normal(size=(6, 5, 5))
+    stack = m + np.swapaxes(m, 1, 2)
+    alone = [eig_symmetric(a) for a in stack]
+    shapes = []
+    solve = kernel.sym_eigenvalues
+
+    def recording_solve(matrix):
+        shapes.append(np.shape(matrix))
+        return solve(matrix)
+
+    monkeypatch.setattr(kernel, "sym_eigenvalues", recording_solve)
+    assert eig_symmetric(stack) == alone
+    assert shapes == [(6, 5, 5)]
+    bad = stack.copy()
+    bad[3, 0, 1] += 1e-9
+    with pytest.raises(ValueError, match="not symmetric"):
+        eig_symmetric(bad)
+    with pytest.raises(ValueError, match="square"):
+        eig_symmetric(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="square"):
+        eig_symmetric(np.zeros((2, 2, 3, 3)))
 
 
 @pytest.mark.parametrize(
