@@ -28,10 +28,13 @@ from .construct import (
     coclique_extension,
     line_graph,
 )
+from .errors import UnsupportedSizeError
 from .graphs import Graph, components, distance_layers, members, regularity_params
 from .hoffman import attach_universal_fat
 from .ramsey import RamseyValue, ramsey_lookup
 from .spectra import Real, eigenvalue_at_most_exact, lambda_min_at_least, spectrum_is
+
+MU_CANDIDATE_CAP = 10**6  # most candidate divisors d of k that known_v tries
 
 
 @dataclass(frozen=True)
@@ -158,11 +161,11 @@ def m_lambda_interval(lam: Real, n_prime: Optional[int] = None) -> tuple[int, Op
     Ramsey interval sharpens both ends.
     """
     lam = Fraction(lam)
+    if lam < 1:
+        raise ValueError("lambda must be >= 1")
     lo = m_lambda_lower(lam)
     if n_prime is None:
         return lo, None
-    if lam < 1:
-        raise ValueError("lambda must be >= 1")
     r = ramsey_lookup(n_prime, t_prime_closed_form(lam))
     upper = None if r.upper is None else max(r.upper, lo)
     return max(r.lower, lo), upper
@@ -245,7 +248,8 @@ class KnownValue:
 
 
 def known_v(k: int, lam: Real) -> KnownValue:
-    """Piecewise-known maximum order for degree k and eigenvalue bound lambda."""
+    """Piecewise-known maximum order for degree k and eigenvalue bound lambda;
+    UnsupportedSizeError when mu has more than MU_CANDIDATE_CAP candidates."""
     if k < 1:
         raise ValueError("k must be >= 1")
     lam = Fraction(lam)
@@ -269,7 +273,10 @@ def known_v(k: int, lam: Real) -> KnownValue:
     # the largest integer mu <= lam with k = mu * a, a >= 2: lower_bound_graph(mu, a)
     # has second eigenvalue mu <= lam on 2k + 2mu vertices (mu = 1: the paper's 2k + 2);
     # below lambda = 1, mu = 0 and K_{k,k} has second eigenvalue 0 on 2k vertices
-    mu = max((d for d in range(1, min(math.floor(lam), k // 2) + 1) if k % d == 0), default=0)
+    top = min(math.floor(lam), k // 2)
+    if top > MU_CANDIDATE_CAP:
+        raise UnsupportedSizeError(f"known_v would try {top} divisors of k, over {MU_CANDIDATE_CAP}")
+    mu = max((d for d in range(1, top + 1) if k % d == 0), default=0)
     witness = f"lower_bound_graph({mu}, {k // mu})" if mu else "K_{k,k}"
     if lam > 1:
         return KnownValue(kind="interval", lower=2 * k + 2 * mu, upper=None,

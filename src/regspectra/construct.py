@@ -86,14 +86,13 @@ def line_graph(g: Graph) -> Graph:
     edges = g.edges()
     if not edges:
         raise ValueError("line graph of an edgeless graph is undefined here")
-    m = len(edges)
-    a = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        u1, v1 = edges[i]
-        for j in range(i + 1, m):
-            u2, v2 = edges[j]
-            if u1 in (u2, v2) or v1 in (u2, v2):
-                a[i, j] = a[j, i] = True
+    # edge-vertex incidence B: two distinct edges meet iff (B B^T)[i, j] > 0
+    u, v = np.array(edges).T
+    rows = np.arange(len(edges))
+    b = np.zeros((len(edges), g.n), dtype=np.int64)
+    b[rows, u] = b[rows, v] = 1
+    a = b @ b.T > 0
+    np.fill_diagonal(a, False)
     return Graph(a)
 
 

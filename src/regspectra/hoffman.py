@@ -102,18 +102,21 @@ class HoffmanGraph:
         if problems:
             raise ValueError("invalid Hoffman graph: " + "; ".join(problems))
 
-    def incidence(self) -> np.ndarray:
-        """Slim-fat 0/1 incidence matrix C (slim rows, fat columns)."""
-        return self.graph.adj[np.ix_(self.slim_vertices(), self.fat_vertices())].astype(np.int64)
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A_S, C) of a valid Hoffman graph: the slim adjacency (bool) and
+        the slim-fat incidence (int64, fat columns), slim rows in increasing
+        id order.  An invalid graph raises ValueError."""
+        self._require_valid()
+        slim = self.slim_vertices()
+        adj = self.graph.adj
+        return adj[np.ix_(slim, slim)], adj[np.ix_(slim, self.fat_vertices())].astype(np.int64)
 
     def special_matrix(self) -> np.ndarray:
         """S = A_slim - C C^T (int64), indexed by the sorted slim vertex list."""
-        self._require_valid()
-        slim = self.slim_vertices()
-        if not slim:
+        a_s, c = self._blocks()
+        if not len(c):
             raise ValueError("Hoffman graph has no slim vertices")
-        c = self.incidence()
-        return self.graph.adj[np.ix_(slim, slim)] - c @ c.T
+        return a_s - c @ c.T
 
     def lambda_min(self) -> float:
         return eig_symmetric(self.special_matrix())[-1]
@@ -173,16 +176,14 @@ def fatten(h: HoffmanGraph, p: int) -> Graph:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    h._require_valid()
-    slim = h.slim_vertices()
-    s = len(slim)
-    f = len(h.fat)
+    a_s, c = h._blocks()
+    s, f = c.shape
     n = s + p * f
     a = np.zeros((n, n), dtype=bool)
-    a[:s, :s] = h.graph.adj[np.ix_(slim, slim)]
+    a[:s, :s] = a_s
     a[s:, s:] = np.kron(np.eye(f, dtype=bool), ~np.eye(p, dtype=bool))
     # fat vertices are pairwise non-adjacent, so the incidence holds every join
-    joins = np.repeat(h.incidence(), p, axis=1)
+    joins = np.repeat(c, p, axis=1)
     a[:s, s:] = joins
     a[s:, :s] = joins.T
     return Graph(a)
@@ -193,17 +194,14 @@ def fattening_lambda_min_sequence(h: HoffmanGraph, p_max: int) -> list[float]:
 
     G(h, p) is never built: each value is lambda_min of the symmetric
     quotient Q_p = [[A_S, sqrt(p) C], [sqrt(p) C^T, (p-1)I]] (A_S the slim
-    adjacency, C = h.incidence()), of order s + f.  Q_1..Q_p_max go to the
-    eigensolver as one stack.  The module docstring derives the identity.
+    adjacency, C the slim-fat incidence), of order s + f.  Q_1..Q_p_max go to
+    the eigensolver as one stack.  The module docstring derives the identity.
     """
-    h._require_valid()
-    slim = h.slim_vertices()
-    s = len(slim)
-    f = len(h.fat)
-    c = h.incidence()
+    a_s, c = h._blocks()
+    s, f = c.shape
     p = np.arange(1, p_max + 1)[:, None, None]
     q = np.zeros((p_max, s + f, s + f))
-    q[:, :s, :s] = h.graph.adj[np.ix_(slim, slim)]
+    q[:, :s, :s] = a_s
     q[:, :s, s:] = np.sqrt(p) * c
     q[:, s:, :s] = np.swapaxes(q[:, :s, s:], 1, 2)
     q[:, s:, s:] = (p - 1) * np.eye(f)

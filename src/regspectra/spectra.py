@@ -1,10 +1,11 @@
 """Spectra of graphs and small matrices.
 
-All eigenvalue work funnels through `kernel.sym_eigenvalues` (LAPACK
-through numpy).  Partition quotients are not symmetric in general, but they
-are diagonally similar to a symmetric matrix, which is what the kernel solves.
+All eigenvalue work funnels through `eig_symmetric`, the one caller of
+`kernel.sym_eigenvalues` (LAPACK through numpy) here.  Partition quotients
+are not symmetric in general, but they are diagonally similar to a symmetric
+matrix, whose grouped spectrum `spectrum` returns.
 
-`eig_symmetric`, `spectrum_is`, `eigenvalue_at_most`,
+`eig_symmetric`, `spectrum`, `spectrum_is`, `eigenvalue_at_most`,
 `eigenvalue_at_most_exact` and `lambda_min_at_least` take a `Graph` (its
 adjacency matrix) or a matrix; `_matrix` is the one place a graph becomes an
 eigensolver input.  A claimed spectrum is checked exactly by `spectrum_is`.
@@ -132,11 +133,12 @@ def group_eigenvalues(values: Sequence[float], tol: float) -> Spectrum:
     return Spectrum(pairs=pairs, tolerance=tol)
 
 
-def spectrum(g: Graph) -> Spectrum:
-    """Adjacency spectrum of g, grouped with GROUP_TOL scaled by the norm."""
-    vals = eig_symmetric(g)
-    norm = max(g.degrees()) if g.n else 0
-    return group_eigenvalues(vals, GROUP_TOL * max(1.0, float(norm)))
+def spectrum(matrix) -> Spectrum:
+    """Spectrum of a graph or of one real symmetric matrix, grouped with GROUP_TOL
+    times max(1, r), r the largest absolute row sum (a graph's largest degree)."""
+    a = _matrix(matrix)
+    vals = eig_symmetric(a)  # checks the input before any norm is taken
+    return group_eigenvalues(vals, GROUP_TOL * max(1.0, float(np.abs(a).sum(-1).max(initial=0))))
 
 
 # -- claimed spectra (exact) ------------------------------------------------------
@@ -258,12 +260,13 @@ class QuotientResult:
     equitable: bool
 
     def spectrum(self) -> Spectrum:
-        """Eigenvalues grouped as `spectrum` groups a graph's, descending.
+        """`spectrum` of the symmetric matrix similar to M.
 
         With D = diag(part sizes), D M counts the edges between parts, so it
         is symmetric, and M is similar to the symmetric D^(1/2) M D^(-1/2),
-        whose (i, j) entry is (D M)[i][j] / sqrt(|P_i| |P_j|).  The check of
-        D M is exact; a hand-built result that fails it, or has an empty part,
+        whose (i, j) entry is (D M)[i][j] / sqrt(|P_i| |P_j|); the grouping
+        tolerance is scaled by that matrix's row sums.  The check of D M is
+        exact; a hand-built result that fails it, or has an empty part,
         raises ValueError.
         """
         sizes = [len(p) for p in self.parts]
@@ -273,11 +276,7 @@ class QuotientResult:
             edges[i][j] != edges[j][i] for i in range(t) for j in range(i)
         ):
             raise ValueError("quotient matrix is not symmetrized by its part sizes")
-        sym = np.array(edges, dtype=np.float64) / np.sqrt(np.outer(sizes, sizes))
-        norm = max(sum(abs(x) for x in row) for row in self.matrix)
-        return group_eigenvalues(
-            kernel.sym_eigenvalues(sym), GROUP_TOL * max(1.0, float(norm))
-        )
+        return spectrum(np.array(edges, dtype=np.float64) / np.sqrt(np.outer(sizes, sizes)))
 
 
 def quotient_matrix(g: Graph, partition: Sequence[Sequence[int]]) -> QuotientResult:

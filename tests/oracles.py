@@ -140,6 +140,21 @@ def contains_induced_bruteforce(
     return False
 
 
+def line_graph_reference(g: Graph) -> Graph:
+    """Oracle of `construct.line_graph`: every pair of edges, in `g.edges()`
+    order, tested for a shared end."""
+    edges = g.edges()
+    m = len(edges)
+    a = np.zeros((m, m), dtype=bool)
+    for i in range(m):
+        u1, v1 = edges[i]
+        for j in range(i + 1, m):
+            u2, v2 = edges[j]
+            if u1 in (u2, v2) or v1 in (u2, v2):
+                a[i, j] = a[j, i] = True
+    return Graph(a)
+
+
 def bfs_distance_layers(g: Graph, x: int) -> DistanceLayers:
     """Oracle: breadth-first distance layers from x by a vertex queue;
     unreachable vertices listed apart."""

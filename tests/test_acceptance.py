@@ -8,10 +8,14 @@ identity at the same tolerance and sample size.  Details in the module
 docstrings of regspectra.hoffman and regspectra.acceptance.
 """
 
+import random
+
 import pytest
 
-from regspectra import acceptance, bounds, search
-from regspectra.construct import disjoint_union, edgeless
+from regspectra import acceptance, bounds, kernel, search
+from regspectra.construct import complement, disjoint_union, edgeless, random_graph
+from regspectra.hoffman import attach_universal_fat
+from regspectra.spectra import eig_symmetric
 
 _XFAIL = pytest.mark.xfail(strict=True, reason="documented defect of the claim as stated")
 
@@ -36,3 +40,23 @@ def test_a6_reports_the_largest_lambda_min_q():
     assert worst == max(
         bounds.isolated_vertex_bound_check(2, h).evidence["lambda_min_q"] for h in hosts
     )
+
+
+def test_a5_and_a5b_solve_their_sample_once(monkeypatch):
+    # the two claims read one solve of the 100-graph sample: two kernel
+    # calls per graph, and the same worst values as a solve per claim
+    calls = []
+    solve = kernel.sym_eigenvalues
+    monkeypatch.setattr(kernel, "sym_eigenvalues", lambda m: calls.append(1) or solve(m))
+    acceptance._universal_fat_pairs.cache_clear()
+    a5, a5b = acceptance.CRITERIA["A5"](), acceptance.CRITERIA["A5b"]()
+    assert len(calls) == 200
+    monkeypatch.undo()
+    rng = random.Random(513)
+    worst = worst_b = 0.0
+    for _ in range(100):
+        h = random_graph(rng.randint(1, 10), rng.uniform(0.1, 0.9), rng)
+        lm, lmax = attach_universal_fat(h).lambda_min(), eig_symmetric(complement(h))[0]
+        worst, worst_b = max(worst, abs(lm + lmax)), max(worst_b, abs(lm + 1.0 + lmax))
+    assert a5.details == {"sample": 100, "worst_abs": worst}
+    assert a5b.details == {"sample": 100, "worst_abs": worst_b}

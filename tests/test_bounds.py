@@ -1,6 +1,7 @@
 """Thresholds, known values, certificates, and the bound checks."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from regspectra.construct import (
     petersen,
     random_graph,
 )
+from regspectra.errors import UnsupportedSizeError
 from regspectra.graphs import Graph, regularity_params
 from regspectra.spectra import lambda_min_at_least
 from oracles import bfs_pair_data
@@ -148,6 +150,8 @@ def test_m_lambda_interval():
     # t' is defined for lambda >= 1 only
     with pytest.raises(ValueError, match="lambda must be >= 1"):
         bounds.m_lambda_interval(Fraction(1, 2), n_prime=3)
+    with pytest.raises(ValueError, match="lambda must be >= 1"):
+        bounds.m_lambda_interval(Fraction(1, 2))
 
 
 def test_known_v():
@@ -166,6 +170,20 @@ def test_known_v():
     assert bounds.known_v(1, 1).value == 2
     with pytest.raises(ValueError):
         bounds.known_v(0, 1)
+
+
+def test_known_v_refuses_past_the_divisor_cap():
+    # mu is sought among d <= min(floor(lambda), k // 2): up to the cap it is
+    # found, one past it the call is refused at once
+    cap = bounds.MU_CANDIDATE_CAP
+    kv = bounds.known_v(10**12, cap)
+    assert kv.kind == "interval" and kv.lower == 2 * 10**12 + 2 * cap
+    with pytest.raises(UnsupportedSizeError, match="divisors"):
+        bounds.known_v(10**12, cap + 1)
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedSizeError):
+        bounds.known_v(10**41, 10**15)
+    assert time.perf_counter() - start < 1
 
 
 def test_known_v_lower_end_is_a_witness():

@@ -35,6 +35,7 @@ from oracles import (
     bfs_distance_layers,
     bfs_pair_data,
     contains_induced_bruteforce,
+    line_graph_reference,
 )
 
 
@@ -104,6 +105,20 @@ def test_line_graph_handshake():
         assert lg.n == g.num_edges()
         for i, (u, v) in enumerate(g.edges()):
             assert lg.degree(i) == g.degree(u) + g.degree(v) - 2
+
+
+def test_line_graph_matches_reference():
+    # the incidence product gives the pairwise loop's graph, vertex for vertex
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(60):
+        g = random_graph(rng.randint(2, 12), rng.uniform(0.1, 0.9), rng)
+        if g.num_edges():
+            assert line_graph(g) == line_graph_reference(g)
+            checked += 1
+    assert checked > 50
+    for g in (petersen(), complete(7), complete_bipartite(2, 5), cycle(9)):
+        assert line_graph(g) == line_graph_reference(g)
 
 
 def test_complement_involution():

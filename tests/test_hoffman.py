@@ -171,6 +171,13 @@ def test_fattening_sequence_rejects_invalid():
     bad = HoffmanGraph(Graph.from_edges(2, []), fat=[1])
     with pytest.raises(ValueError, match="invalid Hoffman graph"):
         fattening_lambda_min_sequence(bad, 3)
+    # fatten refuses it too, and both refuse two adjacent fat vertices
+    adjacent_fats = HoffmanGraph(Graph.from_edges(3, [(0, 1), (1, 2)]), fat=[1, 2])
+    for h in (bad, adjacent_fats):
+        with pytest.raises(ValueError, match="invalid Hoffman graph"):
+            fatten(h, 2)
+        with pytest.raises(ValueError, match="invalid Hoffman graph"):
+            fattening_lambda_min_sequence(h, 3)
 
 
 def test_contains_hoffman_subgraph():

@@ -2,8 +2,9 @@
 
 The design rules of ROADMAP north-star 2 ("one eigensolver", "one BFS", ...)
 are the rows of `RULES`: each names a regex that no line of the files it
-covers may match (but for "one-cut", which wants exactly one matching line,
-inside `spectral_prune`), and each is its own test.  One source rule stays a
+covers may match (but for "one-cut" and "one-spectra-solve", which want
+exactly one matching line, inside `spectral_prune` and `eig_symmetric`),
+and each is its own test.  One source rule stays a
 CI step (`.github/workflows/tests.yml`, "No tracked file matches
 .gitignore"): it asks which files git tracks, which only the git index
 knows, and a test run on an exported tree has no index to ask.
@@ -60,6 +61,14 @@ RULES = [
     Rule("one-kernel-door", r"kernel\.sym_eigenvalues\(", exempt=("spectra.py", "search.py")),
     # the search's one eigensolve is the prune's
     Rule("one-cut", r"kernel\.sym_eigenvalues", files="search.py", inside="spectral_prune"),
+    # spectra's one kernel call is eig_symmetric's: grouped and quotient
+    # spectra go through it
+    Rule(
+        "one-spectra-solve",
+        r"kernel\.sym_eigenvalues\(",
+        files="spectra.py",
+        inside="eig_symmetric",
+    ),
     # each order reaches the report as the dedup's (candidates, certificates):
     # no count side channel, no parity flag, no re-encoding of a certificate
     Rule("one-order-path", r"_info\b|parity_skipped|to_graph6", files="search.py"),
@@ -156,6 +165,18 @@ PLANTED = [
         "    return kernel.sym_eigenvalues(h.adj)[-1] <= lam\n",
         3,
     ),
+    (
+        "one-spectra-solve",
+        "spectra.py",
+        "def eig_symmetric(matrix):\n"
+        "    return kernel.sym_eigenvalues(a)[..., ::-1].tolist()\n"
+        "\n"
+        "\n"
+        "class QuotientResult:\n"
+        "    def spectrum(self):\n"
+        "        return group_eigenvalues(kernel.sym_eigenvalues(sym), tol)\n",
+        7,
+    ),
 ]
 
 # text each rule allows: an exempt file, or the one line the rule expects
@@ -174,6 +195,12 @@ ALLOWED = [
         "def spectral_prune(h, lam, shift):\n"
         "    return kernel.sym_eigenvalues(h.adj - shift)[-1] <= lam\n",
     ),
+    (
+        "one-spectra-solve",
+        "spectra.py",
+        "def eig_symmetric(matrix):\n"
+        "    return kernel.sym_eigenvalues(a)[..., ::-1].tolist()\n",
+    ),
 ]
 
 
@@ -191,6 +218,7 @@ def test_each_rule_fires():
         assert violations(_rule(name), file, text) == [], name
     # the cut must be there: a search.py without it breaks the rule
     assert violations(_rule("one-cut"), "search.py", "x = 1\n") != []
+    assert violations(_rule("one-spectra-solve"), "spectra.py", "x = 1\n") != []
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

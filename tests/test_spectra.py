@@ -120,6 +120,33 @@ def test_spectrum_grouping():
     assert abs(c6.value(2) - 1.0) < 1e-9
 
 
+def test_spectrum_takes_a_graph_or_its_matrix():
+    # a graph, its bool adjacency and its integer matrix give one grouped
+    # spectrum, whose tolerance is scaled by the largest degree
+    from regspectra.search import enum_connected_regular
+
+    for g in enum_connected_regular(3, 8) + enum_connected_regular(4, 7):
+        s = spectrum(g)
+        assert s.tolerance == spectra.GROUP_TOL * max(g.degrees())
+        for x in (g.adj, g.adj.astype(np.int64)):
+            other = spectrum(x)
+            assert (other.pairs, other.tolerance) == (s.pairs, s.tolerance)
+
+
+def test_spectrum_checks_its_matrix():
+    # the input is checked by eig_symmetric before any norm is taken
+    with pytest.raises(ValueError, match="not symmetric"):
+        spectrum([[0.0, 1.0], [0.5, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        spectrum([[0.0, math.inf], [math.inf, 0.0]])
+    with pytest.raises(ValueError):
+        spectrum([["a", "b"], ["b", "a"]])
+    # a real symmetric matrix: tolerance scaled by its largest absolute row sum
+    s = spectrum([[0.0, -2.5], [-2.5, 0.0]])
+    assert s.values() == pytest.approx([2.5, -2.5]) and s.tolerance == spectra.GROUP_TOL * 2.5
+    assert spectrum([[0.25]]).tolerance == spectra.GROUP_TOL
+
+
 def test_spectrum_json():
     s = spectrum(complete(3))
     obj = s.to_json_obj()
@@ -239,6 +266,8 @@ def test_quotient_biclique():
     assert abs(vals[0] - math.sqrt(15)) < 1e-9 and abs(vals[-1] + math.sqrt(15)) < 1e-9
     full = eig_symmetric(g)
     assert abs(vals[0] - full[0]) < 1e-9
+    # grouped as `spectrum` groups the symmetrized [[0, sqrt 15], [sqrt 15, 0]]
+    assert q.spectrum().tolerance == pytest.approx(spectra.GROUP_TOL * math.sqrt(15))
 
 
 def test_quotient_tilde_matrix_matches_display():
