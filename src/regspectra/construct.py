@@ -86,10 +86,10 @@ def line_graph(g: Graph) -> Graph:
     edges = g.edges()
     if not edges:
         raise ValueError("line graph of an edgeless graph is undefined here")
-    # edge-vertex incidence B: two distinct edges meet iff (B B^T)[i, j] > 0
+    # edge-vertex incidence B: distinct edges meet iff (B B^T)[i, j] > 0 (exact in float32)
     u, v = np.array(edges).T
     rows = np.arange(len(edges))
-    b = np.zeros((len(edges), g.n), dtype=np.int64)
+    b = np.zeros((len(edges), g.n), dtype=np.float32)
     b[rows, u] = b[rows, v] = 1
     a = b @ b.T > 0
     np.fill_diagonal(a, False)
