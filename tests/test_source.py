@@ -4,10 +4,10 @@ The design rules of ROADMAP north-star 2 ("one eigensolver", "one BFS", ...)
 are the rows of `RULES`: each names a regex that no line of the files it
 covers may match (but for "one-cut" and "one-spectra-solve", which want
 exactly one matching line, inside `spectral_prune` and `eig_symmetric`),
-and each is its own test.  One source rule stays a
-CI step (`.github/workflows/tests.yml`, "No tracked file matches
-.gitignore"): it asks which files git tracks, which only the git index
-knows, and a test run on an exported tree has no index to ask.
+and each is its own test.  One source rule stays a CI step
+(`.github/workflows/tests.yml`, "No tracked file matches .gitignore"): it
+asks which files git tracks, which only the git index knows, and a test run
+on an exported tree has no index to ask.
 """
 
 import ast
