@@ -43,14 +43,20 @@ counts the edges among w's neighbours and q(w) sums |N(w) & N(x)|^2 over
 every vertex x (`_invariant`, popcounts of the rows of N(w) alone).  A
 completed graph is yielded only if no vertex beats vertex 0 (`_rooted`; ties
 pass), and a child is cut as soon as the vertex it completed beats I(0),
-which is final once vertices 0..k are saturated.  No class is lost: the
-block-prefix rule never moves vertex 0, so every class is reached with each
-of its vertices as vertex 0, among them one of maximal I; and t and q only
-grow as edges are added, so on that copy no value met in the tree exceeds
-I(0).  The rule cuts the labelled candidates about five-fold on the
-unpruned passes (the cheap vertex-invariant test of McKay's canonical
-construction path, J. Algorithms 26, 1998); `_dedup` still rejects the
-isomorphs it leaves.
+which is final once vertices 0..k are saturated.  A second level fixes
+vertex 1 the same way among vertex 0's neighbours 1..k: no w in 1..k may
+beat I(1), which is final once vertex 1 and N(1) are saturated.  No class is
+lost: the block-prefix rule never moves vertex 0, so every class is reached
+with each of its vertices as vertex 0, among them one of maximal I; the root
+step makes 1..k interchangeable, and vertex 1, completed next, never moves
+either, so that copy is reached with any neighbour of vertex 0 as vertex 1,
+among them one of maximal I; and t and q only grow as edges are added, so on
+that copy no value met in the tree exceeds I(0) or, in 1..k, I(1).  The rule
+cuts the labelled candidates ten- to twenty-fold on the unpruned passes,
+(3, 12) 2,999 -> 311 and (4, 11) 20,045 -> 1,036, the vertex-1 level about
+halving what vertex 0 leaves (the cheap vertex-invariant test of McKay's
+canonical construction path, J. Algorithms 26, 1998); `_dedup` still
+rejects the isomorphs it leaves.
 
 The pruned completion has one spectral cut, by interlacing (Haemers 1995).
 Let G be a connected k-regular graph on n vertices with lambda_2(G) <=
@@ -99,12 +105,14 @@ CANONICAL_CAP = 64
 DEFAULT_MAX_K = 5
 DEFAULT_MAX_N = 16
 # Candidates reach the dedup in batches: handing them over one at a time
-# costs about 7 % more CPU.  Measured with the root rule on (in-process CPU,
-# CPython 3.11, 2-core x86 host, alternating runs): v_search(3, 2, 12,
-# prune=False) 0.132 -> 0.142 s (medians of 8 runs, each the median of 3;
-# slower in all 8), and v_search(3, 2, 14, prune=False) 1.40 -> 1.51 s
-# (slower in 6 of 6).  From 256 up a batch is as fast as collecting every
-# candidate first, and memory stays bounded.
+# costs about 4-8 % more CPU.  Measured with both levels of the root rule on
+# (in-process CPU, CPython 3.11, 2-core x86 host, alternating runs):
+# v_search(3, 2, 12, prune=False), 311 candidates at n = 12, 0.113 -> 0.117 s
+# (medians of 12 runs, each the median of 3; slower in 11 of 12), and
+# v_search(3, 2, 14, prune=False) 1.04 -> 1.13 s (slower in 8 of 8; an
+# earlier set of 6 read 1.34 -> 1.22 s, slower in 1 of 6).  From 256 up a
+# batch is as fast as collecting every candidate first, and memory stays
+# bounded.
 _STREAM_BATCH = 512
 
 
@@ -485,9 +493,14 @@ def _invariant(rows: Sequence[int], w: int) -> int:
 
 def _rooted(rows: Sequence[int]) -> bool:
     """The leaf rule of the completion: no vertex's invariant exceeds vertex
-    0's (ties pass)."""
-    top = _invariant(rows, 0)
-    return all(_invariant(rows, w) <= top for w in range(1, len(rows)))
+    0's, and no neighbour of vertex 0 has an invariant above vertex 1's (ties
+    pass)."""
+    inv = [_invariant(rows, 0)]
+    for w in range(1, len(rows)):
+        inv.append(_invariant(rows, w))
+        if inv[w] > inv[0]:
+            return False
+    return all(inv[w] <= inv[1] for w in members(rows[0]))
 
 
 def _complete_from(
@@ -499,6 +512,7 @@ def _complete_from(
     verdicts: Optional[dict] = None,
     key: int = 1,
     root: Optional[int] = None,
+    heir: Optional[int] = None,
 ):
     """Completion of the bit rows `rows` (degree = popcount) with saturated
     bitmask `sat`; yields completed row tuples.  The next vertex v is the
@@ -553,6 +567,27 @@ def _complete_from(
       in pruned and unpruned passes alike;
     - ties are never cut (`>`, not `>=`): cutting them would lose every
       vertex-transitive class.
+
+    The rule has a second level: vertex 1 must carry the largest invariant
+    among vertex 0's neighbours 1..k.  I(1) reads only the rows of 1 and
+    N(1), so it is final once they are all saturated; `heir` carries it from
+    then on and is None before.  At the child where it becomes final, the
+    child is cut if some w in 2..k already has I(w) > I(1); after that, a
+    child is cut if its completed vertex v lies in 2..k and I(v) > I(1).
+    Both cuts run before `_feasible`, and at the leaf `_rooted` checks every
+    neighbour of vertex 0.  This is sound:
+    - the root step takes 1..k as a prefix of the one untouched block, so
+      any permutation of 1..k is an automorphism of that partial graph that
+      fixes 0: every class is reached with 0 -> x of maximal I and 1 -> any
+      y in N(x), in particular a y of maximal I in N(x);
+    - for k >= 2 vertex 1 is still unsaturated after the root step, so it is
+      the next vertex completed, and every later block-prefix normalisation
+      moves only vertices above the completed one: vertex 1 never moves;
+    - t and q only grow as edges are added, so a current value is a lower
+      bound, as for the root cut;
+    - the rule is vacuous for k <= 1.  It stops at this level: a later
+      normalisation permutes 2..k, so a third vertex has no fixed label to
+      carry a rule.
 
     `key` names the saturated subgraph H for the memo: a leading 1, then per
     step of the pass n bits for the completed vertex's row and for the row
@@ -633,10 +668,18 @@ def _complete_from(
             if b & last:  # saturated now, with every neighbour in `child`
                 ckey = ckey << n | rows[u]
         top = _invariant(rows, 0) if root is None and child & low == low else root
-        if (top is None or _invariant(rows, v) <= top) and _feasible(
-            k, n, rows, v, child, prune_lam, verdicts, ckey
-        ):
-            yield from _complete_from(k, n, rows, child, prune_lam, verdicts, ckey, top)
+        keep = top is None or _invariant(rows, v) <= top
+        # I(1) is final with 1 and N(1) saturated: then every w in 2..k is
+        # checked once, and later only a completed v in 2..k
+        second = heir
+        if heir is None:
+            if keep and child & 2 and not (rows[1] | 2) & ~child:
+                second = _invariant(rows, 1)
+                keep = all(_invariant(rows, w) <= second for w in range(2, k + 1))
+        elif 1 < v <= k:
+            keep = keep and _invariant(rows, v) <= heir
+        if keep and _feasible(k, n, rows, v, child, prune_lam, verdicts, ckey):
+            yield from _complete_from(k, n, rows, child, prune_lam, verdicts, ckey, top, second)
         rest = mask
         while rest:
             b = rest & -rest

@@ -389,10 +389,11 @@ def test_completed_candidates_connected():
     # the completion yields only connected graphs without a test at the leaf:
     # for k >= 1 the last feasibility check, with no unsaturated vertex left,
     # cuts a closed component that is not the whole graph.  The range reaches
-    # n = 12 for k <= 3 since the root rule emits fewer candidates per class
+    # n = 12 for k <= 3 and n = 10 for k >= 4 since the root rule emits fewer
+    # candidates per class
     seen = 0
     for k in range(6):
-        for n in range(k + 1, 13 if k < 4 else 10):
+        for n in range(k + 1, 13 if k < 4 else 11):
             if k * n % 2:
                 continue
             for rows in search._candidate_rows(k, n, None):
@@ -605,8 +606,9 @@ def test_prune_verdicts_memoized_per_order(monkeypatch):
 
     monkeypatch.setattr(search, "spectral_prune", counted)
     # one eigensolve per distinct subgraph tested in each order's pass, the
-    # forward check's sat + {v, u} included, in the tree the root rule leaves
-    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 177), ((4, 1, 10), 216)):
+    # forward check's sat + {v, u} included, in the tree both levels of the
+    # root rule leave
+    for (k, lam, n_max), want in (((3, Fraction(3, 2), 12), 173), ((4, 1, 10), 210)):
         calls[0] = 0
         pruned = search.v_search(k, lam, n_max)
         assert calls[0] == want, (k, lam, n_max)
@@ -714,13 +716,12 @@ def test_forward_check_cuts_a_block_at_the_parent(monkeypatch):
 
 def test_pruned_candidates_per_order_pinned():
     # labelled candidates per order of the pruned search, recorded when the
-    # root rule came in (before it, (4, 1, 10) read 6 at n = 7 and 33 at n = 9);
-    # the prune path must not move them
+    # root rule gained its vertex-1 level; the prune path must not move them
     want = {
         (3, Fraction(3, 2), 12): {4: 1, 5: 0, 6: 3, 7: 0, 8: 4, 9: 0, 10: 1, 11: 0, 12: 0},
-        (4, 1, 10): {5: 1, 6: 1, 7: 5, 8: 1, 9: 11, 10: 1},
+        (4, 1, 10): {5: 1, 6: 1, 7: 4, 8: 1, 9: 10, 10: 1},
         # no candidate at all past v(4, 1) = 12
-        (4, 1, 13): {5: 1, 6: 1, 7: 5, 8: 1, 9: 11, 10: 1, 11: 0, 12: 6, 13: 0},
+        (4, 1, 13): {5: 1, 6: 1, 7: 4, 8: 1, 9: 10, 10: 1, 11: 0, 12: 6, 13: 0},
     }
     for (k, lam, n_max), per_order in want.items():
         r = search.v_search(k, lam, n_max)
@@ -740,8 +741,9 @@ def _no_root_rule(rows, w):
 def test_candidate_stream_pinned(monkeypatch):
     # the ordered stream of labelled candidates (bit rows) that reaches the
     # dedup.  `rule_off` was recorded before the completion became a flat
-    # loop, and still holds with the root rule off; `rule_on` was recorded
-    # when the rule came in
+    # loop, and still holds with the root rule off (both levels, since each
+    # reads `_invariant`); `rule_on` was recorded when the rule gained its
+    # vertex-1 level
     seen: list = []
     real = search._dedup
 
@@ -761,10 +763,10 @@ def test_candidate_stream_pinned(monkeypatch):
         (3, 12, 2.0): (546, "d66f6c1ff42bb02ab28faaa84ba87a443c5710d4d07f5b3f0abffba0ba359d87"),
     }
     rule_on = {
-        (3, 10, None): (75, "dec65529633593564950fe70c6d0ae1eb54b9af811c4d0d89bf65f28b696076f"),
-        (4, 9, None): (73, "48a6321aa1bcefd33ecb9acb784c8581b781e8283667a7d6f97af241e6db3580"),
+        (3, 10, None): (40, "2480318945fdea8bfcec5a04b18f2ad2ca3e599ce3d52b42facf6944295113e3"),
+        (4, 9, None): (45, "3459343104e3cfcca46f10cd299decc813c45a2772a34598c1542104eef2f936"),
         (3, 12, 1.5): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-        (3, 12, 2.0): (205, "d5abb7261c41659f3fb0e0ac506e47cd98224078ab1c8d9f13f4f785832379c6"),
+        (3, 12, 2.0): (139, "1ff7950c47c73dfadda50a7ccb3e5aaffdad7b9f5dce1be398e6538e75e640d1"),
     }
     for invariant, want in ((_no_root_rule, rule_off), (search._invariant, rule_on)):
         monkeypatch.setattr(search, "_invariant", invariant)
@@ -801,6 +803,22 @@ def test_invariant_counts_triangles_and_common_neighbours():
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]).bits()
     assert search._invariant(paw, 2) > search._invariant(paw, 0)
     assert not search._rooted(paw)
+
+
+def test_leaf_rule_puts_the_largest_neighbour_at_vertex_one():
+    # the paw with its degree-3 vertex as 0, the pendant as 1 and the
+    # triangle 0, 2, 3: vertex 0 has the largest I, but its neighbour 2 beats
+    # vertex 1, so the rule's second level rejects it until 1 and 2 swap
+    edges = [(0, 1), (0, 2), (0, 3), (2, 3)]
+    rows = Graph.from_edges(4, edges).bits()
+    inv = [search._invariant(rows, w) for w in range(4)]
+    assert max(inv) == inv[0] and inv[2] > inv[1]
+    assert not search._rooted(rows)
+    swap = {1: 2, 2: 1}
+    swapped = Graph.from_edges(4, [(swap.get(a, a), swap.get(b, b)) for a, b in edges])
+    assert search._rooted(swapped.bits())
+    # ties pass at both levels
+    assert search._rooted(petersen().bits()) and search._rooted(complete(4).bits())
 
 
 def test_invariant_matches_reference():
